@@ -9,7 +9,6 @@ from .alpha_model import (
     Condition7Report,
     IntegrandFunction,
     check_condition7,
-    eval_alpha,
     exponent_integral,
     integral_cf,
     lf_n_exponent,
@@ -106,5 +105,3 @@ from .verify_stats import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -269,11 +269,6 @@ class AlphaFunction:
         raise ParameterError(f"unknown exponent kind {kind!r}")
 
 
-def eval_alpha(af: AlphaFunction, u):
-    """Evaluate the exponent function (vectorised over ``u``)."""
-    return af(u)
-
-
 # ---------------------------------------------------------------------------
 # integrands
 # ---------------------------------------------------------------------------
@@ -282,17 +277,20 @@ class IntegrandFunction:
     """A deterministic integrand on [0, 1].
 
     Holds either a vectorised closed-form handle with declared breakpoints
-    or a uniform-grid table with right-continuous step interpolation.
+    or a uniform-grid table with right-continuous step interpolation;
+    ``indicator_bounds`` (lo, hi) marks the exact indicator of [lo, hi].
     Supports the arithmetic needed to form differences and scalings.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
                  breakpoints: Sequence[float] = (), label: str = "",
-                 table: np.ndarray | None = None):
+                 table: np.ndarray | None = None,
+                 indicator_bounds: tuple[float, float] | None = None):
         self._fn = fn
         self.breakpoints = tuple(sorted(set(float(p) for p in breakpoints if 0.0 < p < 1.0)))
         self.label = label or "integrand"
         self.table = None if table is None else np.asarray(table, dtype=float)
+        self.indicator_bounds = indicator_bounds
 
     # -- constructors -----------------------------------------------------
 
@@ -322,9 +320,7 @@ class IntegrandFunction:
             x = np.asarray(x, dtype=float)
             return ((x >= lo) & (x <= hi)).astype(float)
 
-        out = cls(fn, [lo, hi], f"indicator[{lo},{hi}]")
-        out._indicator = (lo, hi)  # noqa: SLF001 - used for exact panel logic
-        return out
+        return cls(fn, [lo, hi], f"indicator[{lo},{hi}]", indicator_bounds=(lo, hi))
 
     @classmethod
     def constant(cls, c: float) -> "IntegrandFunction":
@@ -380,9 +376,8 @@ class IntegrandFunction:
         if self.table is not None:
             m = self.table.size
             return [(i / m, (i + 1) / m, float(self.table[i])) for i in range(m)]
-        ind = getattr(self, "_indicator", None)
-        if ind is not None:
-            lo, hi = ind
+        if self.indicator_bounds is not None:
+            lo, hi = self.indicator_bounds
             cells = []
             if lo > 0.0:
                 cells.append((0.0, lo, 0.0))
@@ -396,7 +391,7 @@ class IntegrandFunction:
         """Estimated sup of |f| over [0, 1] (exact for tables/indicators)."""
         if self.table is not None:
             return float(np.max(np.abs(self.table)))
-        if getattr(self, "_indicator", None) is not None:
+        if self.indicator_bounds is not None:
             return 1.0
         xs = np.linspace(0.0, 1.0, n_probe)
         if self.breakpoints:
@@ -641,10 +636,6 @@ class Condition7Report:
     values: tuple[float, ...]
     threshold: float
     verdict: str
-
-    def to_json_dict(self) -> dict:
-        return {"t_grid": list(self.t_grid), "values": list(self.values),
-                "threshold": self.threshold, "verdict": self.verdict}
 
 
 def check_condition7(af: AlphaFunction, x_grid, t_grid,

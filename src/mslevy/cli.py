@@ -11,6 +11,7 @@ variable.  Every artifact embeds the fully resolved configuration and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -48,6 +49,7 @@ from .integrals import (
 )
 from .msl_schemes import (
     SchemeConfig,
+    _check_ensemble,
     ensemble_to_csv,
     marginal_ensemble,
     path_to_csv,
@@ -123,7 +125,10 @@ def _parse_floats(value) -> list[float]:
 
 
 def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize."""
+    """Recursively convert report dataclasses (field by field) and numpy
+    scalars/arrays so json can serialize."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -285,8 +290,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ParameterError(
             f"unknown scheme {resolved['scheme']!r}; pick one of {_SCHEMES}")
     ensemble = int(resolved["ensemble"])
-    if ensemble < 1:
-        raise ParameterError(f"ensemble must be >= 1, got {ensemble}")
+    _check_ensemble(ensemble)
     svg_path = _svg_target(resolved) if resolved["plot"] else None
     stream = RandomStream(int(resolved["seed"]))
     paths = [_simulate_path(resolved, af, stream.child(r))
@@ -325,7 +329,7 @@ _VERIFY_DEFAULTS: dict = {
 
 def _ecf_item(name: str, report, limit: float | None) -> dict:
     eff = limit if limit is not None else 5.0 * report.mc_stderr
-    return {"name": name, "passed": bool(report.sup_deviation < eff),
+    return {"name": name, "passed": report.passes(limit),
             "deviation": float(report.sup_deviation), "limit": float(eff)}
 
 
@@ -566,7 +570,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
                               RandomStream(int(resolved["seed"])),
                               tolerance=tolerance)
     payload = {"command": "localize", "config": resolved,
-               "report": rep.to_json_dict()}
+               "report": rep}
     _emit_json(payload, resolved["out"])
     if resolved["plot"]:
         with open(_svg_target(resolved), "w", encoding="utf-8") as fh:
@@ -595,7 +599,7 @@ def _cmd_condition7(args: argparse.Namespace) -> int:
         xs = np.union1d(xs, np.clip(straddles, t0, t1))
     rep = check_condition7(af, xs, lags, float(resolved["threshold"]))
     _emit_json({"command": "condition7", "config": resolved,
-                "report": rep.to_json_dict()}, resolved["out"])
+                "report": rep}, resolved["out"])
     return 0 if rep.verdict == "satisfied" else 1
 
 

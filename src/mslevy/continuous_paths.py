@@ -19,7 +19,7 @@ import numpy as np
 
 from .alpha_model import AlphaFunction
 from .errors import DomainError, ParameterError
-from .msl_schemes import PathGrid
+from .msl_schemes import PathGrid, _check_ensemble, _check_level
 from .stable_core import (RandomStream, sample_symmetric,
                           symmetric_from_uniform_pairs)
 
@@ -269,6 +269,25 @@ def _sigma_tilde_boundary(alphas: np.ndarray, d: float, n: int) -> np.ndarray:
     return (coef[None, :] ** alphas[:, None]).sum(axis=1) ** (1.0 / alphas)
 
 
+def _sn_cells(n: int, af: AlphaFunction, d: float, levels: int):
+    """Validated per-cell set-up shared by :func:`simulate_sn` and
+    :func:`sn_boundary_ensemble`: the exponents alpha(k/2^n), the weights
+    (2^-n)^(1/alpha) and the dilated scales at 2^-n, k = 0..2^n - 1."""
+    _check_level(n)
+    if levels < n:
+        raise ParameterError(
+            f"truncation level {levels} cannot resolve cell width 2^-{n}; need levels >= n")
+    t0, t1 = af.domain
+    if t0 != 0.0 or t1 < 1.0:
+        raise ParameterError("the exponent function must cover [0, 1]")
+    m = 2 ** n
+    alphas = np.asarray(af(np.arange(m, dtype=float) / m), dtype=float)
+    if d <= 1.0 / float(np.min(alphas)):
+        raise ParameterError(
+            f"continuous regime needs d > 1/alpha on every cell; d = {d} fails")
+    return alphas, (2.0 ** -n) ** (1.0 / alphas), _sigma_tilde_boundary(alphas, d, n)
+
+
 def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
                 d: float = 1.0, levels: int = 16, with_diagnostics: bool = False):
     """One draw of the continuous multistable approximation on ``t_grid``.
@@ -278,14 +297,7 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
     truncated series exactly, making each completed-cell summand exactly
     unit-scale stable.
     """
-    if not (1 <= n <= 26):
-        raise ParameterError(f"dyadic level n must lie in [1, 26], got {n}")
-    if levels < n:
-        raise ParameterError(
-            f"truncation level {levels} cannot resolve cell width 2^-{n}; need levels >= n")
-    t0, t1 = af.domain
-    if t0 != 0.0 or t1 < 1.0:
-        raise ParameterError("the exponent function must cover [0, 1]")
+    alphas, weights, sig = _sn_cells(n, af, d, levels)
     t = np.ascontiguousarray(t_grid, dtype=float)
     if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
         raise ParameterError("t_grid must start at 0 and increase strictly")
@@ -293,13 +305,6 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
         raise DomainError("t_grid must stay inside [0, 1]")
 
     m = 2 ** n
-    alphas = np.asarray(af(np.arange(m, dtype=float) / m), dtype=float)
-    if d <= 1.0 / float(np.min(alphas)):
-        raise ParameterError(
-            f"continuous regime needs d > 1/alpha on every cell; d = {d} fails")
-    weights = (2.0 ** -n) ** (1.0 / alphas)
-    sig = _sigma_tilde_boundary(alphas, d, n)
-
     cell_of = np.floor(np.ldexp(t, n)).astype(np.int64)
     args = t - cell_of / m
     cell_terms = np.empty(m)
@@ -336,15 +341,12 @@ def sn_boundary_ensemble(n: int, af: AlphaFunction, stream: RandomStream,
     the ensemble touches a short prefix of every cell stream instead of
     evaluating whole paths.
     """
-    if levels < n:
-        raise ParameterError("need levels >= n (matches simulate_sn)")
+    _check_ensemble(ensemble)
+    alphas, weights, sig = _sn_cells(n, af, d, levels)
     m = 2 ** n
     ks = np.asarray(boundary_ks, dtype=np.int64)
     if np.any(ks < 0) or np.any(ks > m):
         raise ParameterError("boundary indices must lie in [0, 2^n]")
-    alphas = np.asarray(af(np.arange(m, dtype=float) / m), dtype=float)
-    weights = (2.0 ** -n) ** (1.0 / alphas)
-    sig = _sigma_tilde_boundary(alphas, d, n)
     pair_count = n + 1
     out = np.empty((ensemble, ks.size))
     flat_alphas = np.repeat(alphas, pair_count)

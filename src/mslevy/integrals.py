@@ -20,13 +20,11 @@ import numpy as np
 from .alpha_model import (AlphaFunction, IntegrandFunction, modular_integral,
                           quasinorm)
 from .errors import ParameterError
-from .msl_schemes import PathGrid, _dyadic_times
+from .msl_schemes import (PathGrid, _check_ensemble, _check_level, _dyadic_times,
+                          _weighted_sums)
 from .quadrature import adaptive_simpson
-from .stable_core import RandomStream, sample_symmetric
+from .stable_core import RandomStream
 from .verify_stats import empirical_cf, empirical_cf_joint, spearman_corr
-
-# weights multiplying the indicator kernel are plain integrands on [0, 1]
-WeightFunction = IntegrandFunction
 
 _NULL_SET_TOL = 1e-12
 _SCAN_PANELS = 4096
@@ -86,14 +84,6 @@ class KernelFunction:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _grid_terms(f: IntegrandFunction, af: AlphaFunction, n: int) -> tuple[np.ndarray, np.ndarray]:
-    m = 2 ** n
-    ks = np.arange(1, m + 1, dtype=float) / m
-    alphas = np.asarray(af(ks), dtype=float)
-    coeffs = (2.0 ** -n) ** (1.0 / alphas)
-    return alphas, coeffs * np.asarray(f(ks), dtype=float)
-
-
 def sample_integral(f: IntegrandFunction, af: AlphaFunction, n: int,
                     stream: RandomStream) -> float:
     """One draw of the weighted-sum approximation to the integral of f.
@@ -102,11 +92,8 @@ def sample_integral(f: IntegrandFunction, af: AlphaFunction, n: int,
     slices reproduce discrete-scheme path values bit for bit under the same
     stream.
     """
-    if not (1 <= n <= 26):
-        raise ParameterError(f"dyadic level n must lie in [1, 26], got {n}")
-    alphas, weights = _grid_terms(f, af, n)
-    x = sample_symmetric(alphas, stream)
-    return float(np.cumsum(weights * x)[-1])
+    _check_level(n)
+    return float(next(_weighted_sums(af, 2 ** n, [stream], 2.0 ** -n, fs=[f]))[0, -1])
 
 
 def integral_ensemble(f: IntegrandFunction, af: AlphaFunction, n: int,
@@ -120,18 +107,11 @@ def joint_integral_ensemble(fs, af: AlphaFunction, n: int, ensemble: int,
     """Matrix (ensemble x len(fs)) of integral draws where every column of a
     row shares the same underlying stable draws — the joint law of several
     integrals against one realisation of the random measure."""
-    if not (1 <= n <= 26):
-        raise ParameterError(f"dyadic level n must lie in [1, 26], got {n}")
-    if ensemble < 1:
-        raise ParameterError("ensemble size must be >= 1")
-    per_f = [_grid_terms(f, af, n) for f in fs]
-    alphas = per_f[0][0]
-    weight_rows = np.stack([w for _, w in per_f])
-    out = np.empty((ensemble, len(fs)))
-    for r in range(ensemble):
-        x = sample_symmetric(alphas, stream.child(r))
-        out[r] = np.cumsum(weight_rows * x, axis=1)[:, -1]
-    return out
+    _check_level(n)
+    _check_ensemble(ensemble)
+    sums = _weighted_sums(af, 2 ** n, (stream.child(r) for r in range(ensemble)),
+                          2.0 ** -n, fs=fs, cols=[-1])
+    return np.array([row[:, 0] for row in sums])
 
 
 def weighted_mslm(w: IntegrandFunction, af: AlphaFunction, n: int,
@@ -139,11 +119,8 @@ def weighted_mslm(w: IntegrandFunction, af: AlphaFunction, n: int,
     """Path of integrals of w over growing windows [0, k/2^n]: the
     weighted multistable motion.  w = 1 reproduces the plain scheme path
     bitwise under the same stream."""
-    if not (1 <= n <= 26):
-        raise ParameterError(f"dyadic level n must lie in [1, 26], got {n}")
-    alphas, weights = _grid_terms(w, af, n)
-    x = sample_symmetric(alphas, stream)
-    values = np.concatenate([[0.0], np.cumsum(weights * x)])
+    _check_level(n)
+    values = next(_weighted_sums(af, 2 ** n, [stream], 2.0 ** -n, fs=[w]))[0]
     return PathGrid(times=_dyadic_times(n), values=values)
 
 
@@ -158,10 +135,6 @@ class ConvergenceReport:
     norms: tuple
     threshold: float
     converges: bool
-
-    def to_json_dict(self) -> dict:
-        return {"norms": list(self.norms), "threshold": self.threshold,
-                "converges": self.converges}
 
 
 def integrand_convergence(f_seq, f: IntegrandFunction, af: AlphaFunction,
@@ -239,16 +212,6 @@ class IndependenceReport:
     ensemble: int
     verdict: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "applicable": self.applicable, "hypothesis": self.hypothesis,
-            "overlap": self.overlap,
-            "analytic_independent": self.analytic_independent,
-            "distance": self.distance, "threshold": self.threshold,
-            "empirical_independent": self.empirical_independent,
-            "ensemble": self.ensemble, "verdict": self.verdict,
-        }
-
 
 def independence_test(f1: IntegrandFunction, f2: IntegrandFunction,
                       af: AlphaFunction, stream: RandomStream, n: int = 12,
@@ -299,11 +262,6 @@ class PairwiseReport:
     applicable: bool
     independent: bool
 
-    def to_json_dict(self) -> dict:
-        return {"overlaps": [list(o) for o in self.overlaps],
-                "offending": [list(o) for o in self.offending],
-                "applicable": self.applicable, "independent": self.independent}
-
 
 def pairwise_independence(fs, af: AlphaFunction) -> PairwiseReport:
     """Joint independence holds iff every pair has null-set overlap; the
@@ -347,12 +305,6 @@ class HoelderPairResult:
     tail_bound: float
     tail_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {"t": self.t, "v": self.v, "energy": self.energy,
-                "energy_bound": self.energy_bound, "energy_ok": self.energy_ok,
-                "tail_prob": self.tail_prob, "tail_bound": self.tail_bound,
-                "tail_ok": self.tail_ok}
-
 
 @dataclass(frozen=True)
 class HoelderReport:
@@ -361,11 +313,6 @@ class HoelderReport:
     beta: float
     pairs: tuple
     all_pass: bool
-
-    def to_json_dict(self) -> dict:
-        return {"eta": self.eta, "C": self.C, "beta": self.beta,
-                "pairs": [p.to_json_dict() for p in self.pairs],
-                "all_pass": self.all_pass}
 
 
 def hoelder_bound_check(kernel: KernelFunction, af: AlphaFunction, eta: float,
@@ -442,17 +389,6 @@ class StrongLocReport:
     failures: tuple
     required_eta: float
     verdict: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": self.x, "alpha_x": self.alpha_x, "r_list": list(self.r_list),
-            "eta_by_r": list(self.eta_by_r), "const_by_r": list(self.const_by_r),
-            "quasinorm_eta_by_r": list(self.quasinorm_eta_by_r),
-            "eta_mean": self.eta_mean, "eta_spread": self.eta_spread,
-            "lhs_table": [list(row) for row in self.lhs_table],
-            "failures": [list(f) for f in self.failures],
-            "required_eta": self.required_eta, "verdict": self.verdict,
-        }
 
 
 def strong_localisability_check(kernel: KernelFunction, af: AlphaFunction,

@@ -13,11 +13,11 @@ X(k, n); they differ only in the deterministic or arrival-driven weights:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_model import AlphaFunction
+from .alpha_model import AlphaFunction, IntegrandFunction
 from .errors import ParameterError
 from .stable_core import (RandomStream, poisson_arrivals, sample_symmetric,
                           symmetric_from_uniform_pairs)
@@ -74,8 +74,7 @@ class SchemeConfig:
     nested: bool = False
 
     def __post_init__(self) -> None:
-        if not (1 <= self.n <= 26):
-            raise ParameterError(f"dyadic level n must lie in [1, 26], got {self.n}")
+        _check_level(self.n)
 
     @property
     def effective_alpha(self) -> AlphaFunction:
@@ -98,14 +97,14 @@ def _dyadic_times(n: int) -> np.ndarray:
     return np.arange(m + 1, dtype=float) / m
 
 
-def _grid_alphas(cfg: SchemeConfig) -> np.ndarray:
-    m = 2 ** cfg.n
-    ks = np.arange(1, m + 1, dtype=float) / m
-    return np.asarray(cfg.effective_alpha(ks), dtype=float)
+def _check_level(n: int) -> None:
+    if not (1 <= n <= 26):
+        raise ParameterError(f"dyadic level n must lie in [1, 26], got {n}")
 
 
-def _coeffs(base: float, alphas: np.ndarray) -> np.ndarray:
-    return base ** (1.0 / alphas)
+def _check_ensemble(ensemble: int) -> None:
+    if ensemble < 1:
+        raise ParameterError(f"ensemble size must be >= 1, got {ensemble}")
 
 
 def _dyadic_address_index(k: int, n: int) -> int:
@@ -119,32 +118,65 @@ def _dyadic_address_index(k: int, n: int) -> int:
     return (1 << (level - 1)) + (j - 1) // 2
 
 
-def _nested_draws(cfg: SchemeConfig, alphas: np.ndarray) -> np.ndarray:
-    """Symmetric draws attached to dyadic addresses instead of (k, n) pairs,
-    so X(2k, n+1) reuses X(k, n) exactly."""
-    m = 2 ** cfg.n
-    u1 = np.empty(m)
-    u2 = np.empty(m)
-    for k in range(1, m + 1):
-        gen = cfg.stream.child(_TAG_DYADIC, _dyadic_address_index(k, cfg.n)).generator()
+def _nested_draws(alphas: np.ndarray, stream: RandomStream, m: int) -> np.ndarray:
+    """Symmetric draws attached to the dyadic addresses of k/m, m = 2^n,
+    instead of (k, n) pairs, so X(2k, n+1) reuses X(k, n) exactly."""
+    n = m.bit_length() - 1
+    u1 = np.empty(alphas.size)
+    u2 = np.empty(alphas.size)
+    for k in range(1, alphas.size + 1):
+        gen = stream.child(_TAG_DYADIC, _dyadic_address_index(k, n)).generator()
         pair = gen.random(2)
         u1[k - 1] = pair[0]
         u2[k - 1] = pair[1]
     return symmetric_from_uniform_pairs(alphas, u1, u2)
 
 
-def _scheme_draws(cfg: SchemeConfig, alphas: np.ndarray) -> np.ndarray:
-    if cfg.nested:
-        return _nested_draws(cfg, alphas)
-    return sample_symmetric(alphas, cfg.stream)
+def _weighted_sums(af, m: int, streams, base: float, fs=None, start: int = 0,
+                   count: int | None = None, cols=None, nested: bool = False):
+    """The weighted-sum kernel behind every scheme, integral and ensemble.
+
+    Over the cells x_k = min((start + k)/m, 1), k = 1..count (default m),
+    it takes the exponents alpha_k = af(x_k) and, per integrand f in ``fs``
+    (f = 1 when None), the weights w_k = base^(1/alpha_k) f(x_k).  For each
+    stream in turn it yields the matrix (integrands x columns) of the
+    partial sums S_0 = 0, S_j = sum_{k <= j} w_k X_k at the indices ``cols``
+    (all count + 1 of them when None).  X is ``sample_symmetric(alphas,
+    stream)``, or drawn by dyadic address when ``nested`` (m = 2^n,
+    start = 0).  The sum is sequential, so integrals of indicator slices
+    reproduce path values bit for bit.
+    """
+    count = m if count is None else count
+
+    def cells() -> np.ndarray:
+        # built in place: extra temporaries of 2^20-cell rows fragment
+        # glibc's heap, which raised the peak RSS of long-path runs
+        xs = np.arange(start + 1, start + count + 1, dtype=float)
+        xs /= m
+        return np.minimum(xs, 1.0, out=xs)
+
+    alphas = np.asarray(af(cells()), dtype=float)
+    weights = None
+    for stream in streams:
+        x = _nested_draws(alphas, stream, m) if nested else sample_symmetric(alphas, stream)
+        if weights is None:
+            # built after the first draws, so that sampling, the peak of a
+            # long path's memory, holds no array beside alphas
+            weights = base ** (1.0 / alphas)
+            if fs is None:
+                weights = weights[None, :]
+            else:
+                xs = cells()
+                weights = weights * np.stack([np.asarray(f(xs), dtype=float) for f in fs])
+        prefix = np.concatenate([np.zeros((weights.shape[0], 1)),
+                                 np.cumsum(weights * x, axis=1)], axis=1)
+        yield prefix if cols is None else prefix[:, cols]
 
 
 def simulate_li(cfg: SchemeConfig) -> PathGrid:
     """Field-local weighted-sum path on the dyadic grid k/2^n."""
-    alphas = _grid_alphas(cfg)
-    x = _scheme_draws(cfg, alphas)
-    coeffs = _coeffs(2.0 ** -cfg.n, alphas)
-    values = np.concatenate([[0.0], np.cumsum(coeffs * x)])
+    values = next(_weighted_sums(cfg.effective_alpha, 2 ** cfg.n, [cfg.stream],
+                                 2.0 ** -cfg.n, nested=cfg.nested))[0]
     return PathGrid(times=_dyadic_times(cfg.n), values=values)
 
 
@@ -154,20 +186,18 @@ def simulate_lr(cfg: SchemeConfig) -> PathGrid:
     arrival time drawn from a dedicated substream.
 
     Summand indices may exceed 2^n, so the exponent argument is clamped to
-    min(j/2^n, 1); a Gamma_k below 1 leaves the value at exactly 0.
+    min(j/2^n, 1); a Gamma_k below 1 leaves the value at exactly 0.  Those
+    summands have no dyadic address, so nested draws are rejected.
     """
+    if cfg.nested:
+        raise ParameterError("the lr scheme sums past 2^n cells, which have no "
+                             "dyadic address; nested draws need li or lc")
     m = 2 ** cfg.n
     arrivals = poisson_arrivals(1.0, m, cfg.stream.child(_TAG_ARRIVALS)).times
     counts = np.floor(arrivals).astype(int)
-    total = int(counts[-1])
-    if total > 0:
-        js = np.arange(1, total + 1, dtype=float) / m
-        alphas = np.asarray(cfg.effective_alpha(np.minimum(js, 1.0)), dtype=float)
-        x = _scheme_draws(cfg, alphas)
-        prefix = np.concatenate([[0.0], np.cumsum(_coeffs(2.0 ** -cfg.n, alphas) * x)])
-    else:
-        prefix = np.zeros(1)
-    values = np.concatenate([[0.0], prefix[np.minimum(counts, total)]])
+    values = next(_weighted_sums(cfg.effective_alpha, m, [cfg.stream], 2.0 ** -cfg.n,
+                                 count=int(counts[-1]),
+                                 cols=np.concatenate([[0], counts])))[0]
     return PathGrid(times=_dyadic_times(cfg.n), values=values)
 
 
@@ -185,9 +215,8 @@ def simulate_lc(cfg: SchemeConfig, gamma_value: float | None = None) -> PathGrid
         gamma_value = float(cfg.stream.child(_TAG_ARRIVALS).generator().gamma(shape=m))
     if gamma_value <= 0.0:
         raise ParameterError(f"arrival total must be positive, got {gamma_value}")
-    alphas = _grid_alphas(cfg)
-    x = _scheme_draws(cfg, alphas)
-    values = np.concatenate([[0.0], np.cumsum(_coeffs(1.0 / gamma_value, alphas) * x)])
+    values = next(_weighted_sums(cfg.effective_alpha, m, [cfg.stream],
+                                 1.0 / gamma_value, nested=cfg.nested))[0]
     return PathGrid(times=_dyadic_times(cfg.n), values=values)
 
 
@@ -220,10 +249,13 @@ def simulate_stable_fclt(alpha: float, n_terms: int, stream: RandomStream) -> Pa
     symmetric alpha-stable draws on the grid u = k/n."""
     if not (0.0 < alpha <= 2.0):
         raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    if n_terms < 1:
-        raise ParameterError("n_terms must be >= 1")
-    x = sample_symmetric(np.full(n_terms, float(alpha)), stream)
-    values = np.concatenate([[0.0], np.cumsum(n_terms ** (-1.0 / alpha) * x)])
+    if n_terms < 1 or n_terms != int(n_terms):
+        raise ParameterError(f"n_terms must be an integer >= 1, got {n_terms}")
+    # n^(-1/alpha) enters as a constant integrand over the unit base, where
+    # 1^(1/alpha) = 1 exactly; the base 1/n would round differently
+    weight = IntegrandFunction.constant(n_terms ** (-1.0 / alpha))
+    values = next(_weighted_sums(AlphaFunction.constant(alpha), n_terms, [stream], 1.0,
+                                 fs=[weight]))[0]
     times = np.arange(n_terms + 1, dtype=float) / n_terms
     return PathGrid(times=times, values=values)
 
@@ -247,8 +279,7 @@ def marginal_ensemble(scheme: str, af: AlphaFunction, n: int, us, ensemble: int,
     simulators = {"li": simulate_li, "lr": simulate_lr, "lc": simulate_lc}
     if scheme not in simulators:
         raise ParameterError(f"unknown scheme {scheme!r}; expected one of {sorted(simulators)}")
-    if ensemble < 1:
-        raise ParameterError("ensemble size must be >= 1")
+    _check_ensemble(ensemble)
     idx = np.asarray([grid_index(n, u) for u in us], dtype=int)
     out = np.empty((ensemble, idx.size))
     for r in range(ensemble):
@@ -267,20 +298,16 @@ def li_window_ensemble(af: AlphaFunction, n: int, k0: int, cell_offsets, ensembl
     Simulates only the window of cells actually spanned, which keeps large
     levels affordable for increment statistics.
     """
+    _check_level(n)
+    _check_ensemble(ensemble)
     m = 2 ** n
     offs = np.asarray(cell_offsets, dtype=int)
     if np.any(offs < 1) or k0 < 0 or k0 + int(offs.max()) > m:
         raise ParameterError("cell window must lie inside the dyadic grid")
     eff = alpha_n if alpha_n is not None else af
-    ks = (k0 + np.arange(1, int(offs.max()) + 1, dtype=float)) / m
-    alphas = np.asarray(eff(ks), dtype=float)
-    coeffs = _coeffs(2.0 ** -n, alphas)
-    out = np.empty((ensemble, offs.size))
-    for r in range(ensemble):
-        x = sample_symmetric(alphas, stream.child(r))
-        cum = np.cumsum(coeffs * x)
-        out[r] = cum[offs - 1]
-    return out
+    sums = _weighted_sums(eff, m, (stream.child(r) for r in range(ensemble)), 2.0 ** -n,
+                          start=k0, count=int(offs.max()), cols=offs)
+    return np.array([row[0] for row in sums])
 
 
 # ---------------------------------------------------------------------------

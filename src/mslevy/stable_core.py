@@ -64,9 +64,6 @@ class RandomStream:
             sid = _splitmix64(sid ^ _splitmix64(int(ix) & _MASK64))
         return RandomStream(self.seed, sid)
 
-    def children(self, count: int) -> list["RandomStream"]:
-        return [self.child(i) for i in range(count)]
-
 
 @dataclass(frozen=True)
 class StableParams:
@@ -149,10 +146,15 @@ def symmetric_from_uniform_pairs(alphas: np.ndarray, u1, u2) -> np.ndarray:
     same uniforms.
     """
     alphas = np.ascontiguousarray(alphas, dtype=float)
+    u1 = np.ascontiguousarray(u1, dtype=float)
+    u2 = np.ascontiguousarray(u2, dtype=float)
+    if not alphas.shape == u1.shape == u2.shape:
+        raise ParameterError(f"alphas, u1 and u2 must have one shape, got "
+                             f"{alphas.shape}, {u1.shape} and {u2.shape}")
     if np.any(alphas <= 0.0) or np.any(alphas > 2.0):
         raise ParameterError("stability indices must lie in (0, 2]")
-    phi = np.pi * (np.ascontiguousarray(u1, dtype=float) - 0.5)
-    w = np.maximum(-np.log1p(-np.ascontiguousarray(u2, dtype=float)), 1e-16)
+    phi = np.pi * (u1 - 0.5)
+    w = np.maximum(-np.log1p(-u2), 1e-16)
     return _sym_standard(alphas, phi, w)
 
 

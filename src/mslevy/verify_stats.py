@@ -87,20 +87,6 @@ class EcfReport:
         tol = 5.0 * self.mc_stderr if tolerance is None else tolerance
         return bool(self.sup_deviation < tol)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "theta_grid": [float(t) for t in self.theta_grid],
-            "empirical_re": [float(v.real) for v in self.empirical],
-            "empirical_im": [float(v.imag) for v in self.empirical],
-            "theoretical_re": [float(v.real) for v in self.theoretical],
-            "theoretical_im": [float(v.imag) for v in self.theoretical],
-            "sup_deviation": float(self.sup_deviation),
-            "mc_stderr": float(self.mc_stderr),
-            "n_samples": int(self.n_samples),
-            "passes_default": self.passes(),
-        }
-
 
 def ecf_report(samples, theoretical, theta_grid=None, label: str = "") -> EcfReport:
     """Compare samples against a theoretical CF (callable on theta or an
@@ -192,14 +178,6 @@ class LocalisabilityReport:
     tolerance: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "x": self.x, "u": self.u, "alpha_x": self.alpha_x,
-            "r_list": list(self.r_list), "deviations": list(self.deviations),
-            "spearman": self.spearman, "final_deviation": self.final_deviation,
-            "tolerance": self.tolerance, "passed": self.passed,
-        }
-
 
 def localisability_test(af: AlphaFunction, x: float, u: float, r_list, n: int,
                         ensemble: int, stream: RandomStream, theta_grid=None,
@@ -260,14 +238,6 @@ class TightnessReport:
     zero_width: bool
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "triple": list(self.triple), "lambdas": list(self.lambdas),
-            "empirical": list(self.empirical), "bounds": list(self.bounds),
-            "gammas": list(self.gammas), "n": self.n, "ensemble": self.ensemble,
-            "zero_width": self.zero_width, "passed": self.passed,
-        }
-
 
 def tightness_bound_constant(gamma: float) -> float:
     """Each one-sided tail obeys P(|increment| >= lambda) <=
@@ -322,14 +292,6 @@ class FactorizationReport:
     mc_stderr: float
     ensemble: int
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "intervals": [list(iv) for iv in self.intervals],
-            "distance": self.distance, "threshold": self.threshold,
-            "mc_stderr": self.mc_stderr, "ensemble": self.ensemble,
-            "passed": self.passed,
-        }
 
 
 def factorization_test(scheme: str, af: AlphaFunction, intervals, n: int,

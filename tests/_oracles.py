@@ -173,3 +173,25 @@ def cf_of_increment_brute(alpha_fn, theta: float, u1: float, u2: float,
     xs = u1 + (u2 - u1) * (np.arange(panels) + 0.5) / panels
     vals = np.abs(theta) ** np.asarray([alpha_fn(x) for x in xs])
     return complex(math.exp(-float(np.mean(vals)) * (u2 - u1)))
+
+
+def weighted_sum_path(alphas, base: float, f_values, draws) -> np.ndarray:
+    """Reference weighted-sum path [0, cumsum(base^(1/alpha_k) f_k X_k)].
+
+    The sum is sequential, as in the dyadic schemes, so a scheme that follows
+    the same recipe matches this bit for bit.  ``f_values`` is an array
+    aligned with ``alphas`` or a scalar (1.0 for the plain schemes).
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    terms = base ** (1.0 / alphas) * f_values * np.asarray(draws, dtype=float)
+    return np.concatenate([[0.0], np.cumsum(terms)])
+
+
+def dyadic_address(k: int, n: int) -> int:
+    """Index of the dyadic rational k/2^n in lowest terms: 1 -> 0, and the
+    odd numerator j at level l -> 2^(l-1) + (j-1)/2."""
+    level, j = n, k
+    while j % 2 == 0:
+        j //= 2
+        level -= 1
+    return 0 if level == 0 else 2 ** (level - 1) + (j - 1) // 2

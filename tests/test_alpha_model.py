@@ -15,7 +15,6 @@ from mslevy import (
     AlphaFunction,
     IntegrandFunction,
     check_condition7,
-    eval_alpha,
     exponent_integral,
     integral_cf,
     lf_n_exponent,
@@ -86,9 +85,6 @@ class TestAlphaFunction:
         seg = af.segment(1)
         assert seg.domain == (0.0, 1.0)
         assert seg(0.25) == pytest.approx(af(1.25))
-
-    def test_eval_alpha_matches_call(self):
-        assert eval_alpha(AF_LINEAR, 0.3) == AF_LINEAR(0.3)
 
 
 class TestPlateauIdentityExponent:

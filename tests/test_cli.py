@@ -32,6 +32,8 @@ class TestUsageErrors:
 
     def test_unknown_scheme(self):
         assert run(["simulate", "--scheme", "bogus"]) == 2
+        # lr sums past the 2^n dyadic addresses, so it has no nested variant
+        assert run(["simulate", "--scheme", "lr", "--nested", "--n", "3", "--seed", "1"]) == 2
 
     def test_unknown_suite(self):
         assert run(["verify", "--suite", "bogus", "--seed", "1"]) == 2

@@ -127,6 +127,14 @@ class TestArrivalSchemes:
                          gamma_value=float(2 ** 7))
         assert np.array_equal(li.values, lc.values)
 
+    def test_lr_rejects_nested_draws(self):
+        # at seed 3, floor(Gamma_8) = 11 summands outrun the 8 dyadic addresses
+        cfg = SchemeConfig(n=3, af=AF_LINEAR, stream=RandomStream(3), nested=True)
+        with pytest.raises(ParameterError):
+            simulate_lr(cfg)
+        with pytest.raises(ParameterError):
+            marginal_ensemble("lr", AF_LINEAR, 3, [1.0], 2, RandomStream(3), nested=True)
+
     def test_lc_rejects_nonpositive_total(self):
         with pytest.raises(ParameterError):
             simulate_lc(SchemeConfig(n=4, af=AF_LINEAR, stream=RandomStream(1)),
@@ -157,6 +165,8 @@ class TestStableFclt:
             simulate_stable_fclt(2.5, 10, RandomStream(1))
         with pytest.raises(ParameterError):
             simulate_stable_fclt(1.5, 0, RandomStream(1))
+        with pytest.raises(ParameterError):
+            simulate_stable_fclt(1.5, 2.5, RandomStream(1))
 
     def test_terminal_value_is_unit_stable(self):
         ens = np.array([simulate_stable_fclt(1.2, 256, RandomStream(3).child(r)).values[-1]

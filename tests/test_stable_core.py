@@ -116,6 +116,13 @@ class TestSampling:
         head = symmetric_from_uniform_pairs(alphas[:10], u1[:10], u2[:10])
         assert np.array_equal(full[:10], head)
 
+    def test_uniform_pair_lengths_must_match(self):
+        alphas = np.full(4, 1.5)
+        with pytest.raises(ParameterError):
+            symmetric_from_uniform_pairs(alphas, np.full(3, 0.3), np.full(4, 0.6))
+        with pytest.raises(ParameterError):
+            symmetric_from_uniform_pairs(alphas, np.full(4, 0.3), np.full(5, 0.6))
+
     def test_gaussian_case_has_variance_two_sigma_squared(self):
         sigma = 0.8
         x = sample_stable(StableParams(2.0, sigma), 40_000, RandomStream(11))

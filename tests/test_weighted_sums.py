@@ -1,0 +1,179 @@
+"""Every weighted-sum driver against one sequential reference sum.
+
+The schemes, integrals and ensemble drivers all compute
+[0, cumsum(base^(1/alpha_k) f(k/2^n) X_k)] for their own choice of base,
+f and draws.  Each case below redraws X by calling the samplers directly and
+asserts exact equality with the reference in ``tests/_oracles.py``, so the
+drivers keep their bits whatever code they share.  The last test holds the
+input checks every driver applies the same way.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from mslevy import (
+    AlphaFunction,
+    IntegrandFunction,
+    RandomStream,
+    SchemeConfig,
+    grid_index,
+    half_open_indicator,
+    joint_integral_ensemble,
+    li_window_ensemble,
+    marginal_ensemble,
+    poisson_arrivals,
+    sample_integral,
+    sample_symmetric,
+    simulate_lc,
+    simulate_li,
+    simulate_lr,
+    simulate_stable_fclt,
+    sn_boundary_ensemble,
+    symmetric_from_uniform_pairs,
+    weighted_mslm,
+)
+from mslevy.errors import ParameterError
+
+from _oracles import dyadic_address, weighted_sum_path
+
+# substream tags of the arrival draws and of the dyadic addresses
+TAG_ARRIVALS = 0xA121
+TAG_DYADIC = 0xD1AD
+
+N = 6
+M = 2 ** N
+ROWS = 3
+ALPHAS = {
+    "constant": AlphaFunction.constant(1.5),
+    "linear": AlphaFunction.linear(1.2, 0.6),
+    "piecewise": AlphaFunction.piecewise([0.5], [1.0, 1.7]),
+}
+WEIGHT = IntegrandFunction.from_table([0.5, 2.0, 1.0, -1.5])
+INDICATOR = half_open_indicator(0.25, 0.75)
+
+
+def grid_alphas(af, count=M, k0=0):
+    return np.asarray(af(np.minimum((k0 + np.arange(1, count + 1, dtype=float)) / M, 1.0)))
+
+
+def ref_li(af, stream, nested=False):
+    alphas = grid_alphas(af)
+    if nested:
+        u = np.array([stream.child(TAG_DYADIC, dyadic_address(k, N)).generator().random(2)
+                      for k in range(1, M + 1)])
+        x = symmetric_from_uniform_pairs(alphas, u[:, 0], u[:, 1])
+    else:
+        x = sample_symmetric(alphas, stream)
+    return weighted_sum_path(alphas, 2.0 ** -N, 1.0, x)
+
+
+def ref_lc(af, stream, gamma=None):
+    if gamma is None:
+        gamma = float(stream.child(TAG_ARRIVALS).generator().gamma(shape=M))
+    alphas = grid_alphas(af)
+    return weighted_sum_path(alphas, 1.0 / gamma, 1.0, sample_symmetric(alphas, stream))
+
+
+def ref_lr(af, stream):
+    counts = np.floor(poisson_arrivals(1.0, M, stream.child(TAG_ARRIVALS)).times).astype(int)
+    alphas = grid_alphas(af, int(counts[-1]))
+    prefix = weighted_sum_path(alphas, 2.0 ** -N, 1.0, sample_symmetric(alphas, stream))
+    return np.concatenate([[0.0], prefix[counts]])
+
+
+def ref_integral_path(f, af, stream):
+    alphas = grid_alphas(af)
+    fx = np.asarray(f(np.arange(1, M + 1, dtype=float) / M))
+    return weighted_sum_path(alphas, 2.0 ** -N, fx, sample_symmetric(alphas, stream))
+
+
+def ref_fclt(alpha, n_terms, stream):
+    alphas = np.full(n_terms, alpha)
+    return weighted_sum_path(alphas, 1.0, n_terms ** (-1.0 / alpha),
+                             sample_symmetric(alphas, stream))
+
+
+def rows(ref_row):
+    return np.array([ref_row(RandomStream(7).child(r)) for r in range(ROWS)])
+
+
+US = [0.25, 0.5, 1.0]
+COLS = [grid_index(N, u) for u in US]
+K0, OFFSETS = 5, [1, 3, 7]
+REF_SCHEMES = {"li": ref_li, "lr": ref_lr, "lc": ref_lc}
+
+CASES = {
+    "simulate_li": (
+        lambda af, s: simulate_li(SchemeConfig(n=N, af=af, stream=s)).values,
+        ref_li),
+    "simulate_li_nested": (
+        lambda af, s: simulate_li(SchemeConfig(n=N, af=af, stream=s, nested=True)).values,
+        lambda af, s: ref_li(af, s, nested=True)),
+    "simulate_lc_drawn_gamma": (
+        lambda af, s: simulate_lc(SchemeConfig(n=N, af=af, stream=s)).values,
+        ref_lc),
+    "simulate_lc_gamma_value": (
+        lambda af, s: simulate_lc(SchemeConfig(n=N, af=af, stream=s), gamma_value=3.7).values,
+        lambda af, s: ref_lc(af, s, gamma=3.7)),
+    "simulate_lr": (
+        lambda af, s: simulate_lr(SchemeConfig(n=N, af=af, stream=s)).values,
+        ref_lr),
+    "simulate_stable_fclt": (
+        lambda af, s: simulate_stable_fclt(float(af(0.3)), 50, s).values,
+        lambda af, s: ref_fclt(float(af(0.3)), 50, s)),
+    "weighted_mslm": (
+        lambda af, s: weighted_mslm(WEIGHT, af, N, s).values,
+        lambda af, s: ref_integral_path(WEIGHT, af, s)),
+    "sample_integral": (
+        lambda af, s: sample_integral(INDICATOR, af, N, s),
+        lambda af, s: ref_integral_path(INDICATOR, af, s)[-1]),
+    "joint_integral_ensemble": (
+        lambda af, s: joint_integral_ensemble([WEIGHT, INDICATOR], af, N, ROWS, s),
+        lambda af, s: rows(lambda sr: [ref_integral_path(f, af, sr)[-1]
+                                       for f in (WEIGHT, INDICATOR)])),
+    "li_window_ensemble": (
+        lambda af, s: li_window_ensemble(af, N, K0, OFFSETS, ROWS, s),
+        lambda af, s: rows(lambda sr: weighted_sum_path(
+            grid_alphas(af, max(OFFSETS), K0), 2.0 ** -N, 1.0,
+            sample_symmetric(grid_alphas(af, max(OFFSETS), K0), sr))[OFFSETS])),
+    **{f"marginal_ensemble_{scheme}": (
+        lambda af, s, scheme=scheme: marginal_ensemble(scheme, af, N, US, ROWS, s),
+        lambda af, s, ref=ref: rows(lambda sr: ref(af, sr)[COLS]))
+       for scheme, ref in REF_SCHEMES.items()},
+    "marginal_ensemble_li_nested": (
+        lambda af, s: marginal_ensemble("li", af, N, US, ROWS, s, nested=True),
+        lambda af, s: rows(lambda sr: ref_li(af, sr, nested=True)[COLS])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ALPHAS))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_driver_matches_reference_sum(case, kind):
+    driver, reference = CASES[case]
+    af = ALPHAS[kind]
+    actual = driver(af, RandomStream(7))
+    expected = reference(af, RandomStream(7))
+    assert np.shape(actual) == np.shape(expected)
+    assert np.array_equal(actual, expected)
+
+
+AF = ALPHAS["linear"]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: li_window_ensemble(AF, N, 0, [1], 0, RandomStream(1)),
+    lambda: li_window_ensemble(AF, 0, 0, [1], 2, RandomStream(1)),
+    lambda: li_window_ensemble(AF, 27, 0, [1], 2, RandomStream(1)),
+    lambda: sn_boundary_ensemble(4, AlphaFunction.constant(1.5), RandomStream(1), [16], 0,
+                                 d=3.0, levels=8),
+    lambda: sn_boundary_ensemble(0, AlphaFunction.constant(1.5), RandomStream(1), [1], 2,
+                                 d=3.0, levels=8),
+    lambda: sn_boundary_ensemble(4, AlphaFunction.constant(0.5), RandomStream(1), [16], 2,
+                                 d=1.0, levels=8),
+], ids=["window_ensemble_0", "window_n_0", "window_n_27", "sn_ensemble_0", "sn_n_0",
+        "sn_d_at_most_1_over_alpha"])
+def test_shared_input_checks(call):
+    with pytest.raises(ParameterError):
+        call()
