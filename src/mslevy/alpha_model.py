@@ -279,7 +279,7 @@ class IntegrandFunction:
     Holds either a vectorised closed-form handle with declared breakpoints
     or a uniform-grid table with right-continuous step interpolation;
     ``indicator_bounds`` (lo, hi) marks the exact indicator of [lo, hi].
-    Supports the arithmetic needed to form differences and scalings.
+    Supports differences and scalings.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
@@ -348,25 +348,11 @@ class IntegrandFunction:
                                  self.breakpoints + other.breakpoints,
                                  f"({self.label} - {other.label})", table=table)
 
-    def __add__(self, other: "IntegrandFunction") -> "IntegrandFunction":
-        table = None
-        if (self.table is not None and other.table is not None
-                and self.table.size == other.table.size):
-            table = self.table + other.table
-        return IntegrandFunction(lambda x: self._fn(x) + other._fn(x),
-                                 self.breakpoints + other.breakpoints,
-                                 f"({self.label} + {other.label})", table=table)
-
     def scaled(self, c: float) -> "IntegrandFunction":
         c = float(c)
         table = None if self.table is None else c * self.table
         return IntegrandFunction(lambda x: c * self._fn(x), self.breakpoints,
                                  f"{c}*{self.label}", table=table)
-
-    def __mul__(self, c: float) -> "IntegrandFunction":
-        return self.scaled(c)
-
-    __rmul__ = __mul__
 
     # -- helpers ------------------------------------------------------------
 
@@ -387,18 +373,21 @@ class IntegrandFunction:
             return cells
         return None
 
-    def sup_bound(self, n_probe: int = 4097) -> float:
+    def sup_bound(self) -> float:
         """Estimated sup of |f| over [0, 1] (exact for tables/indicators)."""
         if self.table is not None:
             return float(np.max(np.abs(self.table)))
         if self.indicator_bounds is not None:
             return 1.0
-        xs = np.linspace(0.0, 1.0, n_probe)
-        if self.breakpoints:
-            near = np.concatenate([[max(p - 1e-9, 0.0), p, min(p + 1e-9, 1.0)]
-                                   for p in self.breakpoints])
-            xs = np.concatenate([xs, near])
-        return float(np.max(np.abs(self(xs))))
+        return float(np.max(np.abs(self(_probe_grid(self.breakpoints)))))
+
+
+def _probe_grid(breakpoints: Sequence[float]) -> np.ndarray:
+    """4097 equispaced points on [0, 1], plus each breakpoint p and its
+    neighbours p -+ 1e-9 (clipped to [0, 1]): where sup and sign scans look."""
+    xs = np.linspace(0.0, 1.0, 4097)
+    extra = [q for p in breakpoints for q in (max(p - 1e-9, 0.0), p, min(p + 1e-9, 1.0))]
+    return np.concatenate([xs, extra]) if extra else xs
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +560,15 @@ def modular_integral(f: IntegrandFunction, af: AlphaFunction, lam: float = 1.0) 
     return _modular(f, af, lam)
 
 
-def quasinorm(f: IntegrandFunction, af: AlphaFunction, rel_tol: float = 1e-12) -> float:
+def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
     """Luxemburg-style variable-exponent quasinorm
 
         ||f|| = inf { lam > 0 : integral_0^1 |f(x)/lam|^alpha(x) dx <= 1 },
 
     located by geometric bracket expansion followed by bisection on the
-    strictly decreasing modular.  The zero integrand has quasinorm 0; a
-    modular that stays infinite signals a non-normable integrand.
+    strictly decreasing modular, to a relative bracket width of 1e-12.
+    The zero integrand has quasinorm 0; a modular that stays infinite
+    signals a non-normable integrand.
     """
     sup = f.sup_bound()
     if sup == 0.0:
@@ -609,7 +599,7 @@ def quasinorm(f: IntegrandFunction, af: AlphaFunction, rel_tol: float = 1e-12) -
     else:  # pragma: no cover - modular must blow up as lam -> 0 for f != 0
         return 0.0
 
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if _modular(f, af, mid) >= 1.0:
             lo = mid

@@ -327,31 +327,31 @@ _VERIFY_DEFAULTS: dict = {
 }
 
 
+def _deviation_item(name: str, deviation: float, limit: float) -> dict:
+    """A verify item that passes when the deviation stays below the limit."""
+    return {"name": name, "passed": bool(deviation < limit),
+            "deviation": float(deviation), "limit": float(limit)}
+
+
 def _ecf_item(name: str, report, limit: float | None) -> dict:
     eff = limit if limit is not None else 5.0 * report.mc_stderr
-    return {"name": name, "passed": report.passes(limit),
-            "deviation": float(report.sup_deviation), "limit": float(eff)}
+    return _deviation_item(name, report.sup_deviation, eff)
 
 
-def _suite_stable(resolved: dict, stream: RandomStream) -> list[dict]:
+def _suite_stable(resolved: dict, af: AlphaFunction,
+                  stream: RandomStream) -> list[dict]:
     ens = int(resolved["ensemble"])
     tol = resolved["tolerance"]
-    items = []
-    c1 = compute_C_alpha(1.0)
-    dev = abs(c1 - 2.0 / math.pi)
-    items.append({"name": "stable.normalizer_at_one",
-                  "passed": bool(dev < 1e-12), "deviation": dev,
-                  "limit": 1e-12})
+    items = [_deviation_item("stable.normalizer_at_one",
+                             abs(compute_C_alpha(1.0) - 2.0 / math.pi), 1e-12)]
     for i, alpha in enumerate((0.8, 1.5, 2.0)):
         draws = sample_stable(StableParams(alpha=alpha), ens, stream.child(i))
         rep = ecf_report(draws, lambda th: np.exp(-np.abs(th) ** alpha),
                          label=f"alpha={alpha}")
         items.append(_ecf_item(f"stable.cf_match[{alpha}]", rep, tol))
     bound = billingsley_bound(lambda t: math.exp(-abs(t)), 2.0)
-    dev = abs(bound - 2.0 / math.e)
-    items.append({"name": "stable.billingsley_exponential",
-                  "passed": bool(dev < 1e-9), "deviation": dev,
-                  "limit": 1e-9})
+    items.append(_deviation_item("stable.billingsley_exponential",
+                                 abs(bound - 2.0 / math.e), 1e-9))
     return items
 
 
@@ -371,10 +371,8 @@ def _suite_schemes(resolved: dict, af: AlphaFunction,
         ecfs[scheme] = empirical_cf(col[:, 0], th)
     pair_limit = tol if tol is not None else 5.0 * math.sqrt(2.0 / ens)
     for a, b in (("li", "lr"), ("li", "lc"), ("lr", "lc")):
-        dist = float(np.max(np.abs(ecfs[a] - ecfs[b])))
-        items.append({"name": f"schemes.agreement_{a}_{b}",
-                      "passed": bool(dist < pair_limit),
-                      "deviation": dist, "limit": float(pair_limit)})
+        items.append(_deviation_item(f"schemes.agreement_{a}_{b}",
+                                     np.max(np.abs(ecfs[a] - ecfs[b])), pair_limit))
     rep = tightness_check("li", af, (0.2, 0.5, 0.8), (1.0, 3.0), n, ens,
                           stream.child(4))
     items.append({"name": "schemes.tightness", "passed": bool(rep.passed),
@@ -403,9 +401,7 @@ def _suite_continuous(resolved: dict, af: AlphaFunction,
         z = stable_level_draws(alpha_c, j, stream.child(0))
         expected = 2.0 ** (-j * d_c) * float(np.max(np.abs(z)))
         worst = max(worst, abs(observed - expected))
-    items.append({"name": "continuous.level_increment_identity",
-                  "passed": bool(worst < 1e-14), "deviation": worst,
-                  "limit": 1e-14})
+    items.append(_deviation_item("continuous.level_increment_identity", worst, 1e-14))
 
     # scale_bounds gives the envelope phi(t) <= scale <= upper, sound for
     # every admissible pair; criterion 07 checks the same envelope.
@@ -419,9 +415,7 @@ def _suite_continuous(resolved: dict, af: AlphaFunction,
         sig = scale_parameter(cfg, ts)
         lower, upper = scale_bounds(cfg, ts)
         worst = max(worst, float(np.max(lower - sig)), float(np.max(sig - upper)))
-    items.append({"name": "continuous.scale_pins",
-                  "passed": bool(pins < 1e-14), "deviation": pins,
-                  "limit": 1e-14})
+    items.append(_deviation_item("continuous.scale_pins", pins, 1e-14))
     items.append({"name": "continuous.scale_bounds",
                   "passed": bool(worst < 1e-12), "worst_violation": worst,
                   "limit": 1e-12})
@@ -446,10 +440,8 @@ def _suite_integrals(resolved: dict, af: AlphaFunction,
     table = stream.child(0).generator().random(16) + 0.5
     f = IntegrandFunction.from_table(table)
     oracle = float(np.mean(table ** 1.5) ** (1.0 / 1.5))
-    dev = abs(quasinorm(f, alpha_c) - oracle)
-    items.append({"name": "integrals.quasinorm_closed_form",
-                  "passed": bool(dev < 1e-10), "deviation": dev,
-                  "limit": 1e-10})
+    items.append(_deviation_item("integrals.quasinorm_closed_form",
+                                 abs(quasinorm(f, alpha_c) - oracle), 1e-10))
 
     rep = independence_test(half_open_indicator(0.0, 0.5),
                             half_open_indicator(0.5, 1.0), af,
@@ -478,9 +470,7 @@ def _suite_integrals(resolved: dict, af: AlphaFunction,
     for t, v in ((0.5, 0.5 - 2.0 ** -4), (0.75, 0.75 - 2.0 ** -6)):
         delta = kernel.slice(t) - kernel.slice(v)
         worst = max(worst, abs(modular_integral(delta, af) - (t - v)))
-    items.append({"name": "integrals.hoelder_energy_identity",
-                  "passed": bool(worst < 1e-10), "deviation": worst,
-                  "limit": 1e-10})
+    items.append(_deviation_item("integrals.hoelder_energy_identity", worst, 1e-10))
     return items
 
 
@@ -510,17 +500,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"unknown suite {suite!r}; pick one of {('all',) + _SUITES}")
     selected = _SUITES if suite == "all" else (suite,)
     stream = RandomStream(int(resolved["seed"]))
-    runners = {
-        "stable": lambda s: _suite_stable(resolved, s),
-        "schemes": lambda s: _suite_schemes(resolved, af, s),
-        "continuous": lambda s: _suite_continuous(resolved, af, s),
-        "integrals": lambda s: _suite_integrals(resolved, af, s),
-        "localisability": lambda s: _suite_localisability(resolved, af, s),
-    }
+    runners = {"stable": _suite_stable, "schemes": _suite_schemes,
+               "continuous": _suite_continuous, "integrals": _suite_integrals,
+               "localisability": _suite_localisability}
     items: list[dict] = []
     for tag, name in enumerate(_SUITES):
         if name in selected:
-            items.extend(runners[name](stream.child(tag)))
+            items.extend(runners[name](resolved, af, stream.child(tag)))
     items.sort(key=lambda item: item["name"])
     all_pass = all(item["passed"] for item in items)
     report = {"command": "verify", "config": resolved, "items": items,

@@ -20,7 +20,7 @@ import numpy as np
 from .alpha_model import AlphaFunction
 from .errors import DomainError, ParameterError
 from .msl_schemes import PathGrid, _check_ensemble, _check_level
-from .stable_core import (RandomStream, sample_symmetric,
+from .stable_core import (RandomStream, _uniform_pairs, sample_symmetric,
                           symmetric_from_uniform_pairs)
 
 _TAG_LEVEL = 0x1E7E1
@@ -58,10 +58,6 @@ class ContinuousStableConfig:
             raise ParameterError(
                 f"continuous regime needs d > 1/alpha = {floor}, got d = {self.d}"
                 " (pass lp_mode=True to allow the boundary case)")
-
-    @classmethod
-    def from_tolerance(cls, alpha: float, d: float, sup_tol: float) -> "ContinuousStableConfig":
-        return cls(alpha=alpha, d=d, levels=truncation_level(alpha, d, sup_tol))
 
 
 def truncation_level(alpha: float, d: float, sup_tol: float) -> int:
@@ -243,22 +239,19 @@ def _sn_cell_block_sizes(n: int, levels: int) -> list[int]:
     return [(2 ** j) // (2 ** (n + 1)) + 1 for j in range(levels + 1)]
 
 
-def _sn_cell_values(alpha: float, d: float, levels: int, n: int, gen,
+def _sn_cell_values(alpha: float, d: float, sizes: list[int], stream: RandomStream,
                     args: np.ndarray) -> tuple[np.ndarray, float]:
-    """Evaluate one cell's dilated series at ``args`` (within [0, 2^(-n-1)])
-    drawing deterministic per-level blocks from ``gen``; also returns the
-    cell's level-0 coefficient Z_00."""
+    """Evaluate one cell's dilated series at ``args`` (within [0, 2^(-n-1)]);
+    the cell's stream holds the level blocks of ``sizes`` back to back, read
+    in one prefix draw.  Also returns the cell's level-0 coefficient Z_00."""
+    u = _uniform_pairs(stream, sum(sizes))
+    z = symmetric_from_uniform_pairs(np.full(len(u), alpha), u[:, 0], u[:, 1])
     acc = np.zeros_like(args)
-    z00 = 0.0
-    for j, cnt in enumerate(_sn_cell_block_sizes(n, levels)):
-        u = gen.random(2 * cnt)
-        z = symmetric_from_uniform_pairs(np.full(cnt, alpha), u[0::2], u[1::2])
-        if j == 0:
-            z00 = float(z[0])
+    for j, block in enumerate(np.split(z, np.cumsum(sizes)[:-1])):
         pos = np.ldexp(args, j)
-        idx = np.minimum(np.floor(pos).astype(np.int64), cnt - 1)
-        acc += 2.0 ** (-j * d) * z[idx] * triangle(pos - idx)
-    return acc, z00
+        idx = np.minimum(np.floor(pos).astype(np.int64), block.size - 1)
+        acc += 2.0 ** (-j * d) * block[idx] * triangle(pos - idx)
+    return acc, float(z[0])
 
 
 def _sigma_tilde_boundary(alphas: np.ndarray, d: float, n: int) -> np.ndarray:
@@ -311,11 +304,12 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
     level0 = np.empty(m)
     active = np.zeros_like(t)
     half = 2.0 ** (-n - 1)
+    sizes = _sn_cell_block_sizes(n, levels)
     for k in range(m):
         sel = np.flatnonzero((cell_of == k) & (args > 0.0))
         eval_args = np.concatenate([args[sel] / 2.0, [half]])
-        gen = stream.child(_TAG_CELL, k).generator()
-        vals, z00 = _sn_cell_values(float(alphas[k]), d, levels, n, gen, eval_args)
+        vals, z00 = _sn_cell_values(float(alphas[k]), d, sizes,
+                                    stream.child(_TAG_CELL, k), eval_args)
         cell_terms[k] = weights[k] * vals[-1] / sig[k]
         level0[k] = z00
         if sel.size:
@@ -337,7 +331,7 @@ def sn_boundary_ensemble(n: int, af: AlphaFunction, stream: RandomStream,
     stream.child(replicate).
 
     At a boundary only the shift-0 coefficients of levels 0..n enter, and
-    those are exactly the first n+1 draw pairs of each cell's generator, so
+    those are exactly the first n+1 draw pairs of each cell's stream, so
     the ensemble touches a short prefix of every cell stream instead of
     evaluating whole paths.
     """
@@ -352,11 +346,9 @@ def sn_boundary_ensemble(n: int, af: AlphaFunction, stream: RandomStream,
     flat_alphas = np.repeat(alphas, pair_count)
     for r in range(ensemble):
         base = stream.child(r)
-        u = np.empty((m, 2 * pair_count))
-        for k in range(m):
-            u[k] = base.child(_TAG_CELL, k).generator().random(2 * pair_count)
-        z = symmetric_from_uniform_pairs(flat_alphas, u[:, 0::2].ravel(),
-                                         u[:, 1::2].ravel()).reshape(m, pair_count)
+        u = np.concatenate([_uniform_pairs(base.child(_TAG_CELL, k), pair_count)
+                            for k in range(m)])
+        z = symmetric_from_uniform_pairs(flat_alphas, u[:, 0], u[:, 1]).reshape(m, pair_count)
         xt = np.zeros(m)
         for j in range(pair_count):
             xt += 2.0 ** (-j * d) * z[:, j] * 2.0 ** (j - n)

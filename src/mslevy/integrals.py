@@ -17,14 +17,14 @@ from typing import Callable
 
 import numpy as np
 
-from .alpha_model import (AlphaFunction, IntegrandFunction, modular_integral,
-                          quasinorm)
+from .alpha_model import (AlphaFunction, IntegrandFunction, _probe_grid,
+                          modular_integral, quasinorm)
 from .errors import ParameterError
 from .msl_schemes import (PathGrid, _check_ensemble, _check_level, _dyadic_times,
                           _weighted_sums)
 from .quadrature import adaptive_simpson
 from .stable_core import RandomStream
-from .verify_stats import empirical_cf, empirical_cf_joint, spearman_corr
+from .verify_stats import _factorization_distance, spearman_corr
 
 _NULL_SET_TOL = 1e-12
 _SCAN_PANELS = 4096
@@ -109,6 +109,9 @@ def joint_integral_ensemble(fs, af: AlphaFunction, n: int, ensemble: int,
     integrals against one realisation of the random measure."""
     _check_level(n)
     _check_ensemble(ensemble)
+    fs = list(fs)
+    if not fs:
+        raise ParameterError("need at least one integrand")
     sums = _weighted_sums(af, 2 ** n, (stream.child(r) for r in range(ensemble)),
                           2.0 ** -n, fs=fs, cols=[-1])
     return np.array([row[:, 0] for row in sums])
@@ -186,13 +189,8 @@ def overlap_measure(f1: IntegrandFunction, f2: IntegrandFunction) -> float:
     return total
 
 
-def _sign_condition_holds(f1: IntegrandFunction, f2: IntegrandFunction,
-                          n_probe: int = 4097) -> bool:
-    xs = np.linspace(0.0, 1.0, n_probe)
-    extra = [q for p in (*f1.breakpoints, *f2.breakpoints)
-             for q in (max(p - 1e-9, 0.0), p, min(p + 1e-9, 1.0))]
-    if extra:
-        xs = np.concatenate([xs, extra])
+def _sign_condition_holds(f1: IntegrandFunction, f2: IntegrandFunction) -> bool:
+    xs = _probe_grid((*f1.breakpoints, *f2.breakpoints))
     prod = np.asarray(f1(xs)) * np.asarray(f2(xs))
     return bool(np.min(prod) >= -1e-12)
 
@@ -215,7 +213,7 @@ class IndependenceReport:
 
 def independence_test(f1: IntegrandFunction, f2: IntegrandFunction,
                       af: AlphaFunction, stream: RandomStream, n: int = 12,
-                      ensemble: int = 10_000, theta_grid=None) -> IndependenceReport:
+                      ensemble: int = 10_000) -> IndependenceReport:
     """Decide independence of the two integrals.
 
     The disjoint-support criterion is an equivalence only when the exponent
@@ -235,15 +233,8 @@ def independence_test(f1: IntegrandFunction, f2: IntegrandFunction,
                                   distance=None, threshold=None,
                                   empirical_independent=None,
                                   ensemble=0, verdict="inapplicable")
-    th = np.linspace(-3.0, 3.0, 13) if theta_grid is None else np.ascontiguousarray(theta_grid, dtype=float)
     draws = joint_integral_ensemble([f1, f2], af, n, ensemble, stream)
-    g1, g2 = np.meshgrid(th, th, indexing="ij")
-    tuples = np.column_stack([g1.ravel(), g2.ravel()])
-    joint = empirical_cf_joint(draws, tuples)
-    m1 = empirical_cf(draws[:, 0], th)
-    m2 = empirical_cf(draws[:, 1], th)
-    product = (m1[:, None] * m2[None, :]).ravel()
-    distance = float(np.max(np.abs(joint - product)))
+    distance = _factorization_distance(draws)
     threshold = 4.0 / math.sqrt(ensemble)
     analytic = overlap < _NULL_SET_TOL
     return IndependenceReport(
@@ -353,15 +344,10 @@ def hoelder_bound_check(kernel: KernelFunction, af: AlphaFunction, eta: float,
                          all_pass=all(r.energy_ok and r.tail_ok for r in results))
 
 
-def weight_sup_constant(w: IntegrandFunction, af: AlphaFunction,
-                        n_probe: int = 4097) -> float:
+def weight_sup_constant(w: IntegrandFunction, af: AlphaFunction) -> float:
     """sup over [0,1] of |w(x)|^alpha(x) — the constant governing the
     weighted kernel's energy bound."""
-    xs = np.linspace(0.0, 1.0, n_probe)
-    extra = [q for p in (*w.breakpoints, *af.breakpoints)
-             for q in (max(p - 1e-9, 0.0), p, min(p + 1e-9, 1.0))]
-    if extra:
-        xs = np.concatenate([xs, extra])
+    xs = _probe_grid((*w.breakpoints, *af.breakpoints))
     vals = np.abs(np.asarray(w(xs), dtype=float)) ** np.asarray(af(np.clip(xs, *af.domain)))
     out = float(np.max(vals))
     if not math.isfinite(out):

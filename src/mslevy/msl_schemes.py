@@ -19,8 +19,8 @@ import numpy as np
 
 from .alpha_model import AlphaFunction, IntegrandFunction
 from .errors import ParameterError
-from .stable_core import (RandomStream, poisson_arrivals, sample_symmetric,
-                          symmetric_from_uniform_pairs)
+from .stable_core import (RandomStream, _uniform_pairs, poisson_arrivals,
+                          sample_symmetric, symmetric_from_uniform_pairs)
 
 # substream tags (arbitrary fixed constants; see RandomStream.child)
 _TAG_ARRIVALS = 0xA121
@@ -122,14 +122,10 @@ def _nested_draws(alphas: np.ndarray, stream: RandomStream, m: int) -> np.ndarra
     """Symmetric draws attached to the dyadic addresses of k/m, m = 2^n,
     instead of (k, n) pairs, so X(2k, n+1) reuses X(k, n) exactly."""
     n = m.bit_length() - 1
-    u1 = np.empty(alphas.size)
-    u2 = np.empty(alphas.size)
-    for k in range(1, alphas.size + 1):
-        gen = stream.child(_TAG_DYADIC, _dyadic_address_index(k, n)).generator()
-        pair = gen.random(2)
-        u1[k - 1] = pair[0]
-        u2[k - 1] = pair[1]
-    return symmetric_from_uniform_pairs(alphas, u1, u2)
+    u = np.concatenate([
+        _uniform_pairs(stream.child(_TAG_DYADIC, _dyadic_address_index(k, n)), 1)
+        for k in range(1, alphas.size + 1)])
+    return symmetric_from_uniform_pairs(alphas, u[:, 0], u[:, 1])
 
 
 def _weighted_sums(af, m: int, streams, base: float, fs=None, start: int = 0,
@@ -280,6 +276,8 @@ def marginal_ensemble(scheme: str, af: AlphaFunction, n: int, us, ensemble: int,
     if scheme not in simulators:
         raise ParameterError(f"unknown scheme {scheme!r}; expected one of {sorted(simulators)}")
     _check_ensemble(ensemble)
+    if any(not 0.0 <= u <= 1.0 for u in us):
+        raise ParameterError("evaluation times must lie in [0, 1]")
     idx = np.asarray([grid_index(n, u) for u in us], dtype=int)
     out = np.empty((ensemble, idx.size))
     for r in range(ensemble):
@@ -290,8 +288,7 @@ def marginal_ensemble(scheme: str, af: AlphaFunction, n: int, us, ensemble: int,
 
 
 def li_window_ensemble(af: AlphaFunction, n: int, k0: int, cell_offsets, ensemble: int,
-                       stream: RandomStream,
-                       alpha_n: AlphaFunction | None = None) -> np.ndarray:
+                       stream: RandomStream) -> np.ndarray:
     """Matrix (ensemble x len(cell_offsets)) of field-local increments
     L(k0/2^n + c/2^n) - L(k0/2^n) for each cell count c.
 
@@ -302,10 +299,9 @@ def li_window_ensemble(af: AlphaFunction, n: int, k0: int, cell_offsets, ensembl
     _check_ensemble(ensemble)
     m = 2 ** n
     offs = np.asarray(cell_offsets, dtype=int)
-    if np.any(offs < 1) or k0 < 0 or k0 + int(offs.max()) > m:
-        raise ParameterError("cell window must lie inside the dyadic grid")
-    eff = alpha_n if alpha_n is not None else af
-    sums = _weighted_sums(eff, m, (stream.child(r) for r in range(ensemble)), 2.0 ** -n,
+    if offs.size == 0 or np.any(offs < 1) or k0 < 0 or k0 + int(offs.max()) > m:
+        raise ParameterError("cell window must be nonempty and lie inside the dyadic grid")
+    sums = _weighted_sums(af, m, (stream.child(r) for r in range(ensemble)), 2.0 ** -n,
                           start=k0, count=int(offs.max()), cols=offs)
     return np.array([row[0] for row in sums])
 

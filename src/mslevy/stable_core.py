@@ -85,23 +85,31 @@ class StableParams:
             raise ParameterError("beta must be 0 when alpha = 2")
 
 
-def _uniform_pairs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n interleaved uniform pairs.
+def _uniform_pairs(stream: RandomStream, count: int) -> np.ndarray:
+    """The first ``count`` uniform pairs of a stream, as the rows of a
+    (count, 2) array: column 0 feeds the angle, column 1 the exponential.
 
-    Interleaving keeps draws prefix-consistent: requesting m < n pairs from
-    a fresh generator yields exactly the first m pairs of the longer
-    request, which makes dyadic/level-indexed draws reusable.
+    Every sampler reads its uniforms through here.  Pairs are interleaved,
+    so draws are prefix-consistent: asking a stream for m < n pairs yields
+    exactly the first m rows of the longer request, which makes dyadic and
+    level-indexed draws reusable.
     """
-    u = rng.random(2 * n)
-    return u[0::2], u[1::2]
+    return stream.generator().random(2 * count).reshape(count, 2)
 
 
-def _angles_and_exponentials(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    u1, u2 = _uniform_pairs(rng, n)
-    phi = np.pi * (u1 - 0.5)
+def _exponential(u: np.ndarray) -> np.ndarray:
     # inverse-CDF exponential; floor keeps the (prob 2^-53) zero draw harmless
-    w = np.maximum(-np.log1p(-u2), 1e-16)
-    return phi, w
+    return np.maximum(-np.log1p(-u), 1e-16)
+
+
+def _angles_and_exponentials(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CMS inputs phi = pi (u1 - 1/2) and W = -ln(1 - u2)."""
+    return np.pi * (u1 - 0.5), _exponential(u2)
+
+
+def _check_alphas(alphas: np.ndarray) -> None:
+    if np.any(alphas <= 0.0) or np.any(alphas > 2.0):
+        raise ParameterError("stability indices must lie in (0, 2]")
 
 
 def _sym_standard(alphas: np.ndarray, phi: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -132,9 +140,8 @@ def sample_symmetric(alphas: np.ndarray, stream: RandomStream) -> np.ndarray:
     alphas = np.ascontiguousarray(alphas, dtype=float)
     if alphas.size == 0:
         return np.empty(0)
-    if np.any(alphas <= 0.0) or np.any(alphas > 2.0):
-        raise ParameterError("stability indices must lie in (0, 2]")
-    phi, w = _angles_and_exponentials(stream.generator(), alphas.size)
+    _check_alphas(alphas)
+    phi, w = _angles_and_exponentials(*_uniform_pairs(stream, alphas.size).T)
     return _sym_standard(alphas, phi, w)
 
 
@@ -151,11 +158,8 @@ def symmetric_from_uniform_pairs(alphas: np.ndarray, u1, u2) -> np.ndarray:
     if not alphas.shape == u1.shape == u2.shape:
         raise ParameterError(f"alphas, u1 and u2 must have one shape, got "
                              f"{alphas.shape}, {u1.shape} and {u2.shape}")
-    if np.any(alphas <= 0.0) or np.any(alphas > 2.0):
-        raise ParameterError("stability indices must lie in (0, 2]")
-    phi = np.pi * (u1 - 0.5)
-    w = np.maximum(-np.log1p(-u2), 1e-16)
-    return _sym_standard(alphas, phi, w)
+    _check_alphas(alphas)
+    return _sym_standard(alphas, *_angles_and_exponentials(u1, u2))
 
 
 def sample_stable(params: StableParams, n: int, stream: RandomStream) -> np.ndarray:
@@ -170,7 +174,7 @@ def sample_stable(params: StableParams, n: int, stream: RandomStream) -> np.ndar
     if n == 0:
         return np.empty(0)
     a, sigma, beta, mu = params.alpha, params.sigma, params.beta, params.mu
-    phi, w = _angles_and_exponentials(stream.generator(), n)
+    phi, w = _angles_and_exponentials(*_uniform_pairs(stream, n).T)
 
     if abs(a - 1.0) < ALPHA_ONE_TOLERANCE:
         if beta == 0.0:
@@ -287,6 +291,5 @@ def poisson_arrivals(rate: float, count: int, stream: RandomStream) -> PoissonAr
         raise ParameterError("count must be >= 0")
     if count == 0:
         return PoissonArrivals(rate=rate, times=np.empty(0))
-    _, gaps = _uniform_pairs(stream.generator(), count)
-    gaps = np.maximum(-np.log1p(-gaps), 1e-16) / rate
+    gaps = _exponential(_uniform_pairs(stream, count)[:, 1]) / rate
     return PoissonArrivals(rate=rate, times=np.cumsum(gaps))

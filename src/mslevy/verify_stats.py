@@ -31,11 +31,19 @@ def theta_grid_default() -> np.ndarray:
     return np.linspace(-3.0, 3.0, 61)
 
 
-def _kahan_combine(acc: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    y = term - comp
-    t = acc + y
-    comp[...] = (t - acc) - y
-    acc[...] = t
+def _mean_exp(n_rows: int, n_freq: int, phases) -> np.ndarray:
+    """(1/N) sum over the N rows of exp(i phases), where ``phases(a, b)`` is
+    the (rows a..b-1 x frequencies) phase block.  Blocks hold about 2e6
+    elements and combine with compensated (Kahan) summation."""
+    acc = np.zeros(n_freq, dtype=complex)
+    comp = np.zeros(n_freq, dtype=complex)
+    rows = max(1, _CHUNK_ELEMENTS // max(n_freq, 1))
+    for start in range(0, n_rows, rows):
+        y = np.exp(1j * phases(start, start + rows)).sum(axis=0) - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+    return acc / n_rows
 
 
 def empirical_cf(samples, theta_grid) -> np.ndarray:
@@ -44,13 +52,7 @@ def empirical_cf(samples, theta_grid) -> np.ndarray:
     if x.size == 0:
         raise ParameterError("empirical CF needs at least one sample")
     th = np.ascontiguousarray(theta_grid, dtype=float).ravel()
-    acc = np.zeros(th.size, dtype=complex)
-    comp = np.zeros(th.size, dtype=complex)
-    rows = max(1, _CHUNK_ELEMENTS // max(th.size, 1))
-    for start in range(0, x.size, rows):
-        block = np.exp(1j * np.outer(x[start:start + rows], th)).sum(axis=0)
-        _kahan_combine(acc, comp, block)
-    return acc / x.size
+    return _mean_exp(x.size, th.size, lambda a, b: np.outer(x[a:b], th))
 
 
 def empirical_cf_joint(samples, theta_tuples) -> np.ndarray:
@@ -62,13 +64,21 @@ def empirical_cf_joint(samples, theta_tuples) -> np.ndarray:
     th = np.ascontiguousarray(theta_tuples, dtype=float)
     if th.ndim != 2 or th.shape[1] != x.shape[1]:
         raise ParameterError("frequency tuples must match the sample dimension")
-    acc = np.zeros(th.shape[0], dtype=complex)
-    comp = np.zeros(th.shape[0], dtype=complex)
-    rows = max(1, _CHUNK_ELEMENTS // max(th.shape[0], 1))
-    for start in range(0, x.shape[0], rows):
-        block = np.exp(1j * (x[start:start + rows] @ th.T)).sum(axis=0)
-        _kahan_combine(acc, comp, block)
-    return acc / x.shape[0]
+    return _mean_exp(x.shape[0], th.shape[0], lambda a, b: x[a:b] @ th.T)
+
+
+def _factorization_distance(samples: np.ndarray) -> float:
+    """Sup distance between the joint ECF of an (N, J) sample matrix and the
+    product of its J marginal ECFs, over the 13^J-point product grid on
+    [-3, 3]^J.  One column gives exactly 0."""
+    th = np.linspace(-3.0, 3.0, 13)
+    grids = np.meshgrid(*([th] * samples.shape[1]), indexing="ij")
+    joint = empirical_cf_joint(samples, np.column_stack([g.ravel() for g in grids]))
+    # product CF in the same lexicographic (ij) order as the tuples
+    product = empirical_cf(samples[:, 0], th)
+    for axis in range(1, samples.shape[1]):
+        product = (product[:, None] * empirical_cf(samples[:, axis], th)[None, :]).ravel()
+    return float(np.max(np.abs(joint - product)))
 
 
 @dataclass(frozen=True)
@@ -136,27 +146,37 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
 # increment CF convergence
 # ---------------------------------------------------------------------------
 
+def _increments(scheme: str, af: AlphaFunction, n: int, intervals, ensemble: int,
+                stream: RandomStream, alpha_n: AlphaFunction | None = None,
+                nested: bool = False) -> np.ndarray:
+    """Matrix (ensemble x len(intervals)) of path increments L(u2) - L(u1),
+    one column per interval (u1, u2), all read from one marginal ensemble."""
+    ivs = [(float(a), float(b)) for a, b in intervals]
+    if not ivs or any(not (0.0 <= a <= b <= 1.0) for a, b in ivs):
+        raise ParameterError("need at least one interval (u1, u2), 0 <= u1 <= u2 <= 1")
+    us = sorted({v for iv in ivs for v in iv})
+    col = {v: i for i, v in enumerate(us)}
+    values = marginal_ensemble(scheme, af, n, us, ensemble, stream,
+                               alpha_n=alpha_n, nested=nested)
+    return np.column_stack([values[:, col[b]] - values[:, col[a]] for a, b in ivs])
+
+
 def increment_cf_test(scheme: str, af: AlphaFunction, n: int, intervals,
-                      ensemble: int, stream: RandomStream, theta_grid=None,
+                      ensemble: int, stream: RandomStream,
                       alpha_n: AlphaFunction | None = None,
                       nested: bool = False) -> list[EcfReport]:
     """Per interval (u1, u2): ECF of the path increment L(u2) - L(u1)
     against the limit CF exp(-integral_{u1}^{u2} |theta|^alpha(s) ds)."""
     if n < 1 or ensemble < 1000:
         raise ParameterError("need n >= 1 and ensemble >= 1000")
-    th = theta_grid_default() if theta_grid is None else np.ascontiguousarray(theta_grid, dtype=float)
-    us = sorted({float(u) for pair in intervals for u in pair})
-    col = {u: i for i, u in enumerate(us)}
-    values = marginal_ensemble(scheme, af, n, us, ensemble, stream,
-                               alpha_n=alpha_n, nested=nested)
+    th = theta_grid_default()
+    incs = _increments(scheme, af, n, intervals, ensemble, stream,
+                       alpha_n=alpha_n, nested=nested)
     reports = []
-    for u1, u2 in intervals:
-        if not (0.0 <= u1 <= u2 <= 1.0):
-            raise ParameterError(f"interval ({u1}, {u2}) out of order or range")
-        samples = values[:, col[float(u2)]] - values[:, col[float(u1)]]
+    for i, (u1, u2) in enumerate(intervals):
         theo = np.asarray([np.exp(-exponent_integral(af, t, u1, u2)) for t in th],
                           dtype=complex)
-        reports.append(ecf_report(samples, theo, th, label=f"{scheme}[{u1},{u2}]"))
+        reports.append(ecf_report(incs[:, i], theo, th, label=f"{scheme}[{u1},{u2}]"))
     return reports
 
 
@@ -180,7 +200,7 @@ class LocalisabilityReport:
 
 
 def localisability_test(af: AlphaFunction, x: float, u: float, r_list, n: int,
-                        ensemble: int, stream: RandomStream, theta_grid=None,
+                        ensemble: int, stream: RandomStream,
                         tolerance: float = 0.05) -> LocalisabilityReport:
     """Check that (L(x + r u) - L(x)) / r^(1/alpha(x)) approaches the law of
     an alpha(x)-stable motion at time u as r shrinks.
@@ -190,8 +210,8 @@ def localisability_test(af: AlphaFunction, x: float, u: float, r_list, n: int,
     and the final deviation to beat the tolerance.
     """
     rs = [float(r) for r in r_list]
-    if any(r2 >= r1 for r1, r2 in zip(rs, rs[1:])) or rs[-1] <= 0.0:
-        raise ParameterError("radii must be strictly decreasing and positive")
+    if not rs or any(r2 >= r1 for r1, r2 in zip(rs, rs[1:])) or rs[-1] <= 0.0:
+        raise ParameterError("radii must be nonempty, strictly decreasing and positive")
     if u <= 0.0 or x < 0.0 or x + rs[0] * u > 1.0:
         raise ParameterError("window x + r*u must stay inside [0, 1]")
     smallest_span = rs[-1] * u
@@ -200,7 +220,7 @@ def localisability_test(af: AlphaFunction, x: float, u: float, r_list, n: int,
         raise GridResolutionError(
             f"radius {rs[-1]} spans fewer than 4 grid cells at level {n}; "
             f"the smallest resolving level is n = {need}")
-    th = theta_grid_default() if theta_grid is None else np.ascontiguousarray(theta_grid, dtype=float)
+    th = theta_grid_default()
     alpha_x = float(af(x))
     k0 = grid_index(n, x)
     offsets = [grid_index(n, x + r * u) - k0 for r in rs]
@@ -249,17 +269,11 @@ def tightness_bound_constant(gamma: float) -> float:
 def tightness_check(scheme: str, af: AlphaFunction, triple, lambdas, n: int,
                     ensemble: int, stream: RandomStream) -> TightnessReport:
     u1, u, u2 = (float(v) for v in triple)
-    if not (0.0 <= u1 <= u <= u2 <= 1.0):
-        raise ParameterError("need 0 <= u1 <= u <= u2 <= 1")
     lams = [float(l) for l in lambdas]
     if any(l <= 0.0 for l in lams):
         raise ParameterError("exceedance levels must be positive")
     zero_width = (u2 - u1) < 2.0 ** -n
-    us = sorted({u1, u, u2})
-    col = {v: i for i, v in enumerate(us)}
-    values = marginal_ensemble(scheme, af, n, us, ensemble, stream)
-    left = np.abs(values[:, col[u]] - values[:, col[u1]])
-    right = np.abs(values[:, col[u2]] - values[:, col[u]])
+    left, right = np.abs(_increments(scheme, af, n, [(u1, u), (u, u2)], ensemble, stream)).T
     empirical, bounds, gammas = [], [], []
     for lam in lams:
         emp = float(np.mean((left >= lam) & (right >= lam)))
@@ -295,35 +309,13 @@ class FactorizationReport:
 
 
 def factorization_test(scheme: str, af: AlphaFunction, intervals, n: int,
-                       ensemble: int, stream: RandomStream,
-                       theta_grid=None) -> FactorizationReport:
+                       ensemble: int, stream: RandomStream) -> FactorizationReport:
     ivs = [(float(a), float(b)) for a, b in intervals]
-    if any(not (0.0 <= a <= b <= 1.0) for a, b in ivs):
-        raise ParameterError("intervals must satisfy 0 <= u1 <= u2 <= 1")
     ordered = sorted(ivs)
     for (_, b1), (a2, _) in zip(ordered, ordered[1:]):
         if a2 < b1 - 1e-15:
             raise ParameterError(f"intervals overlap near {a2}; they must be disjoint")
-    th = np.linspace(-3.0, 3.0, 13) if theta_grid is None else np.ascontiguousarray(theta_grid, dtype=float)
-    us = sorted({v for iv in ivs for v in iv})
-    col = {v: i for i, v in enumerate(us)}
-    values = marginal_ensemble(scheme, af, n, us, ensemble, stream)
-    incs = np.column_stack([values[:, col[b]] - values[:, col[a]] for a, b in ivs])
-    j = len(ivs)
-    if j == 1:
-        return FactorizationReport(intervals=tuple(ivs), distance=0.0,
-                                   threshold=4.0 / np.sqrt(ensemble),
-                                   mc_stderr=1.0 / np.sqrt(ensemble),
-                                   ensemble=ensemble, passed=True)
-    grids = np.meshgrid(*([th] * j), indexing="ij")
-    tuples = np.column_stack([g.ravel() for g in grids])
-    joint = empirical_cf_joint(incs, tuples)
-    # product CF in the same lexicographic (ij) order as the tuples
-    product = empirical_cf(incs[:, 0], th)
-    for axis in range(1, j):
-        marg = empirical_cf(incs[:, axis], th)
-        product = (product[:, None] * marg[None, :]).ravel()
-    distance = float(np.max(np.abs(joint - product)))
+    distance = _factorization_distance(_increments(scheme, af, n, ivs, ensemble, stream))
     stderr = 1.0 / np.sqrt(ensemble)
     return FactorizationReport(intervals=tuple(ivs), distance=distance,
                                threshold=4.0 * stderr, mc_stderr=stderr,

@@ -195,3 +195,41 @@ def dyadic_address(k: int, n: int) -> int:
         j //= 2
         level -= 1
     return 0 if level == 0 else 2 ** (level - 1) + (j - 1) // 2
+
+
+def sn_path(alphas, blocks, n: int, d: float, t):
+    """Reference continuous multistable path S_n on the grid ``t``.
+
+    ``blocks[k][j]`` holds cell k's level-j basis coefficients, shifts
+    0..len - 1.  Each cell's dilated series is summed level by level at the
+    active arguments and at 2^(-n-1), weighted by (2^-n)^(1/alpha_k) and
+    normalized by the exact dilated scale at 2^-n.  Returns the path values,
+    the per-cell level-0 bounds and the completed-cell terms.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    t = np.asarray(t, dtype=float)
+    m = 2 ** n
+    weights = (2.0 ** -n) ** (1.0 / alphas)
+    js = np.arange(n + 1, dtype=float)
+    coef = 2.0 ** (-js * d) * 2.0 ** (js - n)
+    sig = (coef[None, :] ** alphas[:, None]).sum(axis=1) ** (1.0 / alphas)
+    cell_of = np.floor(np.ldexp(t, n)).astype(np.int64)
+    args = t - cell_of / m
+    cell_terms = np.empty(m)
+    level0 = np.empty(m)
+    active = np.zeros_like(t)
+    for k in range(m):
+        sel = np.flatnonzero((cell_of == k) & (args > 0.0))
+        x = np.concatenate([args[sel] / 2.0, [2.0 ** (-n - 1)]])
+        acc = np.zeros_like(x)
+        for j, z in enumerate(blocks[k]):
+            pos = np.ldexp(x, j)
+            idx = np.minimum(np.floor(pos).astype(np.int64), z.size - 1)
+            tent = np.maximum(0.0, 1.0 - np.abs(2.0 * (pos - idx) - 1.0))
+            acc += 2.0 ** (-j * d) * z[idx] * tent
+        cell_terms[k] = weights[k] * acc[-1] / sig[k]
+        level0[k] = float(blocks[k][0][0])
+        if sel.size:
+            active[sel] = weights[k] * acc[:-1] / sig[k]
+    prefix = np.concatenate([[0.0], np.cumsum(cell_terms)])
+    return prefix[cell_of] + active, weights * np.abs(level0) / sig, cell_terms

@@ -17,11 +17,14 @@ from mslevy import (
     simulate_sn,
     sn_boundary_ensemble,
     stable_level_draws,
+    symmetric_from_uniform_pairs,
     triangle,
     triangle_jk,
     truncation_level,
 )
 from mslevy.errors import DomainError, ParameterError
+
+from _oracles import sn_path
 
 AF_LINEAR = AlphaFunction.linear(1.2, 0.6)
 
@@ -224,6 +227,34 @@ class TestContinuousApproximation:
         for r in range(3):
             path = simulate_sn(n, AF_LINEAR, RandomStream(5).child(r), grid, levels=8)
             assert np.array_equal(ens[r], path.values[ks])
+
+    @pytest.mark.parametrize("af", [AlphaFunction.constant(1.5), AF_LINEAR,
+                                    AlphaFunction.piecewise([0.5], [1.0, 1.7])],
+                             ids=["constant", "linear", "piecewise"])
+    def test_draw_layout_matches_the_reference_path(self, af):
+        # cell k reads its level blocks in order from stream.child(0xCE11, k);
+        # level j holds shifts 0..2^j // 2^(n+1), enough for [0, 2^(-n-1)]
+        n, levels, d = 3, 8, 1.25
+        m = 2 ** n
+        grid = np.unique(np.concatenate([np.arange(33) / 32.0, [0.3, 0.517, 0.99]]))
+        stream = RandomStream(11)
+        alphas = np.asarray(af(np.arange(m, dtype=float) / m))
+        blocks = []
+        for k in range(m):
+            gen = stream.child(0xCE11, k).generator()
+            cell = []
+            for j in range(levels + 1):
+                cnt = 2 ** j // 2 ** (n + 1) + 1
+                u = gen.random(2 * cnt)
+                cell.append(symmetric_from_uniform_pairs(np.full(cnt, alphas[k]),
+                                                         u[0::2], u[1::2]))
+            blocks.append(cell)
+        values, level0_bound, cell_terms = sn_path(alphas, blocks, n, d, grid)
+        path, diag = simulate_sn(n, af, stream, grid, d=d, levels=levels,
+                                 with_diagnostics=True)
+        assert np.array_equal(path.values, values)
+        assert np.array_equal(diag.level0_bound, level0_bound)
+        assert np.array_equal(diag.cell_terms, cell_terms)
 
     def test_boundary_ensemble_validation(self):
         with pytest.raises(ParameterError):

@@ -43,6 +43,17 @@ class TestEmpiricalCf:
         want = np.array([np.mean(np.exp(1j * (samples @ np.asarray(p)))) for p in pairs])
         assert np.allclose(got, want, atol=1e-15)
 
+    @pytest.mark.parametrize("size", [1000, 200_000], ids=["one_chunk", "chunked"])
+    def test_joint_version_on_one_coordinate_is_the_plain_ecf(self, size):
+        # 200,000 samples x 13 frequencies crosses the 2e6-element chunk size
+        x = RandomStream(8).generator().standard_cauchy(size)
+        th = np.linspace(-3.0, 3.0, 13)
+        plain = empirical_cf(x, th)
+        assert plain.tobytes() == empirical_cf_joint(x[:, None], th[:, None]).tobytes()
+        if x.size * th.size < 2_000_000:
+            direct = np.exp(1j * np.outer(x, th)).sum(0) / x.size
+            assert plain.tobytes() == direct.tobytes()
+
     def test_report_fields(self):
         samples = RandomStream(3).generator().normal(size=1000)
         rep = ecf_report(samples, lambda th: np.exp(-0.5 * th ** 2), label="normal")
@@ -104,6 +115,11 @@ class TestFactorization:
         assert rep.passed
         assert rep.distance < rep.threshold
         assert rep.ensemble == 4000
+
+    def test_single_interval_distance_is_exactly_zero(self):
+        rep = factorization_test("li", AF_LINEAR, [(0.25, 0.75)], 8, 1000, RandomStream(57))
+        assert rep.distance == 0.0
+        assert rep.passed
 
     def test_overlapping_intervals_are_rejected_up_front(self):
         with pytest.raises(ParameterError):

@@ -17,11 +17,13 @@ from mslevy import (
     AlphaFunction,
     IntegrandFunction,
     RandomStream,
+    factorization_test,
     SchemeConfig,
     grid_index,
     half_open_indicator,
     joint_integral_ensemble,
     li_window_ensemble,
+    localisability_test,
     marginal_ensemble,
     poisson_arrivals,
     sample_integral,
@@ -172,8 +174,16 @@ AF = ALPHAS["linear"]
                                  d=3.0, levels=8),
     lambda: sn_boundary_ensemble(4, AlphaFunction.constant(0.5), RandomStream(1), [16], 2,
                                  d=1.0, levels=8),
+    lambda: marginal_ensemble("li", AF, 4, [-0.5], 2, RandomStream(1)),
+    lambda: marginal_ensemble("li", AF, 4, [1.5], 2, RandomStream(1)),
+    lambda: li_window_ensemble(AF, N, 0, [], 2, RandomStream(1)),
+    lambda: joint_integral_ensemble([], AF, N, 2, RandomStream(1)),
+    lambda: factorization_test("li", AF, [], N, 2, RandomStream(1)),
+    lambda: localisability_test(AF, 0.5, 1.0, [], 12, 1000, RandomStream(1)),
 ], ids=["window_ensemble_0", "window_n_0", "window_n_27", "sn_ensemble_0", "sn_n_0",
-        "sn_d_at_most_1_over_alpha"])
+        "sn_d_at_most_1_over_alpha", "marginal_time_below_0", "marginal_time_above_1",
+        "window_no_offsets", "joint_integral_no_integrands", "factorization_no_intervals",
+        "localisability_no_radii"])
 def test_shared_input_checks(call):
     with pytest.raises(ParameterError):
         call()
