@@ -2,9 +2,11 @@
 exponent integrals and the variable-exponent (Luxemburg) quasinorm.
 
 An exponent function u -> alpha(u) is cadlag on a closed interval with
-values in a band [a, b] inside (0, 2].  Integrands live on [0, 1] either as
-closed-form handles with declared breakpoints or as uniform-grid tables with
-step interpolation.
+values in a band [a, b] inside (0, 2].  Integrands live on [0, 1] as
+vectorised handles with declared breakpoints; step functions (uniform-grid
+tables, indicators, constants) are marked as such.  Every exponent kind is
+piecewise affine, so exponent integrals and the modulars of step functions
+are exact closed-form cell sums.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InfiniteQuasinormError, ParameterError
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, split_points
 
 _KINDS = ("constant", "linear", "piecewise", "piecewise_linear", "table")
 _EDGE_TOL = 1e-12
@@ -107,22 +109,8 @@ class AlphaFunction:
                 f"exponent values must stay in (0, 2], attained range is [{lo}, {hi}]")
 
     def _range_bounds(self) -> tuple[float, float]:
-        t0, t1 = self.domain
-        if self.kind == "constant":
-            return self.value, self.value
-        if self.kind == "linear":
-            ends = (self.intercept + self.slope * t0, self.intercept + self.slope * t1)
-            return min(ends), max(ends)
-        if self.kind == "piecewise":
-            return min(self.values), max(self.values)
-        if self.kind == "piecewise_linear":
-            edges = (t0, *self.breaks, t1)
-            cand = []
-            for i, (c, m) in enumerate(zip(self.intercepts, self.slopes)):
-                cand.append(c + m * edges[i])
-                cand.append(c + m * edges[i + 1])
-            return min(cand), max(cand)
-        return min(self.values), max(self.values)
+        ends = [c + m * x for lo, hi, c, m in self.pieces(*self.domain) for x in (lo, hi)]
+        return min(ends), max(ends)
 
     # -- evaluation -------------------------------------------------------
 
@@ -165,24 +153,28 @@ class AlphaFunction:
             return tuple(t0 + (t1 - t0) * i / m for i in range(1, m))
         return ()
 
-    @property
-    def is_piecewise_constant(self) -> bool:
-        return self.kind in ("constant", "piecewise", "table")
+    def _affine(self, s: np.ndarray) -> tuple[list[float], list[float]]:
+        """Intercepts c and slopes m with alpha(x) = c + m x on the piece
+        that holds each point of ``s`` (read away from any break)."""
+        if self.kind == "linear":
+            return [self.intercept] * s.size, [self.slope] * s.size
+        if self.kind == "piecewise_linear":
+            idx = np.searchsorted(np.asarray(self.breaks), s, side="right")
+            return (np.asarray(self.intercepts)[idx].tolist(),
+                    np.asarray(self.slopes)[idx].tolist())
+        return self(s).tolist(), [0.0] * s.size
 
-    def panels(self, u1: float, u2: float) -> list[tuple[float, float, float]]:
-        """(lo, hi, value) cells covering [u1, u2] for piecewise-constant kinds."""
-        if not self.is_piecewise_constant:
-            raise ParameterError("panels are only defined for piecewise-constant kinds")
-        edges = [u1] + [p for p in self.breakpoints if u1 < p < u2] + [u2]
-        return [(lo, hi, self(lo)) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+    def pieces(self, u1: float, u2: float) -> list[tuple[float, float, float, float]]:
+        """(lo, hi, c, m) cells covering [u1, u2] between breakpoints, on each
+        of which alpha(s) = c + m s; each cell is read at its midpoint."""
+        edges, mids = _cells(u1, u2, self.breakpoints)
+        return list(zip(edges, edges[1:], *self._affine(mids)))
 
     def max_jump(self) -> float:
         """Largest discontinuity across interior breakpoints (0 if continuous)."""
-        jump = 0.0
-        for p in self.breakpoints:
-            left = self(max(p - 1e-9, self.domain[0]))
-            jump = max(jump, abs(self(p) - left))
-        return jump
+        cells = self.pieces(*self.domain)
+        return max((abs((c1 + m1 * x) - (c2 + m2 * x))
+                    for (_, x, c1, m1), (_, _, c2, m2) in zip(cells, cells[1:])), default=0.0)
 
     def segment(self, k: int) -> "AlphaFunction":
         """Exponent x -> alpha(x + k) restricted to the unit interval.
@@ -274,23 +266,19 @@ class AlphaFunction:
 # ---------------------------------------------------------------------------
 
 class IntegrandFunction:
-    """A deterministic integrand on [0, 1].
-
-    Holds either a vectorised closed-form handle with declared breakpoints
-    or a uniform-grid table with right-continuous step interpolation;
-    ``indicator_bounds`` (lo, hi) marks the exact indicator of [lo, hi].
-    Supports differences and scalings.
+    """A deterministic integrand on [0, 1]: a vectorised handle with declared
+    breakpoints.  ``steps`` marks a step function, constant between its
+    breakpoints (tables, indicators, constants and their differences and
+    scalings), whose integrals are then exact.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
                  breakpoints: Sequence[float] = (), label: str = "",
-                 table: np.ndarray | None = None,
-                 indicator_bounds: tuple[float, float] | None = None):
+                 steps: bool = False):
         self._fn = fn
         self.breakpoints = tuple(sorted(set(float(p) for p in breakpoints if 0.0 < p < 1.0)))
         self.label = label or "integrand"
-        self.table = None if table is None else np.asarray(table, dtype=float)
-        self.indicator_bounds = indicator_bounds
+        self.steps = steps
 
     # -- constructors -----------------------------------------------------
 
@@ -309,7 +297,7 @@ class IntegrandFunction:
             idx = np.clip(np.floor(np.asarray(x, dtype=float) * m).astype(int), 0, m - 1)
             return vals[idx]
 
-        return cls(fn, [i / m for i in range(1, m)], label, table=vals)
+        return cls(fn, [i / m for i in range(1, m)], label, steps=True)
 
     @classmethod
     def indicator(cls, lo: float, hi: float) -> "IntegrandFunction":
@@ -320,13 +308,13 @@ class IntegrandFunction:
             x = np.asarray(x, dtype=float)
             return ((x >= lo) & (x <= hi)).astype(float)
 
-        return cls(fn, [lo, hi], f"indicator[{lo},{hi}]", indicator_bounds=(lo, hi))
+        return cls(fn, [lo, hi], f"indicator[{lo},{hi}]", steps=True)
 
     @classmethod
     def constant(cls, c: float) -> "IntegrandFunction":
         c = float(c)
         return cls(lambda x: np.full_like(np.asarray(x, dtype=float), c), (), f"const({c})",
-                   table=np.array([c]))
+                   steps=True)
 
     @classmethod
     def zero(cls) -> "IntegrandFunction":
@@ -340,46 +328,30 @@ class IntegrandFunction:
         return float(out) if scalar else np.asarray(out, dtype=float)
 
     def __sub__(self, other: "IntegrandFunction") -> "IntegrandFunction":
-        table = None
-        if (self.table is not None and other.table is not None
-                and self.table.size == other.table.size):
-            table = self.table - other.table
         return IntegrandFunction(lambda x: self._fn(x) - other._fn(x),
                                  self.breakpoints + other.breakpoints,
-                                 f"({self.label} - {other.label})", table=table)
+                                 f"({self.label} - {other.label})",
+                                 steps=self.steps and other.steps)
 
     def scaled(self, c: float) -> "IntegrandFunction":
         c = float(c)
-        table = None if self.table is None else c * self.table
         return IntegrandFunction(lambda x: c * self._fn(x), self.breakpoints,
-                                 f"{c}*{self.label}", table=table)
+                                 f"{c}*{self.label}", steps=self.steps)
 
     # -- helpers ------------------------------------------------------------
 
-    def value_panels(self) -> list[tuple[float, float, float]] | None:
-        """(lo, hi, value) cells when the integrand is exactly piecewise
-        constant, else None."""
-        if self.table is not None:
-            m = self.table.size
-            return [(i / m, (i + 1) / m, float(self.table[i])) for i in range(m)]
-        if self.indicator_bounds is not None:
-            lo, hi = self.indicator_bounds
-            cells = []
-            if lo > 0.0:
-                cells.append((0.0, lo, 0.0))
-            cells.append((lo, hi, 1.0))
-            if hi < 1.0:
-                cells.append((hi, 1.0, 0.0))
-            return cells
-        return None
-
     def sup_bound(self) -> float:
-        """Estimated sup of |f| over [0, 1] (exact for tables/indicators)."""
-        if self.table is not None:
-            return float(np.max(np.abs(self.table)))
-        if self.indicator_bounds is not None:
-            return 1.0
-        return float(np.max(np.abs(self(_probe_grid(self.breakpoints)))))
+        """Estimated sup of |f| over [0, 1] (exact for step functions)."""
+        xs = _cells(0.0, 1.0, self.breakpoints)[1] if self.steps else _probe_grid(self.breakpoints)
+        return float(np.max(np.abs(self(xs))))
+
+
+def _cells(u1: float, u2: float, breakpoints: Sequence[float]) -> tuple[list[float], np.ndarray]:
+    """Edges of [u1, u2] split at the interior breakpoints, and the midpoints
+    of the cells between them."""
+    edges = split_points(u1, u2, breakpoints)
+    e = np.asarray(edges)
+    return edges, 0.5 * (e[:-1] + e[1:])
 
 
 def _probe_grid(breakpoints: Sequence[float]) -> np.ndarray:
@@ -400,26 +372,30 @@ def _check_interval(af: AlphaFunction, u1: float, u2: float) -> None:
         raise DomainError(f"need {t0} <= u1 <= u2 <= {t1}, got ({u1}, {u2})")
 
 
-def exponent_integral(af: AlphaFunction, theta: float, u1: float, u2: float) -> float:
-    """integral_{u1}^{u2} |theta|^alpha(s) ds.
+def _power_integral(v: float, c: float, m: float, lo: float, hi: float) -> float:
+    """integral_lo^hi v^(c + m s) ds for v >= 0, in closed form.
 
-    Exact panel sums for piecewise-constant exponents; adaptive Simpson with
-    breakpoint splits otherwise.  |theta| in {0, 1} short-circuits to the
-    exact values 0 and u2 - u1.
+    Written as (hi - lo) v^(c + m lo) expm1(x)/x with x = m ln(v) (hi - lo),
+    which stays exact for cells so narrow that x underflows; with m = 0 it
+    is the plain (hi - lo) v^c.
     """
+    if v == 0.0:
+        return 0.0
+    base = (hi - lo) * v ** (c + m * lo)
+    x = m * math.log(v) * (hi - lo)
+    return base if x == 0.0 else base * (math.expm1(x) / x)
+
+
+def exponent_integral(af: AlphaFunction, theta: float, u1: float, u2: float) -> float:
+    """integral_{u1}^{u2} |theta|^alpha(s) ds, exact: a closed-form sum over
+    the affine pieces of alpha.  |theta| = 1 short-circuits to u2 - u1."""
     _check_interval(af, u1, u2)
     if u2 <= u1:
         return 0.0
     abs_t = abs(float(theta))
-    if abs_t == 0.0:
-        return 0.0
     if abs_t == 1.0:
         return u2 - u1
-    if af.is_piecewise_constant:
-        return sum((hi - lo) * abs_t ** v for lo, hi, v in af.panels(u1, u2))
-    log_t = math.log(abs_t)
-    return adaptive_simpson(lambda s: math.exp(log_t * af(s)), u1, u2,
-                            breakpoints=af.breakpoints)
+    return sum(_power_integral(abs_t, c, m, lo, hi) for lo, hi, c, m in af.pieces(u1, u2))
 
 
 def li_cf(af: AlphaFunction, times: Sequence[float], thetas: Sequence[float]) -> float:
@@ -457,18 +433,10 @@ def integral_cf(fs: Sequence[IntegrandFunction], thetas: Sequence[float],
     if not fs:
         return 1.0
     th = [float(t) for t in thetas]
-    breaks: list[float] = list(af.breakpoints)
-    for f in fs:
-        breaks.extend(f.breakpoints)
-
-    def g_pow(x: float) -> float:
-        g = 0.0
-        for t, f in zip(th, fs):
-            g += t * f(x)
-        g = abs(g)
-        return g ** af(x) if g > 0.0 else 0.0
-
-    total = adaptive_simpson(g_pow, 0.0, 1.0, breakpoints=breaks)
+    g = IntegrandFunction(lambda x: sum(t * f(x) for t, f in zip(th, fs)),
+                          [p for f in fs for p in f.breakpoints],
+                          steps=all(f.steps for f in fs))
+    total = _modular(g, af, 1.0)
     if not math.isfinite(total):
         raise DomainError("the combined integrand is not integrable under this exponent")
     return math.exp(-total)
@@ -529,20 +497,13 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _modular(f: IntegrandFunction, af: AlphaFunction, lam: float) -> float:
-    """integral_0^1 |f(x)/lam|^alpha(x) dx (exact when both sides are
-    piecewise constant)."""
-    panels = f.value_panels() if af.is_piecewise_constant else None
-    if panels is not None:
-        edges = sorted({0.0, 1.0, *af.breakpoints,
-                        *(lo for lo, _, _ in panels), *(hi for _, hi, _ in panels)})
-        total = 0.0
-        for lo, hi in zip(edges, edges[1:]):
-            if hi <= lo:
-                continue
-            mid = 0.5 * (lo + hi)
-            v = abs(f(mid)) / lam
-            total += (hi - lo) * (v ** af(mid) if v > 0.0 else 0.0)
-        return total
+    """integral_0^1 |f(x)/lam|^alpha(x) dx: exact for step functions, by
+    adaptive Simpson for general integrands."""
+    if f.steps:
+        edges, mids = _cells(0.0, 1.0, (*af.breakpoints, *f.breakpoints))
+        vs = (np.abs(f(mids)) / lam).tolist()
+        return sum(_power_integral(v, c, m, lo, hi)
+                   for lo, hi, v, c, m in zip(edges, edges[1:], vs, *af._affine(mids)))
 
     def integrand(x: float) -> float:
         v = abs(f(x)) / lam

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .alpha_model import (AlphaFunction, IntegrandFunction, _probe_grid,
+from .alpha_model import (AlphaFunction, IntegrandFunction, _cells, _probe_grid,
                           modular_integral, quasinorm)
 from .errors import ParameterError
 from .msl_schemes import (PathGrid, _check_ensemble, _check_level, _dyadic_times,
@@ -40,7 +40,7 @@ def half_open_indicator(lo: float, hi: float) -> IntegrandFunction:
         x = np.asarray(x, dtype=float)
         return ((x > lo) & (x <= hi)).astype(float)
 
-    return IntegrandFunction(fn, (lo, hi), f"indicator({lo},{hi}]")
+    return IntegrandFunction(fn, (lo, hi), f"indicator({lo},{hi}]", steps=True)
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class KernelFunction:
                 return np.asarray(w(x), dtype=float) * (x <= t)
 
             return IntegrandFunction(fn, (*w.breakpoints, t),
-                                     f"{w.label}*1[0,{t}]")
+                                     f"{w.label}*1[0,{t}]", steps=w.steps)
 
         return cls(make, label=f"weighted({w.label})")
 
@@ -165,27 +165,19 @@ def integrand_convergence(f_seq, f: IntegrandFunction, af: AlphaFunction,
 def overlap_measure(f1: IntegrandFunction, f2: IntegrandFunction) -> float:
     """Lebesgue measure of {x : f1(x) f2(x) != 0}.
 
-    Exact for piecewise-constant integrands (panel midpoint decisions);
-    otherwise each panel between declared breakpoints is scanned at 4096
+    Exact for step functions (one decision per cell, at its midpoint);
+    otherwise each cell between declared breakpoints is scanned at 4096
     midpoints.  A result below 1e-12 counts as a null set.
     """
-    p1, p2 = f1.value_panels(), f2.value_panels()
-    edges = sorted({0.0, 1.0, *f1.breakpoints, *f2.breakpoints,
-                    *(e for p in (p1 or []) for e in p[:2]),
-                    *(e for p in (p2 or []) for e in p[:2])})
-    exact = p1 is not None and p2 is not None
+    edges, mids = _cells(0.0, 1.0, (*f1.breakpoints, *f2.breakpoints))
+    if f1.steps and f2.steps:
+        hits = (f1(mids) * f2(mids) != 0.0).tolist()
+        return sum((hi - lo for lo, hi, hit in zip(edges, edges[1:], hits) if hit), 0.0)
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):
-        if hi <= lo:
-            continue
-        if exact:
-            mid = 0.5 * (lo + hi)
-            if f1(mid) * f2(mid) != 0.0:
-                total += hi - lo
-        else:
-            mids = lo + (hi - lo) * (np.arange(_SCAN_PANELS) + 0.5) / _SCAN_PANELS
-            hits = np.count_nonzero(np.asarray(f1(mids)) * np.asarray(f2(mids)))
-            total += (hi - lo) * hits / _SCAN_PANELS
+        scan = lo + (hi - lo) * (np.arange(_SCAN_PANELS) + 0.5) / _SCAN_PANELS
+        hits = np.count_nonzero(np.asarray(f1(scan)) * np.asarray(f2(scan)))
+        total += (hi - lo) * hits / _SCAN_PANELS
     return total
 
 

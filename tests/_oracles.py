@@ -118,6 +118,16 @@ def exponent_integral_linear(intercept: float, slope: float, theta: float,
     return (t ** (intercept + slope * u2) - t ** (intercept + slope * u1)) / (slope * log_t)
 
 
+def panel_power_sum(edges, values, theta: float) -> float:
+    """Exact integral of |theta|^alpha(s) for a piecewise-constant alpha:
+    the sum of (hi - lo) |theta|^v over the cells [edges[i], edges[i + 1]]
+    with value values[i], accumulated in cell order in Python floats."""
+    total = 0.0
+    for lo, hi, v in zip(edges, edges[1:], values):
+        total += (hi - lo) * abs(theta) ** v
+    return total
+
+
 def quasinorm_bisection(values, alphas, lo: float = 0.0,
                         hi: float | None = None, iters: int = 200) -> float:
     """Independent Luxemburg quasinorm for a tabulated function under a

@@ -3,6 +3,10 @@
 Collects the outcome of every acceptance criterion test and prints one
 PASS/FAIL line per criterion at the end of the run, so the acceptance
 status is readable at a glance from the pytest output.
+
+Registers the Hypothesis profile ``ci`` (``--hypothesis-profile=ci``):
+derandomized draws and no deadline, so a tolerance-based property test
+sees the same examples on every run.
 """
 
 from __future__ import annotations
@@ -10,6 +14,9 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 _RESULTS: dict[int, tuple[str, str]] = {}

@@ -4,6 +4,7 @@ local-variation screening check."""
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -24,16 +25,23 @@ from mslevy import (
     quasinorm,
 )
 from mslevy.errors import ParameterError
+from mslevy.quadrature import adaptive_simpson
 
 from _oracles import (
     cf_of_increment_brute,
     exponent_integral_linear,
     lf_exponent_bruteforce,
+    panel_power_sum,
     quasinorm_bisection,
 )
 
 AF_LINEAR = AlphaFunction.linear(1.2, 0.6)
 AF_STEP = AlphaFunction.piecewise(breaks=(0.5,), values=(1.2, 1.8))
+# 49 alternating cells: i/49 * 49 rounds below i at seven of the 48 breaks,
+# so a reader that evaluates the table exactly at a break gets the left cell
+TABLE49_VALUES = [1.0 + 0.8 * (i % 2) for i in range(49)]
+AF_TABLE49 = AlphaFunction.from_table(TABLE49_VALUES)
+THETAS = np.linspace(-3.0, 3.0, 61).tolist()
 
 
 class TestAlphaFunction:
@@ -47,8 +55,9 @@ class TestAlphaFunction:
         assert AF_STEP(0.5) == 1.8
         assert AF_STEP(0.5 - 1e-12) == 1.2
         assert AF_STEP.max_jump() == pytest.approx(0.6)
-        assert AF_STEP.is_piecewise_constant
-        assert not AF_LINEAR.is_piecewise_constant
+        assert AlphaFunction.from_table([1.0] + [1.5] * 48).max_jump() == 0.5
+        assert all(m == 0.0 for *_, m in AF_STEP.pieces(0.0, 1.0))
+        assert all(m != 0.0 for *_, m in AF_LINEAR.pieces(0.0, 1.0))
 
     def test_range_attributes(self):
         assert AF_LINEAR.a == pytest.approx(1.2) and AF_LINEAR.b == pytest.approx(1.8)
@@ -109,17 +118,88 @@ class TestExponentIntegral:
         want = exponent_integral_linear(1.2, 0.6, theta, 0.1, 0.8)
         assert got == pytest.approx(want, abs=1e-11)
 
-    def test_piecewise_alpha_panel_sum(self):
-        theta = 2.0
-        got = exponent_integral(AF_STEP, theta, 0.0, 1.0)
-        want = 0.5 * theta ** 1.2 + 0.5 * theta ** 1.8
-        assert got == pytest.approx(want, abs=1e-11)
+    @pytest.mark.parametrize("af,want", [
+        (AF_STEP, 0.5 * 2.0 ** 1.2 + 0.5 * 2.0 ** 1.8),
+        (AF_TABLE49, float(np.mean(2.0 ** np.asarray(TABLE49_VALUES)))),  # 2.7259766138046513
+    ], ids=["step", "table49"])
+    def test_piecewise_alpha_panel_sum(self, af, want):
+        got = exponent_integral(af, 2.0, 0.0, 1.0)
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_additive_over_subintervals(self):
         total = exponent_integral(AF_LINEAR, 1.7, 0.0, 1.0)
         split = (exponent_integral(AF_LINEAR, 1.7, 0.0, 0.3)
                  + exponent_integral(AF_LINEAR, 1.7, 0.3, 1.0))
         assert total == pytest.approx(split, rel=1e-11)
+
+
+class TestPiecewiseConstantBits:
+    """Exact sums under piecewise-constant exponents: the same bits as an
+    independent cell-by-cell sum of (hi - lo) |theta|^v in cell order."""
+
+    CASES = {
+        "step": (AF_STEP, (0.5,), (1.2, 1.8)),
+        "constant": (AlphaFunction.constant(1.4), (), (1.4,)),
+        "table3": (AlphaFunction.from_table([1.1, 1.6, 0.9]), (1 / 3, 2 / 3), (1.1, 1.6, 0.9)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("u1,u2", [(0.0, 1.0), (0.1, 0.8)])
+    def test_exponent_integral_is_the_panel_sum(self, case, u1, u2):
+        af, breaks, values = self.CASES[case]
+        edges = [u1, *(p for p in breaks if u1 < p < u2), u2]
+        cells = [values[bisect.bisect_right(breaks, lo)] for lo in edges[:-1]]
+        for theta in THETAS:
+            assert exponent_integral(af, theta, u1, u2) == panel_power_sum(edges, cells, theta)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_table_modular_is_the_panel_sum(self, lam):
+        f = IntegrandFunction.from_table([0.5, -2.0, 1.5])
+        edges = [0.0, 1 / 3, 0.5, 2 / 3, 1.0]
+        f_cells, a_cells = (0.5, -2.0, -2.0, 1.5), (1.2, 1.2, 1.8, 1.8)
+        want = 0.0
+        for lo, hi, v, a in zip(edges, edges[1:], f_cells, a_cells):
+            want += panel_power_sum([lo, hi], [a], v / lam)
+        assert modular_integral(f, AF_STEP, lam) == want
+
+
+_SLOPES = st.floats(-0.25, 0.25)
+_INTERCEPTS = st.floats(0.3, 1.7)
+_ABS_THETAS = st.floats(0.05, 20.0)
+
+
+@st.composite
+def _affine_alphas(draw):
+    """A linear or a two-piece piecewise-linear exponent with values in [0.05, 1.95]."""
+    if draw(st.booleans()):
+        return AlphaFunction.linear(draw(_INTERCEPTS), draw(_SLOPES))
+    brk = draw(st.floats(0.05, 0.95))
+    return AlphaFunction.piecewise_linear(
+        breaks=(brk,), intercepts=(draw(_INTERCEPTS), draw(_INTERCEPTS)),
+        slopes=(draw(_SLOPES), draw(_SLOPES)))
+
+
+class TestClosedFormMatchesSimpson:
+    @given(af=_affine_alphas(), abs_theta=_ABS_THETAS, sign=st.sampled_from([-1.0, 1.0]),
+           ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_exponent_integral(self, af, abs_theta, sign, ends):
+        u1, u2 = sorted(ends)
+        got = exponent_integral(af, sign * abs_theta, u1, u2)
+        want = adaptive_simpson(lambda s: abs_theta ** af(s), u1, u2,
+                                breakpoints=af.breakpoints)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @given(values=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 5.0), st.floats(-5.0, -0.05)),
+                           min_size=1, max_size=8),
+           lam=st.floats(0.2, 5.0), intercept=_INTERCEPTS, slope=_SLOPES)
+    @settings(max_examples=100, deadline=None)
+    def test_step_modular(self, values, lam, intercept, slope):
+        af = AlphaFunction.linear(intercept, slope)
+        f = IntegrandFunction.from_table(values)
+        general = IntegrandFunction(f._fn, f.breakpoints)
+        assert modular_integral(f, af, lam) == pytest.approx(
+            modular_integral(general, af, lam), rel=1e-9)
 
 
 class TestNaiveSchemeExponent:
