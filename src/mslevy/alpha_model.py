@@ -23,6 +23,9 @@ from .quadrature import adaptive_simpson, split_points
 
 _KINDS = ("constant", "linear", "piecewise", "piecewise_linear", "table")
 _EDGE_TOL = 1e-12
+# Grid reads snap a time u up to u + _GRID_SNAP before finding its dyadic
+# cell, so that k/2^n computed with rounding error still reads cell k.
+_GRID_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -377,13 +380,22 @@ def _power_integral(v: float, c: float, m: float, lo: float, hi: float) -> float
 
     Written as (hi - lo) v^(c + m lo) expm1(x)/x with x = m ln(v) (hi - lo),
     which stays exact for cells so narrow that x underflows; with m = 0 it
-    is the plain (hi - lo) v^c.
+    is the plain (hi - lo) v^c.  Where a power or expm1(x) leaves the float
+    range, the integral is anchored at the end where the integrand peaks;
+    only that peak can then overflow, and it gives an infinite exponent.
     """
-    if v == 0.0:
+    if v == 0.0 or hi <= lo:
         return 0.0
-    base = (hi - lo) * v ** (c + m * lo)
     x = m * math.log(v) * (hi - lo)
-    return base if x == 0.0 else base * (math.expm1(x) / x)
+    try:
+        base = (hi - lo) * v ** (c + m * lo)
+        return base if x == 0.0 else base * (math.expm1(x) / x)
+    except OverflowError:
+        try:
+            peak = (hi - lo) * v ** (c + m * (hi if x > 0.0 else lo))
+        except OverflowError:
+            return math.inf
+        return peak if x == 0.0 else peak * (-math.expm1(-abs(x)) / abs(x))
 
 
 def exponent_integral(af: AlphaFunction, theta: float, u1: float, u2: float) -> float:
@@ -479,7 +491,7 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
         raise ParameterError("level n must be >= 0")
     _check_interval(af, 0.0, u)
     m = 2 ** n
-    count = int(math.floor(m * u + 1e-12))
+    count = int(math.floor(m * (u + _GRID_SNAP)))
     if count == 0:
         return 0.0
     ks = np.arange(1, count + 1, dtype=float)

@@ -20,7 +20,7 @@ import numpy as np
 from .alpha_model import AlphaFunction
 from .errors import DomainError, ParameterError
 from .msl_schemes import PathGrid, _check_ensemble, _check_level
-from .stable_core import (RandomStream, _uniform_pairs, sample_symmetric,
+from .stable_core import (RandomStream, _row_chunks, _uniform_pairs, sample_symmetric,
                           symmetric_from_uniform_pairs)
 
 _TAG_LEVEL = 0x1E7E1
@@ -239,19 +239,17 @@ def _sn_cell_block_sizes(n: int, levels: int) -> list[int]:
     return [(2 ** j) // (2 ** (n + 1)) + 1 for j in range(levels + 1)]
 
 
-def _sn_cell_values(alpha: float, d: float, sizes: list[int], stream: RandomStream,
-                    args: np.ndarray) -> tuple[np.ndarray, float]:
-    """Evaluate one cell's dilated series at ``args`` (within [0, 2^(-n-1)]);
-    the cell's stream holds the level blocks of ``sizes`` back to back, read
-    in one prefix draw.  Also returns the cell's level-0 coefficient Z_00."""
-    u = _uniform_pairs(stream, sum(sizes))
-    z = symmetric_from_uniform_pairs(np.full(len(u), alpha), u[:, 0], u[:, 1])
-    acc = np.zeros_like(args)
-    for j, block in enumerate(np.split(z, np.cumsum(sizes)[:-1])):
-        pos = np.ldexp(args, j)
-        idx = np.minimum(np.floor(pos).astype(np.int64), block.size - 1)
-        acc += 2.0 ** (-j * d) * block[idx] * triangle(pos - idx)
-    return acc, float(z[0])
+def _sn_cell_draws(alphas: np.ndarray, stream: RandomStream, count: int,
+                   rows=None) -> np.ndarray:
+    """The first ``count`` coefficients of every cell's stream
+    stream.child(_TAG_CELL, k), as a (cells, count) array, or with replicate
+    ``rows`` (rows, cells, count) under stream.child(r, _TAG_CELL, k); all
+    cells are one batched read."""
+    cells = np.arange(alphas.size)
+    path = (_TAG_CELL, cells) if rows is None else (rows[:, None], _TAG_CELL, cells)
+    u = _uniform_pairs(stream, count, *path)
+    return symmetric_from_uniform_pairs(np.broadcast_to(alphas[:, None], u.shape[:-1]),
+                                        u[..., 0], u[..., 1])
 
 
 def _sigma_tilde_boundary(alphas: np.ndarray, d: float, n: int) -> np.ndarray:
@@ -300,20 +298,24 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
     m = 2 ** n
     cell_of = np.floor(np.ldexp(t, n)).astype(np.int64)
     args = t - cell_of / m
-    cell_terms = np.empty(m)
-    level0 = np.empty(m)
-    active = np.zeros_like(t)
-    half = 2.0 ** (-n - 1)
+    sel = np.flatnonzero(args > 0.0)
+    # each cell's dilated series is read at its mesh points inside the cell
+    # and, last, at the completed-cell argument 2^(-n-1); each cell's stream
+    # holds the level blocks of ``sizes`` back to back
+    at = np.concatenate([cell_of[sel], np.arange(m)])
+    eval_args = np.concatenate([args[sel] / 2.0, np.full(m, 2.0 ** (-n - 1))])
     sizes = _sn_cell_block_sizes(n, levels)
-    for k in range(m):
-        sel = np.flatnonzero((cell_of == k) & (args > 0.0))
-        eval_args = np.concatenate([args[sel] / 2.0, [half]])
-        vals, z00 = _sn_cell_values(float(alphas[k]), d, sizes,
-                                    stream.child(_TAG_CELL, k), eval_args)
-        cell_terms[k] = weights[k] * vals[-1] / sig[k]
-        level0[k] = z00
-        if sel.size:
-            active[sel] = weights[k] * vals[:-1] / sig[k]
+    z = _sn_cell_draws(alphas, stream, sum(sizes))
+    acc = np.zeros_like(eval_args)
+    for j, (first, size) in enumerate(zip(np.cumsum([0] + sizes[:-1]), sizes)):
+        pos = np.ldexp(eval_args, j)
+        idx = np.minimum(np.floor(pos).astype(np.int64), size - 1)
+        acc += 2.0 ** (-j * d) * z[at, first + idx] * triangle(pos - idx)
+    vals = weights[at] * acc / sig[at]
+    cell_terms = vals[sel.size:]
+    level0 = z[:, 0]
+    active = np.zeros_like(t)
+    active[sel] = vals[:sel.size]
     prefix = np.concatenate([[0.0], np.cumsum(cell_terms)])
     path = PathGrid(times=t, values=prefix[cell_of] + active)
     if not with_diagnostics:
@@ -343,15 +345,12 @@ def sn_boundary_ensemble(n: int, af: AlphaFunction, stream: RandomStream,
         raise ParameterError("boundary indices must lie in [0, 2^n]")
     pair_count = n + 1
     out = np.empty((ensemble, ks.size))
-    flat_alphas = np.repeat(alphas, pair_count)
-    for r in range(ensemble):
-        base = stream.child(r)
-        u = np.concatenate([_uniform_pairs(base.child(_TAG_CELL, k), pair_count)
-                            for k in range(m)])
-        z = symmetric_from_uniform_pairs(flat_alphas, u[:, 0], u[:, 1]).reshape(m, pair_count)
-        xt = np.zeros(m)
+    for rows in _row_chunks(ensemble, m * pair_count):
+        z = _sn_cell_draws(alphas, stream, pair_count, rows)
+        xt = np.zeros((rows.size, m))
         for j in range(pair_count):
-            xt += 2.0 ** (-j * d) * z[:, j] * 2.0 ** (j - n)
-        prefix = np.concatenate([[0.0], np.cumsum(weights * xt / sig)])
-        out[r] = prefix[ks]
+            xt += 2.0 ** (-j * d) * z[..., j] * 2.0 ** (j - n)
+        prefix = np.concatenate([np.zeros((rows.size, 1)),
+                                 np.cumsum(weights * xt / sig, axis=1)], axis=1)
+        out[rows] = prefix[:, ks]
     return out

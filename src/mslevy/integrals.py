@@ -93,7 +93,7 @@ def sample_integral(f: IntegrandFunction, af: AlphaFunction, n: int,
     stream.
     """
     _check_level(n)
-    return float(next(_weighted_sums(af, 2 ** n, [stream], 2.0 ** -n, fs=[f]))[0, -1])
+    return float(_weighted_sums(af, 2 ** n, stream, 2.0 ** -n, fs=[f])[0, -1])
 
 
 def integral_ensemble(f: IntegrandFunction, af: AlphaFunction, n: int,
@@ -112,9 +112,8 @@ def joint_integral_ensemble(fs, af: AlphaFunction, n: int, ensemble: int,
     fs = list(fs)
     if not fs:
         raise ParameterError("need at least one integrand")
-    sums = _weighted_sums(af, 2 ** n, (stream.child(r) for r in range(ensemble)),
-                          2.0 ** -n, fs=fs, cols=[-1])
-    return np.array([row[:, 0] for row in sums])
+    return _weighted_sums(af, 2 ** n, stream, 2.0 ** -n, fs=fs, cols=[2 ** n],
+                          replicates=ensemble)[..., 0]
 
 
 def weighted_mslm(w: IntegrandFunction, af: AlphaFunction, n: int,
@@ -123,7 +122,7 @@ def weighted_mslm(w: IntegrandFunction, af: AlphaFunction, n: int,
     weighted multistable motion.  w = 1 reproduces the plain scheme path
     bitwise under the same stream."""
     _check_level(n)
-    values = next(_weighted_sums(af, 2 ** n, [stream], 2.0 ** -n, fs=[w]))[0]
+    values = _weighted_sums(af, 2 ** n, stream, 2.0 ** -n, fs=[w])[0]
     return PathGrid(times=_dyadic_times(n), values=values)
 
 

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_model import AlphaFunction, IntegrandFunction
+from .alpha_model import _GRID_SNAP, AlphaFunction, IntegrandFunction
 from .errors import ParameterError
-from .stable_core import (RandomStream, _uniform_pairs, poisson_arrivals,
-                          sample_symmetric, symmetric_from_uniform_pairs)
+from .stable_core import (RandomStream, _child_ids, _exponential, _row_chunks,
+                          _uniform_pairs, poisson_arrivals, sample_symmetric,
+                          symmetric_from_uniform_pairs)
 
 # substream tags (arbitrary fixed constants; see RandomStream.child)
 _TAG_ARRIVALS = 0xA121
@@ -52,8 +53,9 @@ class PathGrid:
         return int(self.times.size)
 
     def value_at(self, u: float) -> float:
-        """Path value at the last grid time <= u (paths are cadlag steps)."""
-        i = int(np.searchsorted(self.times, u + 1e-12, side="right")) - 1
+        """Path value at the last grid time <= u + _GRID_SNAP (paths are
+        cadlag steps)."""
+        i = int(np.searchsorted(self.times, u + _GRID_SNAP, side="right")) - 1
         return float(self.values[max(i, 0)])
 
 
@@ -107,40 +109,81 @@ def _check_ensemble(ensemble: int) -> None:
         raise ParameterError(f"ensemble size must be >= 1, got {ensemble}")
 
 
-def _dyadic_address_index(k: int, n: int) -> int:
-    """Enumerate dyadic rationals k/2^n in lowest terms: 1 -> 0 and the
-    level-m odd numerators j -> 2^(m-1) + (j-1)/2."""
-    tz = (k & -k).bit_length() - 1
-    j = k >> tz
+def _dyadic_addresses(n: int) -> np.ndarray:
+    """Enumerate the dyadic rationals k/2^n, k = 1..2^n, in lowest terms:
+    1 -> 0 and the level-l odd numerators j -> 2^(l-1) + (j-1)/2."""
+    k = np.arange(1, 2 ** n + 1, dtype=np.int64)
+    tz = np.frexp((k & -k).astype(float))[1] - 1
     level = n - tz
-    if level == 0:
-        return 0
-    return (1 << (level - 1)) + (j - 1) // 2
+    return np.where(level == 0, 0, (1 << np.maximum(level - 1, 0)) + ((k >> tz) - 1) // 2)
 
 
-def _nested_draws(alphas: np.ndarray, stream: RandomStream, m: int) -> np.ndarray:
-    """Symmetric draws attached to the dyadic addresses of k/m, m = 2^n,
-    instead of (k, n) pairs, so X(2k, n+1) reuses X(k, n) exactly."""
-    n = m.bit_length() - 1
-    u = np.concatenate([
-        _uniform_pairs(stream.child(_TAG_DYADIC, _dyadic_address_index(k, n)), 1)
-        for k in range(1, alphas.size + 1)])
-    return symmetric_from_uniform_pairs(alphas, u[:, 0], u[:, 1])
+def _symmetric_draws(alphas: np.ndarray, stream: RandomStream, m: int, nested: bool,
+                     rows=None) -> np.ndarray:
+    """The draws X_k of the first alphas.size cells: one stream's, or with
+    ``rows`` one row per replicate r under stream.child(r).  Nested draws
+    (m = 2^n) are attached to the dyadic addresses of k/m instead of (k, n)
+    pairs, so X(2k, n+1) reuses X(k, n) exactly."""
+    if nested:
+        path = (_TAG_DYADIC, _dyadic_addresses(m.bit_length() - 1)[:alphas.size])
+        if rows is not None:
+            path = (rows[:, None], *path)
+        u = _uniform_pairs(stream, 1, *path)[..., 0, :]
+    elif rows is None:
+        return sample_symmetric(alphas, stream)
+    else:
+        u = _uniform_pairs(stream, alphas.size, rows)
+    return symmetric_from_uniform_pairs(np.broadcast_to(alphas, u.shape[:-1]),
+                                        u[..., 0], u[..., 1])
 
 
-def _weighted_sums(af, m: int, streams, base: float, fs=None, start: int = 0,
-                   count: int | None = None, cols=None, nested: bool = False):
+def _weights(alphas: np.ndarray, base, fs, cells) -> np.ndarray:
+    """base^(1/alpha_k) f(x_k) as (integrands x cells), or (rows x 1 x
+    cells) for a column of per-replicate bases; ``cells`` builds the x_k."""
+    weights = (base ** (1.0 / alphas))[..., None, :]
+    if fs is not None:
+        xs = cells()
+        weights = weights * np.stack([np.asarray(f(xs), dtype=float) for f in fs])
+    return weights
+
+
+def _partial_sums(x: np.ndarray, weights: np.ndarray, cols) -> np.ndarray:
+    """[0, cumsum(w_k X_k)] along the cells, at the indices ``cols`` (all
+    when None; one index row per replicate when two-dimensional)."""
+    # summed straight into the prefix, and the terms freed before the
+    # column copy: a long path holds no third cell-sized array
+    terms = weights * x
+    prefix = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,))
+    prefix[..., 0] = 0.0
+    np.cumsum(terms, axis=-1, out=prefix[..., 1:])
+    del terms
+    if cols is None:
+        return prefix
+    if np.ndim(cols) == 2:
+        return np.take_along_axis(prefix, cols[:, None, :], axis=-1)
+    return prefix[..., cols]
+
+
+def _weighted_sums(af, m: int, stream: RandomStream, base, fs=None, start: int = 0,
+                   count: int | None = None, cols=None, nested: bool = False,
+                   replicates: int | None = None) -> np.ndarray:
     """The weighted-sum kernel behind every scheme, integral and ensemble.
 
     Over the cells x_k = min((start + k)/m, 1), k = 1..count (default m),
     it takes the exponents alpha_k = af(x_k) and, per integrand f in ``fs``
-    (f = 1 when None), the weights w_k = base^(1/alpha_k) f(x_k).  For each
-    stream in turn it yields the matrix (integrands x columns) of the
-    partial sums S_0 = 0, S_j = sum_{k <= j} w_k X_k at the indices ``cols``
-    (all count + 1 of them when None).  X is ``sample_symmetric(alphas,
-    stream)``, or drawn by dyadic address when ``nested`` (m = 2^n,
-    start = 0).  The sum is sequential, so integrals of indicator slices
-    reproduce path values bit for bit.
+    (f = 1 when None), the weights w_k = base^(1/alpha_k) f(x_k).  It
+    returns the matrix (integrands x columns) of the partial sums S_0 = 0,
+    S_j = sum_{k <= j} w_k X_k at the indices ``cols`` (all count + 1 of
+    them when None), where X is ``sample_symmetric(alphas, stream)``, or
+    drawn by dyadic address when ``nested`` (m = 2^n, start = 0).
+
+    With ``replicates`` = R it returns one such matrix per replicate r,
+    drawn under stream.child(r), as an (R, integrands, columns) array: the
+    replicates are read in batched chunks, each drawing only the cells up
+    to its largest column.  ``base`` may then hold one value and ``cols``
+    one index row per replicate.  The sum is sequential, so integrals of
+    indicator slices reproduce path values bit for bit, and a replicate's
+    row equals the single-stream run under its child stream.
     """
     count = m if count is None else count
 
@@ -152,28 +195,79 @@ def _weighted_sums(af, m: int, streams, base: float, fs=None, start: int = 0,
         return np.minimum(xs, 1.0, out=xs)
 
     alphas = np.asarray(af(cells()), dtype=float)
-    weights = None
-    for stream in streams:
-        x = _nested_draws(alphas, stream, m) if nested else sample_symmetric(alphas, stream)
-        if weights is None:
-            # built after the first draws, so that sampling, the peak of a
-            # long path's memory, holds no array beside alphas
-            weights = base ** (1.0 / alphas)
-            if fs is None:
-                weights = weights[None, :]
-            else:
-                xs = cells()
-                weights = weights * np.stack([np.asarray(f(xs), dtype=float) for f in fs])
-        prefix = np.concatenate([np.zeros((weights.shape[0], 1)),
-                                 np.cumsum(weights * x, axis=1)], axis=1)
-        yield prefix if cols is None else prefix[:, cols]
+    if replicates is None:
+        x = _symmetric_draws(alphas, stream, m, nested)
+        # weights built after the draws, so that sampling, the peak of a
+        # long path's memory, holds no array beside alphas
+        return _partial_sums(x, _weights(alphas, base, fs, cells), cols)
+    cols = np.asarray(cols)
+    per_row = np.ndim(base) == 1
+    weights = None if per_row else _weights(alphas, base, fs, cells)
+    out = np.empty((replicates, 1 if fs is None else len(fs), cols.shape[-1]))
+    for rows in _row_chunks(replicates, count):
+        row_cols = cols[rows] if cols.ndim == 2 else cols
+        need = int(row_cols.max())
+        x = _symmetric_draws(alphas[:need], stream, m, nested, rows)[:, None, :]
+        if per_row:
+            w = _weights(alphas[:need], base[rows][:, None], fs, lambda: cells()[:need])
+        else:
+            w = weights[:, :need]
+        out[rows] = _partial_sums(x, w, row_cols)
+    return out
+
+
+def _scheme_values(scheme: str, cfg: SchemeConfig, cols=None,
+                   replicates: int | None = None,
+                   gamma_value: float | None = None) -> np.ndarray:
+    """Values of one scheme's path at the grid indices ``cols`` (all when
+    None): one path under cfg.stream, or with ``replicates`` = R an
+    (R, columns) matrix, replicate r under cfg.stream.child(r)."""
+    n, m, stream = cfg.n, 2 ** cfg.n, cfg.stream
+    af = cfg.effective_alpha
+    if scheme == "li":
+        return _weighted_sums(af, m, stream, 2.0 ** -n, cols=cols, nested=cfg.nested,
+                              replicates=replicates)[..., 0, :]
+    if scheme == "lc":
+        if gamma_value is None:
+            # numpy's gamma sampler is not counter-addressed: one C
+            # generator per arrival stream
+            lead = () if replicates is None else (np.arange(replicates),)
+            gammas = np.array([RandomStream(stream.seed, sid).generator().gamma(shape=m)
+                               for sid in _child_ids(stream.stream_id, *lead,
+                                                     _TAG_ARRIVALS).tolist()])
+        else:
+            gammas = np.array([gamma_value])
+        if np.any(gammas <= 0.0):
+            raise ParameterError(f"arrival total must be positive, got {gammas.min()}")
+        base = float(1.0 / gammas[0]) if replicates is None else 1.0 / gammas
+        return _weighted_sums(af, m, stream, base, cols=cols, nested=cfg.nested,
+                              replicates=replicates)[..., 0, :]
+    if cfg.nested:
+        raise ParameterError("the lr scheme sums past 2^n cells, which have no "
+                             "dyadic address; nested draws need li or lc")
+    # column k of ``summed`` counts the summands of the value at k/2^n
+    if replicates is None:
+        counts = np.floor(poisson_arrivals(1.0, m, stream.child(_TAG_ARRIVALS)).times)
+        summed = np.concatenate([[0], counts.astype(int)])
+        summed = summed if cols is None else summed[cols]
+    else:
+        summed = np.concatenate([
+            _arrival_counts(stream, m, rows)[:, cols] for rows in _row_chunks(replicates, m)])
+    return _weighted_sums(af, m, stream, 2.0 ** -n, count=int(summed.max()), cols=summed,
+                          replicates=replicates)[..., 0, :]
+
+
+def _arrival_counts(stream: RandomStream, m: int, rows: np.ndarray) -> np.ndarray:
+    """[0, floor(Gamma_1), ..., floor(Gamma_m)] per replicate r, the
+    arrivals drawn as poisson_arrivals(1, m, stream.child(r, _TAG_ARRIVALS))."""
+    gaps = _exponential(_uniform_pairs(stream, m, rows, _TAG_ARRIVALS)[..., 1])
+    counts = np.floor(np.cumsum(gaps, axis=-1)).astype(int)
+    return np.concatenate([np.zeros((rows.size, 1), dtype=int), counts], axis=1)
 
 
 def simulate_li(cfg: SchemeConfig) -> PathGrid:
     """Field-local weighted-sum path on the dyadic grid k/2^n."""
-    values = next(_weighted_sums(cfg.effective_alpha, 2 ** cfg.n, [cfg.stream],
-                                 2.0 ** -cfg.n, nested=cfg.nested))[0]
-    return PathGrid(times=_dyadic_times(cfg.n), values=values)
+    return PathGrid(times=_dyadic_times(cfg.n), values=_scheme_values("li", cfg))
 
 
 def simulate_lr(cfg: SchemeConfig) -> PathGrid:
@@ -185,16 +279,7 @@ def simulate_lr(cfg: SchemeConfig) -> PathGrid:
     min(j/2^n, 1); a Gamma_k below 1 leaves the value at exactly 0.  Those
     summands have no dyadic address, so nested draws are rejected.
     """
-    if cfg.nested:
-        raise ParameterError("the lr scheme sums past 2^n cells, which have no "
-                             "dyadic address; nested draws need li or lc")
-    m = 2 ** cfg.n
-    arrivals = poisson_arrivals(1.0, m, cfg.stream.child(_TAG_ARRIVALS)).times
-    counts = np.floor(arrivals).astype(int)
-    values = next(_weighted_sums(cfg.effective_alpha, m, [cfg.stream], 2.0 ** -cfg.n,
-                                 count=int(counts[-1]),
-                                 cols=np.concatenate([[0], counts])))[0]
-    return PathGrid(times=_dyadic_times(cfg.n), values=values)
+    return PathGrid(times=_dyadic_times(cfg.n), values=_scheme_values("lr", cfg))
 
 
 def simulate_lc(cfg: SchemeConfig, gamma_value: float | None = None) -> PathGrid:
@@ -205,15 +290,12 @@ def simulate_lc(cfg: SchemeConfig, gamma_value: float | None = None) -> PathGrid
 
     ``gamma_value`` overrides the draw; with gamma_value = 2^n the path
     coincides exactly with the field-local scheme under the same stream.
+    numpy's gamma sampler cannot be addressed by counter, so every path,
+    also inside a batched ensemble, draws its Gamma from its own
+    ``generator()``.
     """
-    m = 2 ** cfg.n
-    if gamma_value is None:
-        gamma_value = float(cfg.stream.child(_TAG_ARRIVALS).generator().gamma(shape=m))
-    if gamma_value <= 0.0:
-        raise ParameterError(f"arrival total must be positive, got {gamma_value}")
-    values = next(_weighted_sums(cfg.effective_alpha, m, [cfg.stream],
-                                 1.0 / gamma_value, nested=cfg.nested))[0]
-    return PathGrid(times=_dyadic_times(cfg.n), values=values)
+    return PathGrid(times=_dyadic_times(cfg.n),
+                    values=_scheme_values("lc", cfg, gamma_value=gamma_value))
 
 
 def glue_whole_line(af: AlphaFunction, n: int, stream: RandomStream) -> PathGrid:
@@ -250,8 +332,8 @@ def simulate_stable_fclt(alpha: float, n_terms: int, stream: RandomStream) -> Pa
     # n^(-1/alpha) enters as a constant integrand over the unit base, where
     # 1^(1/alpha) = 1 exactly; the base 1/n would round differently
     weight = IntegrandFunction.constant(n_terms ** (-1.0 / alpha))
-    values = next(_weighted_sums(AlphaFunction.constant(alpha), n_terms, [stream], 1.0,
-                                 fs=[weight]))[0]
+    values = _weighted_sums(AlphaFunction.constant(alpha), n_terms, stream, 1.0,
+                            fs=[weight])[0]
     times = np.arange(n_terms + 1, dtype=float) / n_terms
     return PathGrid(times=times, values=values)
 
@@ -261,30 +343,28 @@ def simulate_stable_fclt(alpha: float, n_terms: int, stream: RandomStream) -> Pa
 # ---------------------------------------------------------------------------
 
 def grid_index(n: int, u: float) -> int:
-    """Index of the last dyadic grid point <= u (paths are cadlag steps)."""
-    return int(math.floor(2 ** n * u + 1e-9))
+    """Index of the last dyadic grid point <= u (paths are cadlag steps);
+    u is snapped up by _GRID_SNAP first, as in PathGrid.value_at."""
+    return int(math.floor(math.ldexp(u + _GRID_SNAP, n)))
+
 
 def marginal_ensemble(scheme: str, af: AlphaFunction, n: int, us, ensemble: int,
                       stream: RandomStream, alpha_n: AlphaFunction | None = None,
                       nested: bool = False) -> np.ndarray:
     """Matrix (ensemble x len(us)) of scheme path values at the times ``us``.
 
-    Replicate r is the full path simulation under stream.child(r), so the
-    row equals the corresponding single-path run exactly.
+    Replicate r runs the scheme under stream.child(r), so the row equals the
+    corresponding single-path run exactly; replicates are drawn in batched
+    chunks.
     """
-    simulators = {"li": simulate_li, "lr": simulate_lr, "lc": simulate_lc}
-    if scheme not in simulators:
-        raise ParameterError(f"unknown scheme {scheme!r}; expected one of {sorted(simulators)}")
+    if scheme not in ("li", "lr", "lc"):
+        raise ParameterError(f"unknown scheme {scheme!r}; expected one of ['lc', 'li', 'lr']")
     _check_ensemble(ensemble)
     if any(not 0.0 <= u <= 1.0 for u in us):
         raise ParameterError("evaluation times must lie in [0, 1]")
+    cfg = SchemeConfig(n=n, af=af, stream=stream, alpha_n=alpha_n, nested=nested)
     idx = np.asarray([grid_index(n, u) for u in us], dtype=int)
-    out = np.empty((ensemble, idx.size))
-    for r in range(ensemble):
-        cfg = SchemeConfig(n=n, af=af, stream=stream.child(r), alpha_n=alpha_n,
-                           nested=nested)
-        out[r] = simulators[scheme](cfg).values[idx]
-    return out
+    return _scheme_values(scheme, cfg, cols=idx, replicates=ensemble)
 
 
 def li_window_ensemble(af: AlphaFunction, n: int, k0: int, cell_offsets, ensemble: int,
@@ -301,9 +381,8 @@ def li_window_ensemble(af: AlphaFunction, n: int, k0: int, cell_offsets, ensembl
     offs = np.asarray(cell_offsets, dtype=int)
     if offs.size == 0 or np.any(offs < 1) or k0 < 0 or k0 + int(offs.max()) > m:
         raise ParameterError("cell window must be nonempty and lie inside the dyadic grid")
-    sums = _weighted_sums(af, m, (stream.child(r) for r in range(ensemble)), 2.0 ** -n,
-                          start=k0, count=int(offs.max()), cols=offs)
-    return np.array([row[0] for row in sums])
+    return _weighted_sums(af, m, stream, 2.0 ** -n, start=k0, count=int(offs.max()),
+                          cols=offs, replicates=ensemble)[:, 0]
 
 
 # ---------------------------------------------------------------------------

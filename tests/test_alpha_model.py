@@ -249,6 +249,23 @@ class TestLimitCharacteristicFunctions:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+class TestFloatRange:
+    """|theta|^alpha past the float range is an infinite exponent, a zero CF."""
+
+    @pytest.mark.parametrize("af", [AlphaFunction.constant(1.5), AF_LINEAR],
+                             ids=["constant", "linear"])
+    def test_overflowing_power_gives_a_zero_cf(self, af):
+        assert exponent_integral(af, 1e250, 0.0, 1.0) == math.inf
+        assert li_cf(af, [1.0], [1e250]) == 0.0
+
+    def test_overflowing_expm1_keeps_a_finite_integral(self):
+        # v^(1.9 - 1.8 s) at v = 1e-200: the anchor v^1.9 underflows while
+        # expm1(x) overflows; the integral itself is about 1.2e-23
+        af = AlphaFunction.linear(1.9, -1.8)
+        want = exponent_integral_linear(1.9, -1.8, 1e-200, 0.0, 1.0)
+        assert exponent_integral(af, 1e-200, 0.0, 1.0) == pytest.approx(want, rel=1e-12)
+
+
 class TestModularAndQuasinorm:
     def test_modular_closed_form_piecewise(self):
         f = IntegrandFunction.from_table([0.5, 2.0])

@@ -62,6 +62,19 @@ class TestGridIndex:
         assert grid_index(3, 0.5) == 4
         assert grid_index(3, 1.0) == 8
 
+    @pytest.mark.parametrize("n", [4, 10, 16])
+    @pytest.mark.parametrize("shift", [-5e-10, -5e-13, 5e-13, 5e-10])
+    def test_ensemble_reads_the_same_cell_as_value_at(self, n, shift):
+        # one snapping rule: the ensemble's grid_index and PathGrid.value_at
+        # pick the same grid point next to every k/2^n
+        stream = RandomStream(3)
+        path = simulate_li(SchemeConfig(n=n, af=AF_LINEAR, stream=stream.child(0)))
+        us = [k / 2 ** n + shift for k in (1, 2 ** (n - 1), 2 ** n - 1)]
+        row = marginal_ensemble("li", AF_LINEAR, n, us, 1, stream)[0]
+        assert list(row) == [path.value_at(u) for u in us]
+        assert [grid_index(n, u) for u in us] == [
+            int(np.searchsorted(path.times, u + 1e-12, side="right")) - 1 for u in us]
+
 
 class TestSchemeConfig:
     @pytest.mark.parametrize("n", [0, 27, -2])

@@ -1,5 +1,6 @@
 """Tests for the stable-law core: tail-normalizing constant, characteristic
-function, sampling, stream splitting and Poisson arrivals."""
+function, sampling, stream splitting, the counter-addressed Philox kernel
+and Poisson arrivals."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mslevy import (
@@ -23,6 +24,7 @@ from mslevy import (
     tail_asymptote,
 )
 from mslevy.errors import DomainError, ParameterError
+from mslevy.stable_core import _child_ids, _uniform_pairs, _uniforms
 from mslevy.verify_stats import ecf_report
 
 from _oracles import C_ALPHA_ORACLE, sine_integral_live
@@ -141,6 +143,44 @@ class TestSampling:
         ecf = np.exp(1j * np.outer(thetas, x)).mean(axis=1)
         dev = np.max(np.abs(ecf - stable_cf(params, thetas)))
         assert dev < 5.0 / math.sqrt(40_000)
+
+
+U64 = st.integers(0, 2 ** 64 - 1)
+INDEX = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+class TestCounterKernel:
+    """The vectorised Philox4x64-10 and splitmix64 fold against numpy's C
+    generator and RandomStream.child, bit for bit."""
+
+    @given(seed=U64, ids=st.lists(U64, min_size=1, max_size=4), n=st.integers(1, 41))
+    @example(seed=0, ids=[0], n=1)
+    @example(seed=2 ** 64 - 1, ids=[2 ** 63, 2 ** 64 - 1], n=41)
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_numpy_philox(self, seed, ids, n):
+        got = _uniforms(seed, np.array(ids, dtype=np.uint64), n)
+        assert got.shape == (len(ids), n)
+        for row, sid in zip(got, ids):
+            assert np.array_equal(row, RandomStream(seed, sid).generator().random(n))
+
+    @given(sid=U64, path=st.lists(st.lists(INDEX, min_size=3, max_size=3),
+                                  min_size=1, max_size=3))
+    @example(sid=0, path=[[-1, 0, 2 ** 63 - 1]])
+    @settings(max_examples=200, deadline=None)
+    def test_vectorised_child_fold_matches_child(self, sid, path):
+        got = _child_ids(sid, *(np.array(ix, dtype=np.int64) for ix in path))
+        want = [RandomStream(5, sid).child(*ix).stream_id for ix in zip(*path)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("count", [3, 100], ids=["kernel", "generators"])
+    def test_many_stream_read_matches_child_streams(self, count):
+        stream = RandomStream(2 ** 64 - 7, 2 ** 63 + 3)
+        rows = np.array([0, 5, -2])
+        u = _uniform_pairs(stream, count, rows[:, None], 0xCE11, np.arange(4))
+        assert u.shape == (3, 4, count, 2)
+        for i, r in enumerate(rows):
+            for k in range(4):
+                assert np.array_equal(u[i, k], _uniform_pairs(stream.child(r, 0xCE11, k), count))
 
 
 class TestPoissonArrivals:

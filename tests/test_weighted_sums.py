@@ -31,12 +31,14 @@ from mslevy import (
     simulate_lc,
     simulate_li,
     simulate_lr,
+    simulate_sn,
     simulate_stable_fclt,
     sn_boundary_ensemble,
     symmetric_from_uniform_pairs,
     weighted_mslm,
 )
 from mslevy.errors import ParameterError
+from mslevy.stable_core import _chunk_rows
 
 from _oracles import dyadic_address, weighted_sum_path
 
@@ -159,6 +161,64 @@ def test_driver_matches_reference_sum(case, kind):
     expected = reference(af, RandomStream(7))
     assert np.shape(actual) == np.shape(expected)
     assert np.array_equal(actual, expected)
+
+
+# Batched ensembles draw replicates in chunks of _chunk_rows(pairs per row)
+# rows; each case runs at one chunk less, exactly one chunk and one more.
+CHUNK_SIZES = pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "at", "above"])
+SCHEME_RUNS = {"li": simulate_li, "lr": simulate_lr, "lc": simulate_lc}
+
+
+@CHUNK_SIZES
+@pytest.mark.parametrize("scheme,nested", [("li", False), ("lr", False), ("lc", False),
+                                           ("li", True)], ids=["li", "lr", "lc", "li_nested"])
+def test_marginal_rows_across_chunk_boundaries(scheme, nested, extra):
+    n, af, stream = 10, ALPHAS["linear"], RandomStream(11)
+    size = _chunk_rows(2 ** n) + extra
+    ens = marginal_ensemble(scheme, af, n, US, size, stream, nested=nested)
+    cols = [grid_index(n, u) for u in US]
+    assert ens.shape == (size, len(US))
+    for r in range(size):
+        path = SCHEME_RUNS[scheme](SchemeConfig(n=n, af=af, stream=stream.child(r),
+                                                nested=nested))
+        assert np.array_equal(ens[r], path.values[cols]), r
+
+
+@CHUNK_SIZES
+def test_sn_boundary_rows_across_chunk_boundaries(extra):
+    n, d, af, stream = 8, 1.5, ALPHAS["linear"], RandomStream(12)
+    ks = [1, 64, 200, 256]
+    size = _chunk_rows(2 ** n * (n + 1)) + extra
+    ens = sn_boundary_ensemble(n, af, stream, ks, size, d=d, levels=n)
+    mesh = np.arange(2 ** n + 1, dtype=float) / 2 ** n
+    assert ens.shape == (size, len(ks))
+    for r in range(size):
+        path = simulate_sn(n, af, stream.child(r), mesh, d=d, levels=n)
+        assert np.array_equal(ens[r], path.values[ks]), r
+
+
+@CHUNK_SIZES
+def test_window_rows_across_chunk_boundaries(extra):
+    n, k0, offsets, af, stream = 12, 100, [1, 100, 1024], ALPHAS["piecewise"], RandomStream(13)
+    size = _chunk_rows(max(offsets)) + extra
+    ens = li_window_ensemble(af, n, k0, offsets, size, stream)
+    alphas = np.asarray(af((k0 + np.arange(1, max(offsets) + 1, dtype=float)) / 2 ** n))
+    assert ens.shape == (size, len(offsets))
+    for r in range(size):
+        want = weighted_sum_path(alphas, 2.0 ** -n, 1.0,
+                                 sample_symmetric(alphas, stream.child(r)))[offsets]
+        assert np.array_equal(ens[r], want), r
+
+
+@CHUNK_SIZES
+def test_joint_integral_rows_across_chunk_boundaries(extra):
+    n, af, stream = 10, ALPHAS["constant"], RandomStream(14)
+    size = _chunk_rows(2 ** n) + extra
+    ens = joint_integral_ensemble([WEIGHT, INDICATOR], af, n, size, stream)
+    assert ens.shape == (size, 2)
+    for r in range(size):
+        want = [sample_integral(f, af, n, stream.child(r)) for f in (WEIGHT, INDICATOR)]
+        assert np.array_equal(ens[r], want), r
 
 
 AF = ALPHAS["linear"]
