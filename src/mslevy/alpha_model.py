@@ -381,8 +381,9 @@ def _power_integral(v: float, c: float, m: float, lo: float, hi: float) -> float
     Written as (hi - lo) v^(c + m lo) expm1(x)/x with x = m ln(v) (hi - lo),
     which stays exact for cells so narrow that x underflows; with m = 0 it
     is the plain (hi - lo) v^c.  Where a power or expm1(x) leaves the float
-    range, the integral is anchored at the end where the integrand peaks;
-    only that peak can then overflow, and it gives an infinite exponent.
+    range, the integral is anchored at the end where the integrand peaks,
+    formed in log space so that a narrow cell keeps a finite value; only
+    that peak can then overflow, and it gives an infinite exponent.
     """
     if v == 0.0 or hi <= lo:
         return 0.0
@@ -392,7 +393,7 @@ def _power_integral(v: float, c: float, m: float, lo: float, hi: float) -> float
         return base if x == 0.0 else base * (math.expm1(x) / x)
     except OverflowError:
         try:
-            peak = (hi - lo) * v ** (c + m * (hi if x > 0.0 else lo))
+            peak = math.exp(math.log(hi - lo) + (c + m * (hi if x > 0.0 else lo)) * math.log(v))
         except OverflowError:
             return math.inf
         return peak if x == 0.0 else peak * (-math.expm1(-abs(x)) / abs(x))

@@ -240,15 +240,14 @@ def _sn_cell_block_sizes(n: int, levels: int) -> list[int]:
 
 
 def _sn_cell_draws(alphas: np.ndarray, stream: RandomStream, count: int,
-                   rows=None) -> np.ndarray:
-    """The first ``count`` coefficients of every cell's stream
-    stream.child(_TAG_CELL, k), as a (cells, count) array, or with replicate
-    ``rows`` (rows, cells, count) under stream.child(r, _TAG_CELL, k); all
-    cells are one batched read."""
-    cells = np.arange(alphas.size)
+                   cells: np.ndarray, rows=None) -> np.ndarray:
+    """The first ``count`` coefficients of the streams
+    stream.child(_TAG_CELL, k) of the cells k in ``cells``, as a
+    (cells, count) array, or with replicate ``rows`` (rows, cells, count)
+    under stream.child(r, _TAG_CELL, k); all of them are one batched read."""
     path = (_TAG_CELL, cells) if rows is None else (rows[:, None], _TAG_CELL, cells)
     u = _uniform_pairs(stream, count, *path)
-    return symmetric_from_uniform_pairs(np.broadcast_to(alphas[:, None], u.shape[:-1]),
+    return symmetric_from_uniform_pairs(np.broadcast_to(alphas[cells][:, None], u.shape[:-1]),
                                         u[..., 0], u[..., 1])
 
 
@@ -299,23 +298,32 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
     cell_of = np.floor(np.ldexp(t, n)).astype(np.int64)
     args = t - cell_of / m
     sel = np.flatnonzero(args > 0.0)
+    sel_cells = cell_of[sel]
+    sizes = _sn_cell_block_sizes(n, levels)
+    count, firsts = sum(sizes), np.cumsum([0] + sizes[:-1])
+    cell_terms = np.empty(m)
+    level0 = np.empty(m)
+    active = np.zeros_like(t)
     # each cell's dilated series is read at its mesh points inside the cell
     # and, last, at the completed-cell argument 2^(-n-1); each cell's stream
-    # holds the level blocks of ``sizes`` back to back
-    at = np.concatenate([cell_of[sel], np.arange(m)])
-    eval_args = np.concatenate([args[sel] / 2.0, np.full(m, 2.0 ** (-n - 1))])
-    sizes = _sn_cell_block_sizes(n, levels)
-    z = _sn_cell_draws(alphas, stream, sum(sizes))
-    acc = np.zeros_like(eval_args)
-    for j, (first, size) in enumerate(zip(np.cumsum([0] + sizes[:-1]), sizes)):
-        pos = np.ldexp(eval_args, j)
-        idx = np.minimum(np.floor(pos).astype(np.int64), size - 1)
-        acc += 2.0 ** (-j * d) * z[at, first + idx] * triangle(pos - idx)
-    vals = weights[at] * acc / sig[at]
-    cell_terms = vals[sel.size:]
-    level0 = z[:, 0]
-    active = np.zeros_like(t)
-    active[sel] = vals[:sel.size]
+    # holds the level blocks of ``sizes`` back to back.  Cells are drawn and
+    # evaluated in chunks, which bounds the draws held at once.
+    for cells in _row_chunks(m, count):
+        lo, hi = np.searchsorted(sel_cells, [cells[0], cells[-1] + 1])
+        mesh = sel[lo:hi]
+        at = np.concatenate([sel_cells[lo:hi], cells])
+        eval_args = np.concatenate([args[mesh] / 2.0, np.full(cells.size, 2.0 ** (-n - 1))])
+        z = _sn_cell_draws(alphas, stream, count, cells)
+        row = at - cells[0]
+        acc = np.zeros_like(eval_args)
+        for j, (first, size) in enumerate(zip(firsts, sizes)):
+            pos = np.ldexp(eval_args, j)
+            idx = np.minimum(np.floor(pos).astype(np.int64), size - 1)
+            acc += 2.0 ** (-j * d) * z[row, first + idx] * triangle(pos - idx)
+        vals = weights[at] * acc / sig[at]
+        active[mesh] = vals[:mesh.size]
+        cell_terms[cells] = vals[mesh.size:]
+        level0[cells] = z[:, 0]
     prefix = np.concatenate([[0.0], np.cumsum(cell_terms)])
     path = PathGrid(times=t, values=prefix[cell_of] + active)
     if not with_diagnostics:
@@ -346,7 +354,7 @@ def sn_boundary_ensemble(n: int, af: AlphaFunction, stream: RandomStream,
     pair_count = n + 1
     out = np.empty((ensemble, ks.size))
     for rows in _row_chunks(ensemble, m * pair_count):
-        z = _sn_cell_draws(alphas, stream, pair_count, rows)
+        z = _sn_cell_draws(alphas, stream, pair_count, np.arange(m), rows)
         xt = np.zeros((rows.size, m))
         for j in range(pair_count):
             xt += 2.0 ** (-j * d) * z[..., j] * 2.0 ** (j - n)

@@ -20,8 +20,7 @@ import numpy as np
 from .alpha_model import _GRID_SNAP, AlphaFunction, IntegrandFunction
 from .errors import ParameterError
 from .stable_core import (RandomStream, _child_ids, _exponential, _row_chunks,
-                          _uniform_pairs, poisson_arrivals, sample_symmetric,
-                          symmetric_from_uniform_pairs)
+                          _uniform_pairs, sample_symmetric, symmetric_from_uniform_pairs)
 
 # substream tags (arbitrary fixed constants; see RandomStream.child)
 _TAG_ARRIVALS = 0xA121
@@ -247,22 +246,23 @@ def _scheme_values(scheme: str, cfg: SchemeConfig, cols=None,
                              "dyadic address; nested draws need li or lc")
     # column k of ``summed`` counts the summands of the value at k/2^n
     if replicates is None:
-        counts = np.floor(poisson_arrivals(1.0, m, stream.child(_TAG_ARRIVALS)).times)
-        summed = np.concatenate([[0], counts.astype(int)])
-        summed = summed if cols is None else summed[cols]
+        summed = _arrival_counts(stream, m, cols)
     else:
-        summed = np.concatenate([
-            _arrival_counts(stream, m, rows)[:, cols] for rows in _row_chunks(replicates, m)])
+        summed = np.concatenate([_arrival_counts(stream, m, cols, rows)
+                                 for rows in _row_chunks(replicates, m)])
     return _weighted_sums(af, m, stream, 2.0 ** -n, count=int(summed.max()), cols=summed,
                           replicates=replicates)[..., 0, :]
 
 
-def _arrival_counts(stream: RandomStream, m: int, rows: np.ndarray) -> np.ndarray:
-    """[0, floor(Gamma_1), ..., floor(Gamma_m)] per replicate r, the
-    arrivals drawn as poisson_arrivals(1, m, stream.child(r, _TAG_ARRIVALS))."""
-    gaps = _exponential(_uniform_pairs(stream, m, rows, _TAG_ARRIVALS)[..., 1])
-    counts = np.floor(np.cumsum(gaps, axis=-1)).astype(int)
-    return np.concatenate([np.zeros((rows.size, 1), dtype=int), counts], axis=1)
+def _arrival_counts(stream: RandomStream, m: int, cols, *lead) -> np.ndarray:
+    """[0, floor(Gamma_1), ..., floor(Gamma_m)] at the indices ``cols`` (all
+    when None), the arrivals drawn as poisson_arrivals(1, m,
+    stream.child(*lead, _TAG_ARRIVALS)) for every index of ``lead``, which
+    gives the leading shape."""
+    gaps = _exponential(_uniform_pairs(stream, m, *lead, _TAG_ARRIVALS)[..., 1])
+    counts = np.zeros(gaps.shape[:-1] + (m + 1,), dtype=int)
+    counts[..., 1:] = np.floor(np.cumsum(gaps, axis=-1))
+    return counts if cols is None else counts[..., cols]
 
 
 def simulate_li(cfg: SchemeConfig) -> PathGrid:

@@ -35,7 +35,7 @@ _PHILOX_ROUNDS = 10
 # generator plus 0.05 us per block; the two meet between 32 and 48 pairs).
 _KERNEL_MAX_PAIRS = 32
 
-# Batched ensembles draw at most this many pairs per chunk of replicates.
+# Batched draws hold at most this many pairs per chunk of replicates or cells.
 _CHUNK_PAIRS = 2 ** 16
 
 
@@ -108,15 +108,15 @@ def _uniforms(seed: int, stream_ids: np.ndarray, count: int) -> np.ndarray:
 
 
 def _chunk_rows(pairs_per_row: int) -> int:
-    """Replicates per chunk of a batched ensemble whose rows draw
-    ``pairs_per_row`` pairs each: at least one, at most _CHUNK_PAIRS pairs."""
+    """Rows (replicates or S_n cells) per chunk of a batched draw whose rows
+    draw ``pairs_per_row`` pairs each: at least one, at most _CHUNK_PAIRS pairs."""
     return max(1, _CHUNK_PAIRS // max(pairs_per_row, 1))
 
 
-def _row_chunks(replicates: int, pairs_per_row: int):
-    """Replicate indices 0..replicates-1 as arrays of _chunk_rows rows."""
+def _row_chunks(rows: int, pairs_per_row: int):
+    """Row indices 0..rows-1 as arrays of _chunk_rows rows."""
     step = _chunk_rows(pairs_per_row)
-    return (np.arange(lo, min(lo + step, replicates)) for lo in range(0, replicates, step))
+    return (np.arange(lo, min(lo + step, rows)) for lo in range(0, rows, step))
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,17 @@ class TestFloatRange:
         want = exponent_integral_linear(1.9, -1.8, 1e-200, 0.0, 1.0)
         assert exponent_integral(af, 1e-200, 0.0, 1.0) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("af", [AlphaFunction.constant(1.5), AlphaFunction.linear(1.5, 1e-3)],
+                             ids=["constant", "linear"])
+    def test_narrow_cell_keeps_a_finite_integral(self, af):
+        # |theta|^alpha is about 1e310 and overflows, but over a cell of
+        # width 1e-10 the integral is about 3e300
+        lo, hi = 0.5, 0.5 + 1e-10
+        half_power = 1e207 ** (0.5 * float(af(0.5 * (lo + hi))))
+        want = (hi - lo) * half_power * half_power
+        assert math.isfinite(want)
+        assert exponent_integral(af, 1e207, lo, hi) == pytest.approx(want, rel=1e-9)
+
 
 class TestModularAndQuasinorm:
     def test_modular_closed_form_piecewise(self):

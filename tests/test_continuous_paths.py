@@ -23,6 +23,8 @@ from mslevy import (
     truncation_level,
 )
 from mslevy.errors import DomainError, ParameterError
+from mslevy import continuous_paths
+from mslevy.stable_core import _CHUNK_PAIRS, _chunk_rows, _uniform_pairs
 
 from _oracles import sn_path
 
@@ -252,6 +254,38 @@ class TestContinuousApproximation:
         values, level0_bound, cell_terms = sn_path(alphas, blocks, n, d, grid)
         path, diag = simulate_sn(n, af, stream, grid, d=d, levels=levels,
                                  with_diagnostics=True)
+        assert np.array_equal(path.values, values)
+        assert np.array_equal(diag.level0_bound, level0_bound)
+        assert np.array_equal(diag.cell_terms, cell_terms)
+
+    def test_cells_across_chunk_boundaries(self, monkeypatch):
+        # deep levels make each cell's stream long, so the 16 cells are
+        # drawn in chunks of 7, 7 and 2; every cell keeps its own stream
+        n, levels, d, af = 4, 17, 1.25, AF_LINEAR
+        m = 2 ** n
+        sizes = [2 ** j // 2 ** (n + 1) + 1 for j in range(levels + 1)]
+        assert _chunk_rows(sum(sizes)) == 7
+        grid = np.unique(np.concatenate([np.arange(65) / 64.0, [0.3, 0.517, 0.99]]))
+        stream = RandomStream(17)
+        alphas = np.asarray(af(np.arange(m, dtype=float) / m))
+        blocks = []
+        for k in range(m):
+            u = stream.child(0xCE11, k).generator().random(2 * sum(sizes))
+            z = symmetric_from_uniform_pairs(np.full(sum(sizes), alphas[k]), u[0::2], u[1::2])
+            blocks.append(np.split(z, np.cumsum(sizes)[:-1]))
+        values, level0_bound, cell_terms = sn_path(alphas, blocks, n, d, grid)
+        reads = []
+
+        def recorded(*args):
+            u = _uniform_pairs(*args)
+            reads.append(u.size // 2)
+            return u
+
+        monkeypatch.setattr(continuous_paths, "_uniform_pairs", recorded)
+        path, diag = simulate_sn(n, af, stream, grid, d=d, levels=levels,
+                                 with_diagnostics=True)
+        assert reads == [7 * sum(sizes), 7 * sum(sizes), 2 * sum(sizes)]
+        assert max(reads) <= _CHUNK_PAIRS
         assert np.array_equal(path.values, values)
         assert np.array_equal(diag.level0_bound, level0_bound)
         assert np.array_equal(diag.cell_terms, cell_terms)
