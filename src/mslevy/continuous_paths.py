@@ -20,8 +20,7 @@ import numpy as np
 from .alpha_model import AlphaFunction
 from .errors import DomainError, ParameterError
 from .msl_schemes import PathGrid, _check_ensemble, _check_level
-from .stable_core import (RandomStream, _row_chunks, _uniform_pairs, sample_symmetric,
-                          symmetric_from_uniform_pairs)
+from .stable_core import RandomStream, _cms, _row_chunks, _uniform_pairs, sample_symmetric
 
 _TAG_LEVEL = 0x1E7E1
 _TAG_CELL = 0xCE11
@@ -196,14 +195,9 @@ def max_deviation_probability(alpha: float, c: float, j: int, n_mc: int,
     threshold = 2.0 ** (j * c)
     block = max(1, 2_000_000 // m)
     exceed = 0
-    done = 0
-    b = 0
-    while done < n_mc:
-        rows = min(block, n_mc - done)
-        z = sample_symmetric(np.full(rows * m, float(alpha)), stream.child(j, b))
-        exceed += int(np.sum(np.max(np.abs(z.reshape(rows, m)), axis=1) > threshold))
-        done += rows
-        b += 1
+    for b, lo in enumerate(range(0, n_mc, block)):
+        z = _cms(stream.child(j, b), float(alpha), out=np.empty(min(block, n_mc - lo) * m))
+        exceed += int(np.sum(np.max(np.abs(z.reshape(-1, m)), axis=1) > threshold))
     return exceed / n_mc
 
 
@@ -246,17 +240,16 @@ def _sn_cell_draws(alphas: np.ndarray, stream: RandomStream, count: int,
     (cells, count) array, or with replicate ``rows`` (rows, cells, count)
     under stream.child(r, _TAG_CELL, k); all of them are one batched read."""
     path = (_TAG_CELL, cells) if rows is None else (rows[:, None], _TAG_CELL, cells)
-    u = _uniform_pairs(stream, count, *path)
-    return symmetric_from_uniform_pairs(np.broadcast_to(alphas[cells][:, None], u.shape[:-1]),
-                                        u[..., 0], u[..., 1])
+    return _cms(_uniform_pairs(stream, count, *path), alphas[cells][:, None])
 
 
 def _sigma_tilde_boundary(alphas: np.ndarray, d: float, n: int) -> np.ndarray:
-    """Exact dilated scale at argument 2^-n: only the shift-0 tents of
-    levels j <= n are active there, with values 2^(j-n)."""
+    """Exact dilated scale at argument 2^-n, summed by chunks of cells: only the
+    shift-0 tents of levels j <= n are active there, with values 2^(j-n)."""
     js = np.arange(n + 1, dtype=float)
     coef = 2.0 ** (-js * d) * 2.0 ** (js - n)
-    return (coef[None, :] ** alphas[:, None]).sum(axis=1) ** (1.0 / alphas)
+    return np.concatenate([(coef[None, :] ** alphas[cells, None]).sum(axis=1) for cells
+                           in _row_chunks(alphas.size, coef.size)]) ** (1.0 / alphas)
 
 
 def _sn_cells(n: int, af: AlphaFunction, d: float, levels: int):

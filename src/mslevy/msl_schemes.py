@@ -19,8 +19,8 @@ import numpy as np
 
 from .alpha_model import _GRID_SNAP, AlphaFunction, IntegrandFunction
 from .errors import ParameterError
-from .stable_core import (RandomStream, _child_ids, _exponential, _row_chunks,
-                          _uniform_pairs, sample_symmetric, symmetric_from_uniform_pairs)
+from .stable_core import (RandomStream, _child_ids, _cms, _exponential, _row_chunks,
+                          _uniform_pairs, sample_symmetric)
 
 # substream tags (arbitrary fixed constants; see RandomStream.child)
 _TAG_ARRIVALS = 0xA121
@@ -132,8 +132,7 @@ def _symmetric_draws(alphas: np.ndarray, stream: RandomStream, m: int, nested: b
         return sample_symmetric(alphas, stream)
     else:
         u = _uniform_pairs(stream, alphas.size, rows)
-    return symmetric_from_uniform_pairs(np.broadcast_to(alphas, u.shape[:-1]),
-                                        u[..., 0], u[..., 1])
+    return _cms(u, alphas)
 
 
 def _weights(alphas: np.ndarray, base, fs, cells) -> np.ndarray:
@@ -397,8 +396,7 @@ def path_to_csv(path: PathGrid, fp, meta: dict | None = None) -> None:
         import json
         fp.write("# " + json.dumps(meta, sort_keys=True) + "\n")
     fp.write("t,value\n")
-    for t, v in zip(path.times, path.values):
-        fp.write(f"{float(t)!r},{float(v)!r}\n")
+    fp.writelines(f"{t!r},{v!r}\n" for t, v in zip(path.times.tolist(), path.values.tolist()))
 
 
 def ensemble_to_csv(paths, fp, meta: dict | None = None) -> None:
@@ -407,6 +405,5 @@ def ensemble_to_csv(paths, fp, meta: dict | None = None) -> None:
         import json
         fp.write("# " + json.dumps(meta, sort_keys=True) + "\n")
     fp.write("t,value,replicate\n")
-    for r, path in enumerate(paths):
-        for t, v in zip(path.times, path.values):
-            fp.write(f"{float(t)!r},{float(v)!r},{r}\n")
+    for r, p in enumerate(paths):
+        fp.writelines(f"{t!r},{v!r},{r}\n" for t, v in zip(p.times.tolist(), p.values.tolist()))

@@ -38,6 +38,10 @@ _KERNEL_MAX_PAIRS = 32
 # Batched draws hold at most this many pairs per chunk of replicates or cells.
 _CHUNK_PAIRS = 2 ** 16
 
+# The CMS kernel transforms this many pairs at a time, so that its four
+# block buffers stay in cache.
+_CMS_BLOCK = 2 ** 14
+
 
 def _splitmix64(x):
     """One round of the splitmix64 mixer (public-domain constants), on a
@@ -179,7 +183,7 @@ class StableParams:
             raise ParameterError("beta must be 0 when alpha = 2")
 
 
-def _uniform_pairs(stream: RandomStream, count: int, *path) -> np.ndarray:
+def _uniform_pairs(stream: RandomStream, count: int, *path, block: int | None = None):
     """The first ``count`` uniform pairs of a stream, as the rows of a
     (count, 2) array: column 0 feeds the angle, column 1 the exponential.
 
@@ -191,10 +195,15 @@ def _uniform_pairs(stream: RandomStream, count: int, *path) -> np.ndarray:
     Every sampler reads its uniforms through here.  Pairs are interleaved,
     so draws are prefix-consistent: asking a stream for m < n pairs yields
     exactly the first m rows of the longer request, which makes dyadic and
-    level-indexed draws reusable.
+    level-indexed draws reusable.  So ``block`` (one stream) yields the same
+    pairs in successive blocks of at most ``block`` rows, each overwriting
+    the last in one buffer.
     """
     if not path:
-        return stream.generator().random(2 * count).reshape(count, 2)
+        if block is None:
+            return stream.generator().random(2 * count).reshape(count, 2)
+        gen, buf = stream.generator(), np.empty((min(block, count), 2))
+        return (gen.random(out=buf[:min(block, count - lo)]) for lo in range(0, count, block))
     shape = np.broadcast_shapes(*(np.shape(ix) for ix in path))
     ids = _child_ids(stream.stream_id, *path)
     u = np.empty((ids.size, 2 * count))
@@ -215,14 +224,10 @@ def _uniform_pairs(stream: RandomStream, count: int, *path) -> np.ndarray:
     return u.reshape(shape + (count, 2))
 
 
-def _exponential(u: np.ndarray) -> np.ndarray:
-    # inverse-CDF exponential; floor keeps the (prob 2^-53) zero draw harmless
-    return np.maximum(-np.log1p(-u), 1e-16)
-
-
-def _angles_and_exponentials(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CMS inputs phi = pi (u1 - 1/2) and W = -ln(1 - u2)."""
-    return np.pi * (u1 - 0.5), _exponential(u2)
+def _exponential(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # inverse-CDF W = -ln(1 - u), into ``out`` if given; floored for the 2^-53 zero draw
+    out = np.negative(u, out=out)
+    return np.maximum(np.negative(np.log1p(out, out=out), out=out), 1e-16, out=out)
 
 
 def _check_alphas(alphas: np.ndarray) -> None:
@@ -230,25 +235,79 @@ def _check_alphas(alphas: np.ndarray) -> None:
         raise ParameterError("stability indices must lie in (0, 2]")
 
 
-def _sym_standard(alphas: np.ndarray, phi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Symmetric standard CMS transform, elementwise in alpha.
+def _cms_saturated(a, p, w, b0: float, scale0: float) -> np.ndarray:
+    """The CMS formula in log space, for draws whose factors leave the float range
+    (0 * inf, or a spurious inf or 0): saturated only past the range itself."""
+    t = a * (p + b0)
+    s = np.sin(t)
+    log_x = (math.log(scale0) + np.log(np.abs(s))
+             + ((1.0 - a) * (np.log(np.cos(p - t)) - np.log(w)) - np.log(np.cos(p))) / a)
+    return np.where(s == 0.0, s, np.copysign(np.exp(log_x), s))
 
-    Valid for the whole range (0, 2]; alpha = 2 reduces to 2 sqrt(W) sin(phi)
-    (variance 2) without a special case.  Only a neighbourhood of alpha = 1
-    needs the dedicated tan(phi) branch.
-    """
-    out = np.empty_like(phi)
-    near_one = np.abs(alphas - 1.0) < ALPHA_ONE_TOLERANCE
-    if np.any(near_one):
-        out[near_one] = np.tan(phi[near_one])
-    rest = ~near_one
-    if np.any(rest):
-        a = alphas[rest]
-        p = phi[rest]
-        ww = w[rest]
-        inv_a = 1.0 / a
-        out[rest] = (np.sin(a * p) / np.cos(p) ** inv_a
-                     * (np.cos((1.0 - a) * p) / ww) ** ((1.0 - a) * inv_a))
+
+def _cms(u, alpha, beta: float = 0.0, out: np.ndarray | None = None) -> np.ndarray:
+    """Chambers-Mallows-Stuck S_alpha(1, beta, 0) variates from the uniform
+    pairs (phi = pi (u1 - 1/2), W = -ln(1 - u2)) of a B + (2,) array, or of a
+    stream read block by block into ``out``; ``alpha`` broadcasts to B (one
+    float when beta != 0).  Each block of _CMS_BLOCK runs the textbook ufuncs
+    in place, so the bits do not depend on the blocking."""
+    shape = u.shape[:-1] if out is None else out.shape
+    out = np.empty(shape) if out is None else out
+    alphas = np.broadcast_to(alpha, shape)
+    inner = math.prod(shape[1:])
+    if inner > _CMS_BLOCK:
+        for i in range(shape[0]):
+            _cms(u[i], alphas[i], beta, out[i])
+        return out
+    step = max(1, _CMS_BLOCK // inner)
+    b0, scale0 = 0.0, 1.0
+    if beta != 0.0:
+        zeta = beta * math.tan(0.5 * np.pi * alpha)
+        b0, scale0 = math.atan(zeta) / alpha, (1.0 + zeta * zeta) ** (0.5 / alpha)
+    bufs = np.empty((4, min(step, shape[0]) * inner))
+    pairs = (_uniform_pairs(u, shape[0], block=step) if isinstance(u, RandomStream)
+             else (u[lo:lo + step] for lo in range(0, shape[0], step)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo, ub in zip(range(0, shape[0], step), pairs):
+            o, a = out[lo:lo + step], alphas[lo:lo + step]
+            nb = np.abs(a - 1.0) < ALPHA_ONE_TOLERANCE
+            p, w, s, t = (b[:o.size].reshape(o.shape) for b in bufs)
+            np.multiply(np.subtract(ub[..., 0], 0.5, out=p), np.pi, out=p)
+            _exponential(ub[..., 1], out=w)
+            if nb.all():
+                np.tan(p, out=o)
+                if beta != 0.0:
+                    # (2/pi) (b tan(phi) - beta ln(pi/2 W cos(phi) / b)), b = pi/2 + beta phi
+                    o *= np.add(np.multiply(beta, p, out=t), 0.5 * np.pi, out=t)
+                    w *= 0.5 * np.pi
+                    w *= np.cos(p, out=s)
+                    o -= np.multiply(np.log(np.divide(w, t, out=w), out=w), beta, out=w)
+                    o *= 2.0 / np.pi
+                continue
+            if beta != 0.0:
+                # scale0 sin(a (phi + b0)) / cos(phi)^(1/a) * (cos(phi - a (phi + b0))
+                #   / W)^((1 - a)/a); float exponents under ** keep its scalar fast paths
+                np.sin(np.multiply(np.add(p, b0, out=t), alpha, out=t), out=o)
+                o *= scale0
+                np.cos(p, out=s)
+                s **= 1.0 / alpha
+                o /= s
+                np.divide(np.cos(np.subtract(p, t, out=s), out=s), w, out=s)
+                s **= (1.0 - alpha) / alpha
+                o *= s
+            else:
+                # sin(a p) / cos(p)^(1/a) * (cos((1 - a) p) / W)^((1 - a)/a), the
+                # exponents arrays: numpy's power takes fast paths for scalars
+                np.sin(np.multiply(a, p, out=o), out=o)
+                o /= np.power(np.cos(p, out=s), np.divide(1.0, a, out=t), out=s)
+                t *= np.subtract(1.0, a, out=s)
+                s *= p
+                o *= np.power(np.divide(np.cos(s, out=s), w, out=s), t, out=s)
+            bad = (o == 0.0) | ~np.isfinite(o)
+            if bad.any():
+                o[bad] = _cms_saturated(a[bad], p[bad], w[bad], b0, scale0)
+            if nb.any():
+                o[nb] = np.tan(p[nb])
     return out
 
 
@@ -259,8 +318,7 @@ def sample_symmetric(alphas: np.ndarray, stream: RandomStream) -> np.ndarray:
     if alphas.size == 0:
         return np.empty(0)
     _check_alphas(alphas)
-    phi, w = _angles_and_exponentials(*_uniform_pairs(stream, alphas.size).T)
-    return _sym_standard(alphas, phi, w)
+    return _cms(stream, alphas, out=np.empty(alphas.size))
 
 
 def symmetric_from_uniform_pairs(alphas: np.ndarray, u1, u2) -> np.ndarray:
@@ -271,13 +329,12 @@ def symmetric_from_uniform_pairs(alphas: np.ndarray, u1, u2) -> np.ndarray:
     same uniforms.
     """
     alphas = np.ascontiguousarray(alphas, dtype=float)
-    u1 = np.ascontiguousarray(u1, dtype=float)
-    u2 = np.ascontiguousarray(u2, dtype=float)
+    u1, u2 = (np.ascontiguousarray(v, dtype=float) for v in (u1, u2))
     if not alphas.shape == u1.shape == u2.shape:
         raise ParameterError(f"alphas, u1 and u2 must have one shape, got "
                              f"{alphas.shape}, {u1.shape} and {u2.shape}")
     _check_alphas(alphas)
-    return _sym_standard(alphas, *_angles_and_exponentials(u1, u2))
+    return _cms(np.stack([u1, u2], axis=-1), alphas)
 
 
 def sample_stable(params: StableParams, n: int, stream: RandomStream) -> np.ndarray:
@@ -289,31 +346,14 @@ def sample_stable(params: StableParams, n: int, stream: RandomStream) -> np.ndar
     """
     if n < 0:
         raise ParameterError("sample size must be >= 0")
-    if n == 0:
-        return np.empty(0)
     a, sigma, beta, mu = params.alpha, params.sigma, params.beta, params.mu
-    phi, w = _angles_and_exponentials(*_uniform_pairs(stream, n).T)
-
+    x = _cms(stream, a, beta, out=np.empty(n))
+    x *= sigma
     if abs(a - 1.0) < ALPHA_ONE_TOLERANCE:
-        if beta == 0.0:
-            x = np.tan(phi)
-        else:
-            bphi = 0.5 * np.pi + beta * phi
-            x = (2.0 / np.pi) * (bphi * np.tan(phi)
-                                 - beta * np.log((0.5 * np.pi * w * np.cos(phi)) / bphi))
         # scaling a 1-stable law shifts the location by (2/pi) beta sigma ln sigma
-        shift = (2.0 / np.pi) * beta * sigma * math.log(sigma) if sigma > 0.0 else 0.0
-        return sigma * x + shift + mu
-
-    if beta == 0.0:
-        x = _sym_standard(np.full(n, a), phi, w)
-    else:
-        zeta = beta * math.tan(0.5 * np.pi * a)
-        b0 = math.atan(zeta) / a
-        scale0 = (1.0 + zeta * zeta) ** (0.5 / a)
-        x = (scale0 * np.sin(a * (phi + b0)) / np.cos(phi) ** (1.0 / a)
-             * (np.cos(phi - a * (phi + b0)) / w) ** ((1.0 - a) / a))
-    return sigma * x + mu
+        x += (2.0 / np.pi) * beta * sigma * math.log(sigma) if sigma > 0.0 else 0.0
+    x += mu
+    return x
 
 
 def stable_cf(params: StableParams, theta) -> np.ndarray | complex:

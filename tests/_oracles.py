@@ -243,3 +243,97 @@ def sn_path(alphas, blocks, n: int, d: float, t):
             active[sel] = weights[k] * acc[:-1] / sig[k]
     prefix = np.concatenate([[0.0], np.cumsum(cell_terms)])
     return prefix[cell_of] + active, weights * np.abs(level0) / sig, cell_terms
+
+
+# The Chambers-Mallows-Stuck transform as it stood before the blocked
+# in-place kernel, kept word for word: the kernel must give the same bits.
+ALPHA_ONE_TOLERANCE = 1e-8
+
+
+def _exponential(u: np.ndarray) -> np.ndarray:
+    # inverse-CDF exponential; floor keeps the (prob 2^-53) zero draw harmless
+    return np.maximum(-np.log1p(-u), 1e-16)
+
+
+def _angles_and_exponentials(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CMS inputs phi = pi (u1 - 1/2) and W = -ln(1 - u2)."""
+    return np.pi * (u1 - 0.5), _exponential(u2)
+
+
+def _sym_standard(alphas: np.ndarray, phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Symmetric standard CMS transform, elementwise in alpha.
+
+    Valid for the whole range (0, 2]; alpha = 2 reduces to 2 sqrt(W) sin(phi)
+    (variance 2) without a special case.  Only a neighbourhood of alpha = 1
+    needs the dedicated tan(phi) branch.
+    """
+    out = np.empty_like(phi)
+    near_one = np.abs(alphas - 1.0) < ALPHA_ONE_TOLERANCE
+    if np.any(near_one):
+        out[near_one] = np.tan(phi[near_one])
+    rest = ~near_one
+    if np.any(rest):
+        a = alphas[rest]
+        p = phi[rest]
+        ww = w[rest]
+        inv_a = 1.0 / a
+        out[rest] = (np.sin(a * p) / np.cos(p) ** inv_a
+                     * (np.cos((1.0 - a) * p) / ww) ** ((1.0 - a) * inv_a))
+    return out
+
+
+def cms_symmetric(alphas, u: np.ndarray) -> np.ndarray:
+    """Symmetric standard stable variates from the (..., 2) uniform pairs
+    ``u``, alphas broadcast to u.shape[:-1]: the two-step path of old."""
+    alphas = np.ascontiguousarray(np.broadcast_to(alphas, u.shape[:-1]), dtype=float)
+    phi, w = _angles_and_exponentials(u[..., 0].ravel(), u[..., 1].ravel())
+    return _sym_standard(alphas.ravel(), phi, w).reshape(alphas.shape)
+
+
+def cms_stable(a: float, sigma: float, beta: float, mu: float, u: np.ndarray) -> np.ndarray:
+    """``sample_stable``'s S_alpha(sigma, beta, mu) variates from the (n, 2)
+    uniform pairs ``u``, every branch as it stood."""
+    n = u.shape[0]
+    phi, w = _angles_and_exponentials(*u.T)
+
+    if abs(a - 1.0) < ALPHA_ONE_TOLERANCE:
+        if beta == 0.0:
+            x = np.tan(phi)
+        else:
+            bphi = 0.5 * np.pi + beta * phi
+            x = (2.0 / np.pi) * (bphi * np.tan(phi)
+                                 - beta * np.log((0.5 * np.pi * w * np.cos(phi)) / bphi))
+        # scaling a 1-stable law shifts the location by (2/pi) beta sigma ln sigma
+        shift = (2.0 / np.pi) * beta * sigma * math.log(sigma) if sigma > 0.0 else 0.0
+        return sigma * x + shift + mu
+
+    if beta == 0.0:
+        x = _sym_standard(np.full(n, a), phi, w)
+    else:
+        zeta = beta * math.tan(0.5 * np.pi * a)
+        b0 = math.atan(zeta) / a
+        scale0 = (1.0 + zeta * zeta) ** (0.5 / a)
+        x = (scale0 * np.sin(a * (phi + b0)) / np.cos(phi) ** (1.0 / a)
+             * (np.cos(phi - a * (phi + b0)) / w) ** ((1.0 - a) / a))
+    return sigma * x + mu
+
+
+def path_to_csv(path, fp, meta: dict | None = None) -> None:
+    """The CSV writer of old, one ``write`` per row: the byte reference."""
+    if meta:
+        import json
+        fp.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+    fp.write("t,value\n")
+    for t, v in zip(path.times, path.values):
+        fp.write(f"{float(t)!r},{float(v)!r}\n")
+
+
+def ensemble_to_csv(paths, fp, meta: dict | None = None) -> None:
+    """Long-format ``t,value,replicate`` rows of old, one ``write`` per row."""
+    if meta:
+        import json
+        fp.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+    fp.write("t,value,replicate\n")
+    for r, path in enumerate(paths):
+        for t, v in zip(path.times, path.values):
+            fp.write(f"{float(t)!r},{float(v)!r},{r}\n")
