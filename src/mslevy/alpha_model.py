@@ -5,12 +5,13 @@ An exponent function u -> alpha(u) is cadlag on a closed interval with
 values in a band [a, b] inside (0, 2].  Integrands live on [0, 1] as
 vectorised handles with declared breakpoints; step functions (uniform-grid
 tables, indicators, constants) are marked as such.  Every exponent kind is
-piecewise affine, so exponent integrals and the modulars of step functions
-are exact closed-form cell sums.
+stored in one piecewise-affine form, so exponent integrals and the modulars
+of step functions are exact closed-form cell sums.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,7 +22,14 @@ import numpy as np
 from .errors import DomainError, InfiniteQuasinormError, ParameterError
 from .quadrature import adaptive_simpson, split_points
 
-_KINDS = ("constant", "linear", "piecewise", "piecewise_linear", "table")
+# JSON spelling of each exponent kind: the constructor and the fields it reads
+_SPELLINGS = {
+    "constant": ("constant", ("value",)),
+    "linear": ("linear", ("intercept", "slope")),
+    "piecewise": ("piecewise", ("breaks", "values")),
+    "piecewise_linear": ("piecewise_linear", ("breaks", "intercepts", "slopes")),
+    "table": ("from_table", ("values",)),
+}
 _EDGE_TOL = 1e-12
 # Grid reads snap a time u up to u + _GRID_SNAP before finding its dyadic
 # cell, so that k/2^n computed with rounding error still reads cell k.
@@ -32,19 +40,18 @@ _GRID_SNAP = 1e-12
 class AlphaFunction:
     """A cadlag stability-exponent function on a closed interval.
 
-    Supported shapes: constant value, affine ramp, piecewise-constant steps,
-    piecewise-affine ramps and uniform-grid tables (step interpolation).
-    Construction validates that the range stays inside (0, 2]; the attained
-    band is exposed as ``a`` (infimum) and ``b`` (supremum).
+    Every shape (constant value, affine ramp, piecewise-constant steps,
+    piecewise-affine ramps, uniform-grid tables) is stored in one form:
+    interior ``breaks`` and, per cell between them, alpha(x) =
+    intercepts[i] + slopes[i] x, right-continuous at each break.  ``kind``
+    only names the JSON spelling.  Construction validates that the range
+    stays inside (0, 2]; the attained band is exposed as ``a`` (infimum)
+    and ``b`` (supremum).
     """
 
     kind: str
     domain: tuple[float, float] = (0.0, 1.0)
-    value: float = 0.0
-    intercept: float = 0.0
-    slope: float = 0.0
     breaks: tuple[float, ...] = ()
-    values: tuple[float, ...] = ()
     intercepts: tuple[float, ...] = ()
     slopes: tuple[float, ...] = ()
     a: float = field(init=False, default=0.0)
@@ -54,66 +61,65 @@ class AlphaFunction:
 
     @classmethod
     def constant(cls, value: float, domain=(0.0, 1.0)) -> "AlphaFunction":
-        return cls(kind="constant", domain=tuple(domain), value=float(value))
+        return cls("constant", tuple(domain), (), (float(value),), (0.0,))
 
     @classmethod
     def linear(cls, intercept: float, slope: float, domain=(0.0, 1.0)) -> "AlphaFunction":
-        return cls(kind="linear", domain=tuple(domain),
-                   intercept=float(intercept), slope=float(slope))
+        return cls("linear", tuple(domain), (), (float(intercept),), (float(slope),))
 
     @classmethod
     def piecewise(cls, breaks: Sequence[float], values: Sequence[float],
                   domain=(0.0, 1.0)) -> "AlphaFunction":
-        return cls(kind="piecewise", domain=tuple(domain),
-                   breaks=tuple(float(x) for x in breaks),
-                   values=tuple(float(x) for x in values))
+        return cls._steps("piecewise", breaks, values, domain)
 
     @classmethod
     def piecewise_linear(cls, breaks: Sequence[float], intercepts: Sequence[float],
                          slopes: Sequence[float], domain=(0.0, 1.0)) -> "AlphaFunction":
-        return cls(kind="piecewise_linear", domain=tuple(domain),
-                   breaks=tuple(float(x) for x in breaks),
-                   intercepts=tuple(float(x) for x in intercepts),
-                   slopes=tuple(float(x) for x in slopes))
+        return cls("piecewise_linear", tuple(domain), tuple(float(x) for x in breaks),
+                   tuple(float(x) for x in intercepts), tuple(float(x) for x in slopes))
 
     @classmethod
     def from_table(cls, values: Sequence[float], domain=(0.0, 1.0)) -> "AlphaFunction":
-        return cls(kind="table", domain=tuple(domain),
-                   values=tuple(float(x) for x in values))
+        """Right-continuous steps on the uniform grid t0 + (t1 - t0) i/m."""
+        m = len(values)
+        if m < 1:
+            raise ParameterError("table needs at least one value")
+        t0, t1 = domain
+        return cls._steps("table", [t0 + (t1 - t0) * i / m for i in range(1, m)],
+                          values, domain)
+
+    @classmethod
+    def _steps(cls, kind: str, breaks, values, domain) -> "AlphaFunction":
+        values = tuple(float(x) for x in values)
+        return cls(kind, tuple(domain), tuple(float(x) for x in breaks), values,
+                   (0.0,) * len(values))
 
     # -- validation -------------------------------------------------------
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _SPELLINGS:
             raise ParameterError(f"unknown exponent kind {self.kind!r}")
         t0, t1 = self.domain
+        if not all(map(math.isfinite, (*self.domain, *self.breaks,
+                                       *self.intercepts, *self.slopes))):
+            raise ParameterError("exponent domain, breaks and values must be finite")
         if not (t0 < t1):
             raise ParameterError(f"domain must be a proper interval, got {self.domain}")
-        if self.kind == "piecewise":
-            if len(self.values) != len(self.breaks) + 1:
-                raise ParameterError("piecewise needs len(values) == len(breaks) + 1")
-        if self.kind == "piecewise_linear":
-            if not (len(self.intercepts) == len(self.slopes) == len(self.breaks) + 1):
-                raise ParameterError(
-                    "piecewise_linear needs len(intercepts) == len(slopes) == len(breaks) + 1")
-        if self.kind in ("piecewise", "piecewise_linear"):
-            br = np.asarray(self.breaks, dtype=float)
-            if br.size and (np.any(np.diff(br) <= 0.0)
-                            or br[0] <= t0 + _EDGE_TOL or br[-1] >= t1 - _EDGE_TOL):
-                raise ParameterError("breaks must be strictly increasing interior points")
-        if self.kind == "table" and len(self.values) < 1:
-            raise ParameterError("table needs at least one value")
+        if not (len(self.intercepts) == len(self.slopes) == len(self.breaks) + 1):
+            raise ParameterError("an exponent needs one value per cell: "
+                                 "len(breaks) + 1 intercepts and slopes")
+        br = np.asarray(self.breaks, dtype=float)
+        if br.size and (np.any(np.diff(br) <= 0.0)
+                        or br[0] <= t0 + _EDGE_TOL or br[-1] >= t1 - _EDGE_TOL):
+            raise ParameterError("breaks must be strictly increasing interior points")
 
-        lo, hi = self._range_bounds()
+        ends = [c + m * x for lo, hi, c, m in self.pieces(t0, t1) for x in (lo, hi)]
+        lo, hi = min(ends), max(ends)
         object.__setattr__(self, "a", lo)
         object.__setattr__(self, "b", hi)
         if not (0.0 < lo and hi <= 2.0):
             raise ParameterError(
                 f"exponent values must stay in (0, 2], attained range is [{lo}, {hi}]")
-
-    def _range_bounds(self) -> tuple[float, float]:
-        ends = [c + m * x for lo, hi, c, m in self.pieces(*self.domain) for x in (lo, hi)]
-        return min(ends), max(ends)
 
     # -- evaluation -------------------------------------------------------
 
@@ -124,23 +130,15 @@ class AlphaFunction:
         if np.any(x < t0 - _EDGE_TOL) or np.any(x > t1 + _EDGE_TOL):
             raise DomainError(f"argument outside exponent domain [{t0}, {t1}]")
         x = np.clip(x, t0, t1)
-
-        if self.kind == "constant":
-            out = np.full_like(x, self.value)
-        elif self.kind == "linear":
-            out = self.intercept + self.slope * x
-        elif self.kind == "piecewise":
-            idx = np.searchsorted(np.asarray(self.breaks), x, side="right")
-            out = np.asarray(self.values, dtype=float)[idx]
-        elif self.kind == "piecewise_linear":
-            idx = np.searchsorted(np.asarray(self.breaks), x, side="right")
-            c = np.asarray(self.intercepts, dtype=float)[idx]
-            m = np.asarray(self.slopes, dtype=float)[idx]
-            out = c + m * x
-        else:  # table: right-continuous steps on a uniform grid
-            m = len(self.values)
-            idx = np.clip(np.floor((x - t0) / (t1 - t0) * m).astype(int), 0, m - 1)
-            out = np.asarray(self.values, dtype=float)[idx]
+        if self.breaks:
+            idx = np.searchsorted(self.breaks, x, side="right")
+            out = np.asarray(self.slopes)[idx]
+            out *= x
+            out += np.asarray(self.intercepts)[idx]
+        else:  # one cell: Python-float coefficients keep the cost of c + m x
+            out = x
+            out *= self.slopes[0]
+            out += self.intercepts[0]
         return float(out) if scalar else out
 
     # -- structure --------------------------------------------------------
@@ -148,29 +146,18 @@ class AlphaFunction:
     @property
     def breakpoints(self) -> tuple[float, ...]:
         """Interior points where the exponent may jump or kink."""
-        if self.kind in ("piecewise", "piecewise_linear"):
-            return self.breaks
-        if self.kind == "table":
-            t0, t1 = self.domain
-            m = len(self.values)
-            return tuple(t0 + (t1 - t0) * i / m for i in range(1, m))
-        return ()
+        return self.breaks
 
     def _affine(self, s: np.ndarray) -> tuple[list[float], list[float]]:
         """Intercepts c and slopes m with alpha(x) = c + m x on the piece
         that holds each point of ``s`` (read away from any break)."""
-        if self.kind == "linear":
-            return [self.intercept] * s.size, [self.slope] * s.size
-        if self.kind == "piecewise_linear":
-            idx = np.searchsorted(np.asarray(self.breaks), s, side="right")
-            return (np.asarray(self.intercepts)[idx].tolist(),
-                    np.asarray(self.slopes)[idx].tolist())
-        return self(s).tolist(), [0.0] * s.size
+        idx = [bisect.bisect_right(self.breaks, x) for x in s.tolist()]
+        return [self.intercepts[i] for i in idx], [self.slopes[i] for i in idx]
 
     def pieces(self, u1: float, u2: float) -> list[tuple[float, float, float, float]]:
         """(lo, hi, c, m) cells covering [u1, u2] between breakpoints, on each
         of which alpha(s) = c + m s; each cell is read at its midpoint."""
-        edges, mids = _cells(u1, u2, self.breakpoints)
+        edges, mids = _cells(u1, u2, self.breaks)
         return list(zip(edges, edges[1:], *self._affine(mids)))
 
     def max_jump(self) -> float:
@@ -180,42 +167,18 @@ class AlphaFunction:
                     for (_, x, c1, m1), (_, _, c2, m2) in zip(cells, cells[1:])), default=0.0)
 
     def segment(self, k: int) -> "AlphaFunction":
-        """Exponent x -> alpha(x + k) restricted to the unit interval.
-
-        Used when gluing unit-interval processes along the line.  Table
-        exponents are sliced exactly when the grid aligns with integers and
-        resampled at their native resolution otherwise.
-        """
+        """Exponent x -> alpha(x + k) restricted to the unit interval: the
+        cells over (k, k + 1), shifted left by k, for every kind exactly.
+        Used when gluing unit-interval processes along the line."""
         t0, t1 = self.domain
         if k < t0 - _EDGE_TOL or k + 1 > t1 + _EDGE_TOL:
             raise DomainError(f"segment [{k}, {k + 1}] outside domain [{t0}, {t1}]")
-        if self.kind == "constant":
-            return AlphaFunction.constant(self.value)
-        if self.kind == "linear":
-            return AlphaFunction.linear(self.intercept + self.slope * k, self.slope)
-        if self.kind in ("piecewise", "piecewise_linear"):
-            new_breaks = tuple(p - k for p in self.breaks if k < p < k + 1)
-            probes = (0.0, *new_breaks)
-            if self.kind == "piecewise":
-                vals = tuple(self(min(p + k, t1)) for p in probes)
-                return AlphaFunction.piecewise(new_breaks, vals)
-            src = np.searchsorted(np.asarray(self.breaks),
-                                  [min(p + k, t1) for p in probes], side="right")
-            cs = tuple(self.intercepts[i] + self.slopes[i] * k for i in src)
-            ms = tuple(self.slopes[i] for i in src)
-            return AlphaFunction.piecewise_linear(new_breaks, cs, ms)
-        # table
-        m = len(self.values)
-        h = (t1 - t0) / m
-        start = (k - t0) / h
-        per_unit = 1.0 / h
-        if abs(start - round(start)) < 1e-9 and abs(per_unit - round(per_unit)) < 1e-9:
-            i0 = int(round(start))
-            cnt = int(round(per_unit))
-            return AlphaFunction.from_table(self.values[i0:i0 + cnt])
-        res = max(256, int(math.ceil(per_unit)))
-        xs = k + np.arange(res) / res
-        return AlphaFunction.from_table(self(np.minimum(xs, t1)))
+        first = bisect.bisect_right(self.breaks, k)
+        inner = [p - k for p in self.breaks[first:] if p < k + 1]
+        cells = range(first, first + len(inner) + 1)
+        return AlphaFunction.piecewise_linear(
+            inner, [self.intercepts[i] + self.slopes[i] * k for i in cells],
+            [self.slopes[i] for i in cells])
 
     # -- serialization ----------------------------------------------------
 
@@ -223,20 +186,11 @@ class AlphaFunction:
         d: dict = {"kind": self.kind}
         if self.domain != (0.0, 1.0):
             d["domain"] = list(self.domain)
-        if self.kind == "constant":
-            d["value"] = self.value
-        elif self.kind == "linear":
-            d["intercept"] = self.intercept
-            d["slope"] = self.slope
-        elif self.kind == "piecewise":
-            d["breaks"] = list(self.breaks)
-            d["values"] = list(self.values)
-        elif self.kind == "piecewise_linear":
-            d["breaks"] = list(self.breaks)
-            d["intercepts"] = list(self.intercepts)
-            d["slopes"] = list(self.slopes)
-        else:
-            d["values"] = list(self.values)
+        stored = {"value": self.intercepts[0], "intercept": self.intercepts[0],
+                  "slope": self.slopes[0], "breaks": list(self.breaks),
+                  "values": list(self.intercepts), "intercepts": list(self.intercepts),
+                  "slopes": list(self.slopes)}
+        d.update((key, stored[key]) for key in _SPELLINGS[self.kind][1])
         return d
 
     def to_json(self) -> str:
@@ -246,22 +200,14 @@ class AlphaFunction:
     def from_json(cls, spec: str | dict) -> "AlphaFunction":
         d = json.loads(spec) if isinstance(spec, str) else dict(spec)
         kind = d.get("kind")
-        domain = tuple(d.get("domain", (0.0, 1.0)))
+        if not isinstance(kind, str) or kind not in _SPELLINGS:
+            raise ParameterError(f"unknown exponent kind {kind!r}")
+        constructor, keys = _SPELLINGS[kind]
         try:
-            if kind == "constant":
-                return cls.constant(d["value"], domain)
-            if kind == "linear":
-                return cls.linear(d["intercept"], d["slope"], domain)
-            if kind == "piecewise":
-                return cls.piecewise(d["breaks"], d["values"], domain)
-            if kind == "piecewise_linear":
-                return cls.piecewise_linear(d["breaks"], d["intercepts"],
-                                            d["slopes"], domain)
-            if kind == "table":
-                return cls.from_table(d["values"], domain)
+            args = [d[key] for key in keys]
         except KeyError as exc:
             raise ParameterError(f"missing field {exc} for exponent kind {kind!r}") from exc
-        raise ParameterError(f"unknown exponent kind {kind!r}")
+        return getattr(cls, constructor)(*args, tuple(d.get("domain", (0.0, 1.0))))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +240,8 @@ class IntegrandFunction:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ParameterError("table integrand needs a non-empty 1-d value array")
+        if not np.all(np.isfinite(vals)):
+            raise ParameterError("table integrand values must be finite")
         m = vals.size
 
         def fn(x):

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -270,13 +271,13 @@ def _simulate_path(resolved: dict, af: AlphaFunction, stream: RandomStream):
         return simulate_sn(n, af, stream, t_grid, d=float(resolved["d"]),
                            levels=levels)
     if scheme == "stable":
-        if af.kind != "constant":
+        if af.a != af.b:
             raise ParameterError(
                 'the stable scheme needs a constant exponent, e.g. '
                 '--alpha \'{"kind":"constant","value":1.5}\'')
         n_terms = resolved["n_terms"]
         n_terms = int(n_terms) if n_terms is not None else 2 ** n
-        return simulate_stable_fclt(af.value, n_terms, stream)
+        return simulate_stable_fclt(af.a, n_terms, stream)
     if scheme == "weighted":
         w = IntegrandFunction.from_table(_parse_floats(resolved["weight"]))
         return weighted_mslm(w, af, n, stream)
@@ -297,17 +298,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
              for r in range(ensemble)]
     meta = {"command": "simulate", "format": "csv", **resolved}
     out = resolved["out"]
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            if ensemble == 1:
-                path_to_csv(paths[0], fh, meta)
-            else:
-                ensemble_to_csv(paths, fh, meta)
-    else:
+    with open(out, "w", encoding="utf-8", newline="") if out else nullcontext(sys.stdout) as fh:
         if ensemble == 1:
-            path_to_csv(paths[0], sys.stdout, meta)
+            path_to_csv(paths[0], fh, meta)
         else:
-            ensemble_to_csv(paths, sys.stdout, meta)
+            ensemble_to_csv(paths, fh, meta)
     if svg_path:
         shown = paths[:len(_SVG_COLORS)]
         series = [(p.times, p.values, f"replicate {r}" if ensemble > 1 else "")

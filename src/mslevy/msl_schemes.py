@@ -12,6 +12,7 @@ X(k, n); they differ only in the deterministic or arrival-driven weights:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -388,22 +389,23 @@ def li_window_ensemble(af: AlphaFunction, n: int, k0: int, cell_offsets, ensembl
 # CSV output
 # ---------------------------------------------------------------------------
 
+def _csv_header(fp, meta: dict | None, columns: str) -> None:
+    """The optional ``# {meta JSON}`` provenance line, then the column names."""
+    if meta:
+        fp.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+    fp.write(columns + "\n")
+
+
 def path_to_csv(path: PathGrid, fp, meta: dict | None = None) -> None:
     """Write ``t,value`` rows in full double precision; an optional metadata
     dict goes into a leading ``#``-comment line so the artifact carries its
     own provenance."""
-    if meta:
-        import json
-        fp.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-    fp.write("t,value\n")
+    _csv_header(fp, meta, "t,value")
     fp.writelines(f"{t!r},{v!r}\n" for t, v in zip(path.times.tolist(), path.values.tolist()))
 
 
 def ensemble_to_csv(paths, fp, meta: dict | None = None) -> None:
     """Long-format ``t,value,replicate`` rows for a path ensemble."""
-    if meta:
-        import json
-        fp.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-    fp.write("t,value,replicate\n")
+    _csv_header(fp, meta, "t,value,replicate")
     for r, p in enumerate(paths):
         fp.writelines(f"{t!r},{v!r},{r}\n" for t, v in zip(p.times.tolist(), p.values.tolist()))

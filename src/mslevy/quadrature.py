@@ -86,6 +86,8 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, *,
     width = b - a
     total = 0.0
     for lo, mid, hi, flo, fmid, fhi, whole in panels:
-        tol = max(rel_tol * scale, abs_tol) * (hi - lo) / width
+        # the panel's share is formed first: tolerance * (hi - lo) would
+        # underflow to 0 on panels near 1e-308 wide, never to be met
+        tol = max(rel_tol * scale, abs_tol) * ((hi - lo) / width)
         total += _adaptive(f, lo, mid, hi, flo, fmid, fhi, whole, tol, _MAX_DEPTH)
     return total

@@ -11,6 +11,8 @@ alternating pi-panel sum); the two methods agreed to every printed digit at
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -337,3 +339,132 @@ def ensemble_to_csv(paths, fp, meta: dict | None = None) -> None:
     for r, path in enumerate(paths):
         for t, v in zip(path.times, path.values):
             fp.write(f"{float(t)!r},{float(v)!r},{r}\n")
+
+
+# The exponent function as it stood before every kind was stored in one
+# piecewise-affine form: fields, constructors, evaluation and segments kept
+# word for word (validation and the range band left out), so the new form
+# can be held to the same bits.
+_EDGE_TOL = 1e-12
+
+
+class DomainError(ValueError):
+    """Stand-in for the package's error of the same name."""
+
+
+@dataclass(frozen=True)
+class AlphaFunction:
+    """A cadlag stability-exponent function on a closed interval.
+
+    Supported shapes: constant value, affine ramp, piecewise-constant steps,
+    piecewise-affine ramps and uniform-grid tables (step interpolation).
+    Construction validates that the range stays inside (0, 2]; the attained
+    band is exposed as ``a`` (infimum) and ``b`` (supremum).
+    """
+
+    kind: str
+    domain: tuple[float, float] = (0.0, 1.0)
+    value: float = 0.0
+    intercept: float = 0.0
+    slope: float = 0.0
+    breaks: tuple[float, ...] = ()
+    values: tuple[float, ...] = ()
+    intercepts: tuple[float, ...] = ()
+    slopes: tuple[float, ...] = ()
+    a: float = field(init=False, default=0.0)
+    b: float = field(init=False, default=0.0)
+
+    # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def constant(cls, value: float, domain=(0.0, 1.0)) -> "AlphaFunction":
+        return cls(kind="constant", domain=tuple(domain), value=float(value))
+
+    @classmethod
+    def linear(cls, intercept: float, slope: float, domain=(0.0, 1.0)) -> "AlphaFunction":
+        return cls(kind="linear", domain=tuple(domain),
+                   intercept=float(intercept), slope=float(slope))
+
+    @classmethod
+    def piecewise(cls, breaks: Sequence[float], values: Sequence[float],
+                  domain=(0.0, 1.0)) -> "AlphaFunction":
+        return cls(kind="piecewise", domain=tuple(domain),
+                   breaks=tuple(float(x) for x in breaks),
+                   values=tuple(float(x) for x in values))
+
+    @classmethod
+    def piecewise_linear(cls, breaks: Sequence[float], intercepts: Sequence[float],
+                         slopes: Sequence[float], domain=(0.0, 1.0)) -> "AlphaFunction":
+        return cls(kind="piecewise_linear", domain=tuple(domain),
+                   breaks=tuple(float(x) for x in breaks),
+                   intercepts=tuple(float(x) for x in intercepts),
+                   slopes=tuple(float(x) for x in slopes))
+
+    @classmethod
+    def from_table(cls, values: Sequence[float], domain=(0.0, 1.0)) -> "AlphaFunction":
+        return cls(kind="table", domain=tuple(domain),
+                   values=tuple(float(x) for x in values))
+
+    def __call__(self, u):
+        scalar = np.isscalar(u)
+        x = np.asarray(u, dtype=float)
+        t0, t1 = self.domain
+        if np.any(x < t0 - _EDGE_TOL) or np.any(x > t1 + _EDGE_TOL):
+            raise DomainError(f"argument outside exponent domain [{t0}, {t1}]")
+        x = np.clip(x, t0, t1)
+
+        if self.kind == "constant":
+            out = np.full_like(x, self.value)
+        elif self.kind == "linear":
+            out = self.intercept + self.slope * x
+        elif self.kind == "piecewise":
+            idx = np.searchsorted(np.asarray(self.breaks), x, side="right")
+            out = np.asarray(self.values, dtype=float)[idx]
+        elif self.kind == "piecewise_linear":
+            idx = np.searchsorted(np.asarray(self.breaks), x, side="right")
+            c = np.asarray(self.intercepts, dtype=float)[idx]
+            m = np.asarray(self.slopes, dtype=float)[idx]
+            out = c + m * x
+        else:  # table: right-continuous steps on a uniform grid
+            m = len(self.values)
+            idx = np.clip(np.floor((x - t0) / (t1 - t0) * m).astype(int), 0, m - 1)
+            out = np.asarray(self.values, dtype=float)[idx]
+        return float(out) if scalar else out
+
+    def segment(self, k: int) -> "AlphaFunction":
+        """Exponent x -> alpha(x + k) restricted to the unit interval.
+
+        Used when gluing unit-interval processes along the line.  Table
+        exponents are sliced exactly when the grid aligns with integers and
+        resampled at their native resolution otherwise.
+        """
+        t0, t1 = self.domain
+        if k < t0 - _EDGE_TOL or k + 1 > t1 + _EDGE_TOL:
+            raise DomainError(f"segment [{k}, {k + 1}] outside domain [{t0}, {t1}]")
+        if self.kind == "constant":
+            return AlphaFunction.constant(self.value)
+        if self.kind == "linear":
+            return AlphaFunction.linear(self.intercept + self.slope * k, self.slope)
+        if self.kind in ("piecewise", "piecewise_linear"):
+            new_breaks = tuple(p - k for p in self.breaks if k < p < k + 1)
+            probes = (0.0, *new_breaks)
+            if self.kind == "piecewise":
+                vals = tuple(self(min(p + k, t1)) for p in probes)
+                return AlphaFunction.piecewise(new_breaks, vals)
+            src = np.searchsorted(np.asarray(self.breaks),
+                                  [min(p + k, t1) for p in probes], side="right")
+            cs = tuple(self.intercepts[i] + self.slopes[i] * k for i in src)
+            ms = tuple(self.slopes[i] for i in src)
+            return AlphaFunction.piecewise_linear(new_breaks, cs, ms)
+        # table
+        m = len(self.values)
+        h = (t1 - t0) / m
+        start = (k - t0) / h
+        per_unit = 1.0 / h
+        if abs(start - round(start)) < 1e-9 and abs(per_unit - round(per_unit)) < 1e-9:
+            i0 = int(round(start))
+            cnt = int(round(per_unit))
+            return AlphaFunction.from_table(self.values[i0:i0 + cnt])
+        res = max(256, int(math.ceil(per_unit)))
+        xs = k + np.arange(res) / res
+        return AlphaFunction.from_table(self(np.minimum(xs, t1)))

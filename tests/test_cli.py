@@ -154,6 +154,21 @@ class TestNorm:
         assert "error:" in capsys.readouterr().err
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "3", "--seed", "1",
+         "--alpha", '{"kind": "table", "values": [1.2, NaN, 1.5]}'],
+        ["simulate", "--scheme", "weighted", "--n", "3", "--seed", "1",
+         "--weight", "1,nan,2"],
+        ["norm", "--table", "1,nan,3"],
+    ], ids=["alpha_table", "weight", "norm_table"])
+    def test_rejected_before_any_output(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "finite" in captured.err
+
+
 class TestVerify:
     def test_stable_suite_passes_and_is_byte_identical(self, tmp_path, capsys):
         out = tmp_path / "report.json"

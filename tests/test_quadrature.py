@@ -41,6 +41,21 @@ def test_step_integrand_with_declared_jump():
     assert got == pytest.approx(0.3 + 1.4, abs=1e-12)
 
 
+def test_panel_near_the_float_minimum_converges():
+    # on [0, 2^-1022] the panel tolerance once underflowed to 0, so every
+    # branch refined to the depth limit: about 2^48 evaluations
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        if len(calls) > 1000:
+            raise RuntimeError("adaptive Simpson did not converge")
+        return 1.3
+
+    width = 2.2250738585072014e-308
+    assert adaptive_simpson(f, 0.0, width) == pytest.approx(1.3 * width, rel=1e-12)
+
+
 def test_reversed_interval_rejected():
     with pytest.raises(ParameterError):
         adaptive_simpson(math.exp, 1.0, 0.0)
