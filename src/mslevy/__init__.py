@@ -36,6 +36,7 @@ from .errors import (
     GridResolutionError,
     InfiniteQuasinormError,
     ParameterError,
+    QuadratureError,
 )
 from .integrals import (
     ConvergenceReport,
@@ -73,7 +74,7 @@ from .msl_schemes import (
     simulate_lr,
     simulate_stable_fclt,
 )
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_simpson, gauss_kronrod
 from .stable_core import (
     PoissonArrivals,
     RandomStream,

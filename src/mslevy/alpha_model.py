@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InfiniteQuasinormError, ParameterError
-from .quadrature import adaptive_simpson, split_points
+from .quadrature import gauss_kronrod, split_points
 
 # JSON spelling of each exponent kind: the constructor and the fields it reads
 _SPELLINGS = {
@@ -459,19 +459,15 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
 
 def _modular(f: IntegrandFunction, af: AlphaFunction, lam: float) -> float:
     """integral_0^1 |f(x)/lam|^alpha(x) dx: exact for step functions, by
-    adaptive Simpson for general integrands."""
+    Gauss-Kronrod cells for general integrands (0^alpha = 0 as alpha > 0)."""
+    breakpoints = (*af.breakpoints, *f.breakpoints)
     if f.steps:
-        edges, mids = _cells(0.0, 1.0, (*af.breakpoints, *f.breakpoints))
+        edges, mids = _cells(0.0, 1.0, breakpoints)
         vs = (np.abs(f(mids)) / lam).tolist()
         return sum(_power_integral(v, c, m, lo, hi)
                    for lo, hi, v, c, m in zip(edges, edges[1:], vs, *af._affine(mids)))
-
-    def integrand(x: float) -> float:
-        v = abs(f(x)) / lam
-        return v ** af(x) if v > 0.0 else 0.0
-
-    return adaptive_simpson(integrand, 0.0, 1.0,
-                            breakpoints=(*af.breakpoints, *f.breakpoints))
+    return gauss_kronrod(lambda x: (np.abs(f(x)) / lam) ** af(x), 0.0, 1.0,
+                         breakpoints=breakpoints)
 
 
 def modular_integral(f: IntegrandFunction, af: AlphaFunction, lam: float = 1.0) -> float:

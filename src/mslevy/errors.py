@@ -15,6 +15,11 @@ class InfiniteQuasinormError(ArithmeticError):
     positive scaling, so the function has no finite quasinorm."""
 
 
+class QuadratureError(ArithmeticError):
+    """Quadrature missed its tolerance within its refinement limits, as at a
+    singularity or kink the integrand does not declare as a breakpoint."""
+
+
 class GridResolutionError(ValueError):
     """A requested lag/increment is too small for the dyadic grid in use.
 

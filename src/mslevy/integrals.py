@@ -22,7 +22,7 @@ from .alpha_model import (AlphaFunction, IntegrandFunction, _cells, _probe_grid,
 from .errors import ParameterError
 from .msl_schemes import (PathGrid, _check_ensemble, _check_level, _dyadic_times,
                           _weighted_sums)
-from .quadrature import adaptive_simpson
+from .quadrature import gauss_kronrod
 from .stable_core import RandomStream
 from .verify_stats import _factorization_distance, spearman_corr
 
@@ -447,10 +447,15 @@ def strong_localisability_check(kernel: KernelFunction, af: AlphaFunction,
 
 def billingsley_bound(cf_handle: Callable[[float], float], lam: float) -> float:
     """Tail bound P(|X| >= lam) <= (lam/2) integral_{-2/lam}^{2/lam}
-    (1 - CF(theta)) dtheta for a symmetric (real-CF) law."""
+    (1 - CF(theta)) dtheta for a symmetric (real-CF) law.  ``cf_handle``
+    takes one float; it is called once per quadrature node."""
     if lam <= 0.0:
         raise ParameterError(f"threshold must be positive, got {lam}")
+
+    def one_minus_cf(ths: np.ndarray) -> np.ndarray:
+        return np.array([1.0 - float(cf_handle(th)) for th in ths.tolist()])
+
     edge = 2.0 / lam
-    value = adaptive_simpson(lambda th: 1.0 - float(cf_handle(th)), -edge, edge,
-                             rel_tol=1e-10, abs_tol=1e-14, breakpoints=(0.0,))
+    value = gauss_kronrod(one_minus_cf, -edge, edge,
+                          rel_tol=1e-10, abs_tol=1e-14, breakpoints=(0.0,))
     return 0.5 * lam * value

@@ -24,7 +24,7 @@ from mslevy import (
     plateau_identity_alpha,
     quasinorm,
 )
-from mslevy.errors import ParameterError
+from mslevy.errors import ParameterError, QuadratureError
 from mslevy.quadrature import adaptive_simpson
 
 from _oracles import (
@@ -200,6 +200,21 @@ class TestClosedFormMatchesSimpson:
         general = IntegrandFunction(f._fn, f.breakpoints)
         assert modular_integral(f, af, lam) == pytest.approx(
             modular_integral(general, af, lam), rel=1e-9)
+
+
+class TestCallableModular:
+    def test_steep_power_meets_its_tolerance(self):
+        # (1e-104)^(0.1 + 1.5 s) falls by e^-359 across [0, 1]; adaptive
+        # Simpson returned it 4.9e-10 off, above its own 1e-10 tolerance
+        af = AlphaFunction.linear(0.1, 1.5)
+        f = IntegrandFunction.from_callable(lambda x: np.full_like(x, 1e-104))
+        assert modular_integral(f, af) == pytest.approx(
+            exponent_integral(af, 1e-104, 0.0, 1.0), rel=1e-14)
+
+    def test_undeclared_near_singularity_raises(self):
+        f = IntegrandFunction.from_callable(lambda x: np.abs(x - 1.0 / 3.0) ** -0.999)
+        with pytest.raises(QuadratureError):
+            modular_integral(f, AlphaFunction.constant(1.0))
 
 
 class TestNaiveSchemeExponent:

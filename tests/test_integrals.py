@@ -157,6 +157,15 @@ class TestBillingsleyBound:
     def test_degenerate_cf_gives_zero(self):
         assert billingsley_bound(lambda th: 1.0, 3.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_closed_form_for_a_cusped_cf(self):
+        # 1 - e^{-|t|^(1/2)} has a cusp at 0; with t = u^2 the bound is
+        # lam (s^2 + 2 (s + 1) e^{-s} - 2) at s = (2/lam)^(1/2)
+        lam = 3.0
+        s = math.sqrt(2.0 / lam)
+        got = billingsley_bound(lambda th: math.exp(-math.sqrt(abs(th))), lam)
+        assert got == pytest.approx(lam * (s * s + 2.0 * (s + 1.0) * math.exp(-s) - 2.0),
+                                    rel=1e-10)
+
     def test_actually_bounds_a_stable_tail(self):
         from mslevy import StableParams, sample_stable, stable_cf
         lam = 3.0
