@@ -74,7 +74,7 @@ from .msl_schemes import (
     simulate_lr,
     simulate_stable_fclt,
 )
-from .quadrature import adaptive_simpson, gauss_kronrod
+from .quadrature import adaptive_simpson
 from .stable_core import (
     PoissonArrivals,
     RandomStream,

@@ -125,7 +125,6 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, *,
 
 
 def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
-                  rel_tol: float = _DEFAULT_REL_TOL,
                   abs_tol: float = 0.0,
                   breakpoints: Iterable[float] = ()) -> float:
     """Integrate a vectorised f over [a, b] on 15-point Gauss-Kronrod cells.
@@ -133,7 +132,7 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
     The cells start as the panels between ``breakpoints``.  Each round calls
     f once, on a 1-d array of the 15 nodes of every open cell; a cell's
     estimate is its Kronrod sum and its error |K15 - G7|.  The tolerance is
-    max(rel_tol * scale, abs_tol), where ``scale`` is the first round's
+    max(1e-10 * scale, abs_tol), where ``scale`` is the first round's
     estimate of the integral of |f|, as in :func:`adaptive_simpson`.  A cell
     whose error is within its share (hi - lo)/(b - a) of the tolerance is
     kept, the others are halved for the next round, and the result is
@@ -162,7 +161,7 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
         if rounds == 0:
             scale = max(abs(float(kronrod.sum())),
                         float((half * (np.abs(fx) * _KRONROD).sum(axis=1)).sum()), 1e-300)
-            tol = max(rel_tol * scale, abs_tol)
+            tol = max(_DEFAULT_REL_TOL * scale, abs_tol)
         err = np.abs(kronrod - half * (fx * _GAUSS).sum(axis=1))
         if spent + float(err.sum()) <= tol:
             return total + float(kronrod.sum())

@@ -247,3 +247,15 @@ class TestStrongLocalisability:
         assert rep.eta_mean == pytest.approx(1.0, abs=1e-6)
         assert rep.verdict == "strongly-localisable"
         assert rep.required_eta == 0.5
+
+    def test_missed_tolerance_is_reported_as_a_failure_row(self):
+        # |s - 1/3|^-0.999 is integrable but too close to a pole for the
+        # quadrature to meet its tolerance: the energy is nan, not raised
+        weight = IntegrandFunction.from_callable(lambda s: np.abs(s - 1.0 / 3.0) ** -0.999)
+        pairs = [(0.0, 1.0), (0.0, 0.5)]
+        rep = strong_localisability_check(KernelFunction.weighted_running(weight),
+                                          AlphaFunction.constant(1.0), x=0.3,
+                                          r_list=[0.25], pairs=pairs)
+        assert rep.failures == tuple((0.25, t, v, "quadrature failure") for t, v in pairs)
+        assert all(math.isnan(e) for e in rep.lhs_table[0])
+        assert rep.verdict == "degenerate"
