@@ -176,16 +176,20 @@ def _xml_escape(text: str) -> str:
 def write_svg(fp, series, title: str = "", meta: dict | None = None) -> None:
     """Minimal polyline chart.  ``series`` is an iterable of (xs, ys, label)
     triples; the resolved config travels inside a <desc> element."""
-    series = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), label)
-              for xs, ys, label in series]
-    finite = [(x, y) for xs, ys, _ in series
-              for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
-    if not finite:
+    shown = []
+    for xs, ys, label in series:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        k = min(xs.size, ys.size)
+        keep = np.isfinite(xs[:k]) & np.isfinite(ys[:k])
+        shown.append((xs[:k][keep], ys[:k][keep], label))
+    fx = np.concatenate([xs for xs, _, _ in shown])
+    fy = np.concatenate([ys for _, ys, _ in shown])
+    if fx.size == 0:
         raise ParameterError("nothing to plot: no finite points")
-    x0 = min(p[0] for p in finite)
-    x1 = max(p[0] for p in finite)
-    y0 = min(p[1] for p in finite)
-    y1 = max(p[1] for p in finite)
+    # the first extreme in point order, as Python's min and max pick one of
+    # -0.0 and 0.0 (numpy's min and max may return either)
+    x0, x1 = float(fx[fx.argmin()]), float(fx[fx.argmax()])
+    y0, y1 = float(fy[fy.argmin()]), float(fy[fy.argmax()])
     if x1 - x0 <= 0.0:
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y1 - y0 <= 0.0:
@@ -194,13 +198,6 @@ def write_svg(fp, series, title: str = "", meta: dict | None = None) -> None:
     y0, y1 = y0 - pad, y1 + pad
 
     width, height, margin = 720, 440, 60
-
-    def sx(x: float) -> float:
-        return margin + (x - x0) * (width - 2 * margin) / (x1 - x0)
-
-    def sy(y: float) -> float:
-        return height - margin - (y - y0) * (height - 2 * margin) / (y1 - y0)
-
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">']
     if meta is not None:
@@ -226,11 +223,11 @@ def write_svg(fp, series, title: str = "", meta: dict | None = None) -> None:
         parts.append(f'<text x="{width / 2}" y="24" font-family="monospace" '
                      f'font-size="14" text-anchor="middle">'
                      f'{_xml_escape(title)}</text>')
-    for i, (xs, ys, label) in enumerate(series):
+    for i, (xs, ys, label) in enumerate(shown):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
-        pts = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
-                       for x, y in zip(xs, ys)
-                       if math.isfinite(float(x)) and math.isfinite(float(y)))
+        sx = margin + (xs - x0) * (width - 2 * margin) / (x1 - x0)
+        sy = height - margin - (ys - y0) * (height - 2 * margin) / (y1 - y0)
+        pts = " ".join(map("{:.2f},{:.2f}".format, sx.tolist(), sy.tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.5" points="{pts}"/>')
         if label:

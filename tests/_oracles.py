@@ -10,6 +10,7 @@ alternating pi-panel sum); the two methods agreed to every printed digit at
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -468,3 +469,81 @@ class AlphaFunction:
         res = max(256, int(math.ceil(per_unit)))
         xs = k + np.arange(res) / res
         return AlphaFunction.from_table(self(np.minimum(xs, t1)))
+
+
+SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
+              "#ff7f0e", "#8c564b", "#e377c2", "#17becf")
+
+
+def svg_escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def write_svg(fp, series, title: str = "", meta: dict | None = None) -> None:
+    """The point-by-point polyline writer ``cli.write_svg`` replaced: finite
+    points, bounds and coordinates in Python floats.  ``meta`` must already
+    be JSON-native."""
+    series = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), label)
+              for xs, ys, label in series]
+    finite = [(x, y) for xs, ys, _ in series
+              for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
+    if not finite:
+        raise ValueError("nothing to plot: no finite points")
+    x0 = min(p[0] for p in finite)
+    x1 = max(p[0] for p in finite)
+    y0 = min(p[1] for p in finite)
+    y1 = max(p[1] for p in finite)
+    if x1 - x0 <= 0.0:
+        x0, x1 = x0 - 0.5, x1 + 0.5
+    if y1 - y0 <= 0.0:
+        y0, y1 = y0 - 0.5, y1 + 0.5
+    pad = 0.05 * (y1 - y0)
+    y0, y1 = y0 - pad, y1 + pad
+
+    width, height, margin = 720, 440, 60
+
+    def sx(x: float) -> float:
+        return margin + (x - x0) * (width - 2 * margin) / (x1 - x0)
+
+    def sy(y: float) -> float:
+        return height - margin - (y - y0) * (height - 2 * margin) / (y1 - y0)
+
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+             f'height="{height}" viewBox="0 0 {width} {height}">']
+    if meta is not None:
+        parts.append("<desc>" + svg_escape(json.dumps(meta, sort_keys=True)) + "</desc>")
+    parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    axis = (f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+            f'y2="{height - margin}" stroke="black"/>'
+            f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
+            f'y2="{height - margin}" stroke="black"/>')
+    parts.append(axis)
+    label_style = 'font-family="monospace" font-size="11"'
+    parts.append(f'<text x="{margin}" y="{height - margin + 16}" {label_style}>'
+                 f'{x0:.6g}</text>')
+    parts.append(f'<text x="{width - margin}" y="{height - margin + 16}" '
+                 f'{label_style} text-anchor="end">{x1:.6g}</text>')
+    parts.append(f'<text x="{margin - 4}" y="{height - margin}" {label_style} '
+                 f'text-anchor="end">{y0:.6g}</text>')
+    parts.append(f'<text x="{margin - 4}" y="{margin + 10}" {label_style} '
+                 f'text-anchor="end">{y1:.6g}</text>')
+    if title:
+        parts.append(f'<text x="{width / 2}" y="24" font-family="monospace" '
+                     f'font-size="14" text-anchor="middle">'
+                     f'{svg_escape(title)}</text>')
+    for i, (xs, ys, label) in enumerate(series):
+        color = SVG_COLORS[i % len(SVG_COLORS)]
+        pts = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
+                       for x, y in zip(xs, ys)
+                       if math.isfinite(float(x)) and math.isfinite(float(y)))
+        parts.append(f'<polyline fill="none" stroke="{color}" '
+                     f'stroke-width="1.5" points="{pts}"/>')
+        if label:
+            ly = margin + 14 * (i + 1)
+            parts.append(f'<line x1="{width - margin - 120}" y1="{ly - 4}" '
+                         f'x2="{width - margin - 100}" y2="{ly - 4}" '
+                         f'stroke="{color}" stroke-width="2"/>')
+            parts.append(f'<text x="{width - margin - 94}" y="{ly}" '
+                         f'{label_style}>{svg_escape(str(label))}</text>')
+    parts.append("</svg>")
+    fp.write("\n".join(parts) + "\n")

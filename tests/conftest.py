@@ -4,9 +4,13 @@ Collects the outcome of every acceptance criterion test and prints one
 PASS/FAIL line per criterion at the end of the run, so the acceptance
 status is readable at a glance from the pytest output.
 
-Registers the Hypothesis profile ``ci`` (``--hypothesis-profile=ci``):
-derandomized draws and no deadline, so a tolerance-based property test
-sees the same examples on every run.
+Loads the Hypothesis profile ``derandomized`` by default: every run of
+the suite draws the same examples, under Hypothesis's default deadline.
+The profile ``ci`` (``--hypothesis-profile=ci``) is derandomized too, with
+no deadline.
+
+Every test starts with no single-stream draws held by the weighted-sum
+kernel, so no test's draws come from an earlier test.
 """
 
 from __future__ import annotations
@@ -17,9 +21,18 @@ import pytest
 from hypothesis import settings
 
 settings.register_profile("ci", derandomize=True, deadline=None)
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 _RESULTS: dict[int, tuple[str, str]] = {}
+
+
+@pytest.fixture(autouse=True)
+def _no_held_draws():
+    from mslevy import msl_schemes
+
+    msl_schemes._held.clear()
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -3,13 +3,19 @@ precedence, deterministic artifacts and plot output."""
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mslevy import AlphaFunction, IntegrandFunction, quasinorm
-from mslevy.cli import main
+from mslevy.cli import main, write_svg
+from mslevy.errors import ParameterError
+
+import _oracles
 
 
 def run(argv):
@@ -225,3 +231,56 @@ class TestLocalize:
         payload = json.loads(out.read_text())
         assert payload["report"]["passed"] is True
         capsys.readouterr()
+
+
+def svg_text(writer, series, **kwargs):
+    fp = io.StringIO()
+    writer(fp, series, **kwargs)
+    return fp.getvalue()
+
+
+NAN, INF = float("nan"), float("inf")
+SVG_GRID = np.arange(4097) / 4096
+SVG_WALKS = np.cumsum(np.random.default_rng(3).standard_cauchy((8, 4097)), axis=1)
+SVG_CASES = {
+    "ensemble": [(SVG_GRID, walk, f"replicate {r}") for r, walk in enumerate(SVG_WALKS)],
+    "non_finite": [([0.0, 0.1, NAN, 0.3, 0.4, INF], [1.0, -INF, 2.0, NAN, -1.5, 3.0], "a"),
+                   ([NAN, NAN], [1.0, 2.0], "b"), ([0.5, 0.6], [0.25, -7.0], "")],
+    "flat": [([0.0, 0.5, 1.0], [2.0, 2.0, 2.0], "")],
+    "one_point": [([0.3], [-4.0], "p")],
+    "signed_zeros": [([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], ""),
+                     ([-0.0, 0.0], [0.0, -0.0], "")],
+    "signed_zeros_first_negative": [([-0.0, 0.0, 1.0], [-0.0, 0.0, 2.0], "")],
+    "unequal_lengths": [([0.0, 0.25, 0.5, 0.75], [1.0, 3.0], "x")],
+    "more_series_than_colours": [([0.0, 1.0], [float(r), r + 0.5], f"<{r}&>")
+                                 for r in range(10)],
+}
+FLOATS = st.floats(width=64) | st.sampled_from([0.0, -0.0, NAN, INF, -INF])
+
+
+class TestWriteSvg:
+    """The array writer gives the bytes of the point-by-point oracle."""
+
+    @pytest.mark.parametrize("case", sorted(SVG_CASES))
+    def test_bytes_match_the_point_by_point_writer(self, case):
+        series = SVG_CASES[case]
+        meta = {"seed": 9, "scheme": "lr", "note": "a<b & c>d"}
+        want = svg_text(_oracles.write_svg, series, title="t <&>", meta=meta)
+        assert svg_text(write_svg, series, title="t <&>", meta=meta) == want
+        assert svg_text(write_svg, series) == svg_text(_oracles.write_svg, series)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow, inf - inf
+    @given(st.lists(st.lists(st.tuples(FLOATS, FLOATS), max_size=12), min_size=1, max_size=4))
+    def test_bytes_match_on_any_points(self, points):
+        series = [([p[0] for p in pts], [p[1] for p in pts], "") for pts in points]
+        try:
+            want = svg_text(_oracles.write_svg, series)
+        except ValueError:  # no finite point
+            with pytest.raises(ParameterError):
+                svg_text(write_svg, series)
+            return
+        assert svg_text(write_svg, series) == want
+
+    def test_no_finite_point_is_rejected(self):
+        with pytest.raises(ParameterError):
+            svg_text(write_svg, [([0.0, float("nan")], [float("inf"), 1.0], "")])

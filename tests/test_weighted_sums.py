@@ -6,9 +6,15 @@ f and draws.  Each case below redraws X by calling the samplers directly and
 asserts exact equality with the reference in ``tests/_oracles.py``, so the
 drivers keep their bits whatever code they share.  The last test holds the
 input checks every driver applies the same way.
+
+The kernel holds the last single-stream draws for the next call on the
+same stream and alpha grid; the tests of that memo compare warm calls with
+cold ones (nothing held), and the suite's conftest starts every test cold.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -37,6 +43,7 @@ from mslevy import (
     symmetric_from_uniform_pairs,
     weighted_mslm,
 )
+from mslevy import msl_schemes
 from mslevy.errors import ParameterError
 from mslevy.stable_core import _chunk_rows
 
@@ -219,6 +226,166 @@ def test_joint_integral_rows_across_chunk_boundaries(extra):
     for r in range(size):
         want = [sample_integral(f, af, n, stream.child(r)) for f in (WEIGHT, INDICATOR)]
         assert np.array_equal(ens[r], want), r
+
+
+# ---------------------------------------------------------------------------
+# the held single-stream draws: warm calls give the cold bits
+# ---------------------------------------------------------------------------
+
+MEMO_RUNS = {
+    "li": lambda af, s: simulate_li(SchemeConfig(n=N, af=af, stream=s)).values,
+    "lr": lambda af, s: simulate_lr(SchemeConfig(n=N, af=af, stream=s)).values,
+    "lc": lambda af, s: simulate_lc(SchemeConfig(n=N, af=af, stream=s)).values,
+    "lc_gamma": lambda af, s: simulate_lc(SchemeConfig(n=N, af=af, stream=s),
+                                          gamma_value=float(M)).values,
+    "weighted_mslm": lambda af, s: weighted_mslm(WEIGHT, af, N, s).values,
+    "sample_integral": lambda af, s: sample_integral(INDICATOR, af, N, s),
+}
+
+
+def lr_cells(stream):
+    """Cells the lr scheme sums under ``stream``: floor(Gamma_M)."""
+    return int(np.floor(poisson_arrivals(1.0, M, stream.child(TAG_ARRIVALS)).times[-1]))
+
+
+def cold(call):
+    msl_schemes._held.clear()
+    return call()
+
+
+def held():
+    (key, x), = msl_schemes._held.items()
+    return key, x
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The number of held entries at each single-stream draw, in call order."""
+    seen = []
+    sample = msl_schemes.sample_symmetric
+
+    def counted(alphas, stream):
+        seen.append(len(msl_schemes._held))
+        return sample(alphas, stream)
+
+    monkeypatch.setattr(msl_schemes, "sample_symmetric", counted)
+    return seen
+
+
+# lr sums more than M cells under stream 23 and fewer under stream 22
+@pytest.mark.parametrize("seed", [22, 23])
+@pytest.mark.parametrize("first,second", list(permutations(sorted(MEMO_RUNS), 2)))
+def test_warm_draws_give_the_cold_bits(first, second, seed, draws):
+    af, stream = ALPHAS["linear"], RandomStream(seed)
+    want = cold(lambda: MEMO_RUNS[second](af, stream))
+    cold(lambda: MEMO_RUNS[first](af, stream))
+    cells = {name: M for name in MEMO_RUNS}
+    cells["lr"] = lr_cells(stream)
+    assert cells["lr"] != M
+    del draws[:]
+    assert np.array_equal(MEMO_RUNS[second](af, stream), want)
+    # served from the held draws exactly when they cover the cells asked for
+    assert len(draws) == (cells[second] > cells[first])
+
+
+def test_lr_past_the_held_cells_draws_again_and_holds_the_longer_run(draws):
+    af, stream = ALPHAS["piecewise"], RandomStream(23)
+    want_lr, want_li = cold(lambda: MEMO_RUNS["lr"](af, stream)), \
+        cold(lambda: MEMO_RUNS["li"](af, stream))
+    assert held()[1].size == M
+    assert np.array_equal(MEMO_RUNS["lr"](af, stream), want_lr)
+    assert held()[1].size == lr_cells(stream) > M
+    assert np.array_equal(MEMO_RUNS["li"](af, stream), want_li)
+    assert draws == [0, 0, 0]
+
+
+def test_nested_and_plain_draws_are_held_apart():
+    af, stream = ALPHAS["linear"], RandomStream(5)
+    nested = SchemeConfig(n=N, af=af, stream=stream, nested=True)
+    want = cold(lambda: simulate_li(nested).values)
+    plain = cold(lambda: MEMO_RUNS["li"](af, stream))
+    got = simulate_li(nested).values
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, plain)
+    assert held()[0][-1] is True
+    assert np.array_equal(MEMO_RUNS["li"](af, stream), plain)
+
+
+def test_substituted_exponent_keys_the_draws():
+    af, sub, stream = ALPHAS["linear"], ALPHAS["piecewise"], RandomStream(6)
+    cfg = SchemeConfig(n=N, af=af, stream=stream, alpha_n=sub)
+    want = cold(lambda: simulate_li(cfg).values)
+    # held under the exponent actually used, not the configured one
+    assert held()[0][1] == sub
+    cold(lambda: MEMO_RUNS["li"](af, stream))
+    assert np.array_equal(simulate_li(cfg).values, want)
+    assert np.array_equal(MEMO_RUNS["li"](sub, stream), want)
+
+
+EQUAL_VALUED = [AlphaFunction.constant(1.5), AlphaFunction.linear(1.5, 0.0),
+                AlphaFunction.piecewise([0.5], [1.5, 1.5]), AlphaFunction.from_table([1.5]),
+                AlphaFunction.piecewise_linear([], [1.5], [0.0])]
+
+
+@pytest.mark.parametrize("first", range(len(EQUAL_VALUED)))
+def test_equal_valued_exponents_of_another_kind_miss(first, draws):
+    stream, afs = RandomStream(8), EQUAL_VALUED[first:] + EQUAL_VALUED[:first]
+    wants = [cold(lambda: MEMO_RUNS["lc_gamma"](af, stream)) for af in afs]
+    cold(lambda: MEMO_RUNS["li"](afs[0], stream))
+    del draws[:]
+    # the first call is served from the held draws, each later one draws anew
+    for af, want in zip(afs, wants):
+        assert np.array_equal(MEMO_RUNS["lc_gamma"](af, stream), want)
+        assert held()[0][1].kind == af.kind
+    assert len(draws) == len(afs) - 1
+
+
+def test_cross_scheme_identities_hold_cold():
+    af, stream = ALPHAS["linear"], RandomStream(9)
+    li = cold(lambda: MEMO_RUNS["li"](af, stream))
+    assert np.array_equal(cold(lambda: MEMO_RUNS["lc_gamma"](af, stream)), li)
+    assert np.array_equal(cold(lambda: weighted_mslm(IntegrandFunction.constant(1.0), af,
+                                                     N, stream).values), li)
+    for k in (1, M // 3, M):
+        value = cold(lambda: sample_integral(IntegrandFunction.indicator(0.0, k / M),
+                                             af, N, stream))
+        assert value == li[k]
+
+
+def test_held_draws_are_read_only_and_never_returned():
+    af, stream = ALPHAS["linear"], RandomStream(10)
+    want = {name: cold(lambda run=run: run(af, stream)) for name, run in MEMO_RUNS.items()}
+    for name, run in MEMO_RUNS.items():
+        got = run(af, stream)
+        x = held()[1]
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        assert not np.shares_memory(got, x)
+        if np.ndim(got):
+            got[:] = np.nan
+        assert np.array_equal(run(af, stream), want[name]), name
+
+
+def test_nothing_above_the_cap_is_held(monkeypatch):
+    # an n = 26 path is never held
+    assert msl_schemes._HELD_MAX_DRAWS < 2 ** 26
+    af, stream = ALPHAS["linear"], RandomStream(11)
+    monkeypatch.setattr(msl_schemes, "_HELD_MAX_DRAWS", M)
+    MEMO_RUNS["li"](af, stream)
+    assert held()[1].size == M
+    MEMO_RUNS["lr"](af, RandomStream(23))
+    assert not msl_schemes._held
+    simulate_stable_fclt(1.5, M + 1, stream)
+    assert not msl_schemes._held
+
+
+def test_a_miss_drops_the_held_draws_before_drawing(draws):
+    af = ALPHAS["linear"]
+    for seed in (1, 2, 1):
+        MEMO_RUNS["li"](af, RandomStream(seed))
+        assert held()[0][0] == RandomStream(seed)
+    assert draws == [0, 0, 0]
 
 
 AF = ALPHAS["linear"]
