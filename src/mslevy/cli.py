@@ -41,6 +41,7 @@ from .continuous_paths import (
 )
 from .errors import ParameterError
 from .integrals import (
+    _NULL_SET_TOL,
     billingsley_bound,
     half_open_indicator,
     independence_test,
@@ -50,6 +51,7 @@ from .integrals import (
 )
 from .msl_schemes import (
     SchemeConfig,
+    _MAX_LEVEL,
     _check_ensemble,
     ensemble_to_csv,
     marginal_ensemble,
@@ -71,7 +73,6 @@ from .verify_stats import (
 
 _ENV_SEED = "MSLEVY_SEED"
 _SCHEMES = ("li", "lr", "lc", "sn", "stable", "weighted")
-_SUITES = ("stable", "schemes", "continuous", "integrals", "localisability")
 _DEFAULT_ALPHA = {"kind": "linear", "intercept": 1.2, "slope": 0.6}
 
 
@@ -117,6 +118,15 @@ def _alpha_of(resolved: dict) -> AlphaFunction:
     af = AlphaFunction.from_json(resolved["alpha"])
     resolved["alpha"] = af.to_json_dict()
     return af
+
+
+def _at_most(value, cap: int, flag: str) -> int:
+    """An array-sizing flag as an int, rejected above its cap before
+    anything is allocated."""
+    value = int(value)
+    if value > cap:
+        raise ParameterError(f"{flag} must be at most {cap}, got {value}")
+    return value
 
 
 def _parse_floats(value) -> list[float]:
@@ -261,10 +271,12 @@ def _simulate_path(resolved: dict, af: AlphaFunction, stream: RandomStream):
         return {"li": simulate_li, "lr": simulate_lr, "lc": simulate_lc}[scheme](cfg)
     if scheme == "sn":
         mesh = resolved["mesh_level"]
-        mesh = int(mesh) if mesh is not None else min(n + 2, 16)
+        mesh = _at_most(mesh, _MAX_LEVEL, "--mesh-level") if mesh is not None \
+            else min(n + 2, 16)
         t_grid = np.arange(2 ** mesh + 1, dtype=float) / 2.0 ** mesh
         levels = resolved["levels"]
-        levels = int(levels) if levels is not None else max(16, n)
+        levels = _at_most(levels, _MAX_LEVEL, "--levels") if levels is not None \
+            else max(16, n)
         return simulate_sn(n, af, stream, t_grid, d=float(resolved["d"]),
                            levels=levels)
     if scheme == "stable":
@@ -273,7 +285,8 @@ def _simulate_path(resolved: dict, af: AlphaFunction, stream: RandomStream):
                 'the stable scheme needs a constant exponent, e.g. '
                 '--alpha \'{"kind":"constant","value":1.5}\'')
         n_terms = resolved["n_terms"]
-        n_terms = int(n_terms) if n_terms is not None else 2 ** n
+        n_terms = _at_most(n_terms if n_terms is not None else 2 ** n,
+                           2 ** _MAX_LEVEL, "--n-terms (default 2^n)")
         return simulate_stable_fclt(af.a, n_terms, stream)
     if scheme == "weighted":
         w = IntegrandFunction.from_table(_parse_floats(resolved["weight"]))
@@ -319,31 +332,31 @@ _VERIFY_DEFAULTS: dict = {
 }
 
 
-def _deviation_item(name: str, deviation: float, limit: float) -> dict:
-    """A verify item that passes when the deviation stays below the limit."""
-    return {"name": name, "passed": bool(deviation < limit),
-            "deviation": float(deviation), "limit": float(limit)}
-
-
-def _ecf_item(name: str, report, limit: float | None) -> dict:
-    eff = limit if limit is not None else 5.0 * report.mc_stderr
-    return _deviation_item(name, report.sup_deviation, eff)
+def _item(name: str, value, limit, passed=None, **detail) -> dict:
+    """A verify item with margin = value/limit; ``passed`` is the library
+    report's own verdict where it gives one, else value < limit."""
+    item = {"name": name, "passed": bool(value < limit if passed is None else passed),
+            "value": value, "limit": limit, "margin": value / limit}
+    if detail:
+        item["detail"] = detail
+    return item
 
 
 def _suite_stable(resolved: dict, af: AlphaFunction,
                   stream: RandomStream) -> list[dict]:
     ens = int(resolved["ensemble"])
     tol = resolved["tolerance"]
-    items = [_deviation_item("stable.normalizer_at_one",
-                             abs(compute_C_alpha(1.0) - 2.0 / math.pi), 1e-12)]
+    items = [_item("stable.normalizer_at_one",
+                   abs(compute_C_alpha(1.0) - 2.0 / math.pi), 1e-12)]
     for i, alpha in enumerate((0.8, 1.5, 2.0)):
         draws = sample_stable(StableParams(alpha=alpha), ens, stream.child(i))
         rep = ecf_report(draws, lambda th: np.exp(-np.abs(th) ** alpha),
                          label=f"alpha={alpha}")
-        items.append(_ecf_item(f"stable.cf_match[{alpha}]", rep, tol))
+        items.append(_item(f"stable.cf_match[{alpha}]", rep.sup_deviation,
+                           rep._limit(tol), rep.passes(tol)))
     bound = billingsley_bound(lambda t: math.exp(-abs(t)), 2.0)
-    items.append(_deviation_item("stable.billingsley_exponential",
-                                 abs(bound - 2.0 / math.e), 1e-9))
+    items.append(_item("stable.billingsley_exponential",
+                       abs(bound - 2.0 / math.e), 1e-9))
     return items
 
 
@@ -355,7 +368,8 @@ def _suite_schemes(resolved: dict, af: AlphaFunction,
     items = []
     for rep in increment_cf_test("li", af, n, [(0.0, 1.0), (0.25, 0.75)],
                                  ens, stream.child(0)):
-        items.append(_ecf_item(f"schemes.increment_{rep.label}", rep, tol))
+        items.append(_item(f"schemes.increment_{rep.label}", rep.sup_deviation,
+                           rep._limit(tol), rep.passes(tol)))
     th = theta_grid_default()
     ecfs = {}
     for i, scheme in enumerate(("li", "lr", "lc")):
@@ -363,12 +377,13 @@ def _suite_schemes(resolved: dict, af: AlphaFunction,
         ecfs[scheme] = empirical_cf(col[:, 0], th)
     pair_limit = tol if tol is not None else 5.0 * math.sqrt(2.0 / ens)
     for a, b in (("li", "lr"), ("li", "lc"), ("lr", "lc")):
-        items.append(_deviation_item(f"schemes.agreement_{a}_{b}",
-                                     np.max(np.abs(ecfs[a] - ecfs[b])), pair_limit))
+        items.append(_item(f"schemes.agreement_{a}_{b}",
+                           np.max(np.abs(ecfs[a] - ecfs[b])), pair_limit))
     rep = tightness_check("li", af, (0.2, 0.5, 0.8), (1.0, 3.0), n, ens,
                           stream.child(4))
-    items.append({"name": "schemes.tightness", "passed": bool(rep.passed),
-                  "empirical": list(rep.empirical), "bounds": list(rep.bounds)})
+    items.append(_item("schemes.tightness",
+                       max(e / b for e, b in zip(rep.empirical, rep.bounds)), 1.0,
+                       rep.passed, empirical=rep.empirical, bounds=rep.bounds))
     return items
 
 
@@ -393,7 +408,7 @@ def _suite_continuous(resolved: dict, af: AlphaFunction,
         z = stable_level_draws(alpha_c, j, stream.child(0))
         expected = 2.0 ** (-j * d_c) * float(np.max(np.abs(z)))
         worst = max(worst, abs(observed - expected))
-    items.append(_deviation_item("continuous.level_increment_identity", worst, 1e-14))
+    items.append(_item("continuous.level_increment_identity", worst, 1e-14))
 
     # scale_bounds gives the envelope phi(t) <= scale <= upper, sound for
     # every admissible pair; criterion 07 checks the same envelope.
@@ -407,10 +422,8 @@ def _suite_continuous(resolved: dict, af: AlphaFunction,
         sig = scale_parameter(cfg, ts)
         lower, upper = scale_bounds(cfg, ts)
         worst = max(worst, float(np.max(lower - sig)), float(np.max(sig - upper)))
-    items.append(_deviation_item("continuous.scale_pins", pins, 1e-14))
-    items.append({"name": "continuous.scale_bounds",
-                  "passed": bool(worst < 1e-12), "worst_violation": worst,
-                  "limit": 1e-12})
+    items.append(_item("continuous.scale_pins", pins, 1e-14))
+    items.append(_item("continuous.scale_bounds", worst, 1e-12))
 
     n_sn = min(int(resolved["n"]), 6)
     draws = sn_boundary_ensemble(n_sn, af, stream.child(1), [2 ** n_sn], ens)
@@ -418,7 +431,8 @@ def _suite_continuous(resolved: dict, af: AlphaFunction,
             for t in theta_grid_default()]
     rep = ecf_report(draws[:, 0], np.asarray(theo, dtype=complex),
                      label="sn boundary")
-    items.append(_ecf_item("continuous.boundary_marginal_cf", rep, tol))
+    items.append(_item("continuous.boundary_marginal_cf", rep.sup_deviation,
+                       rep._limit(tol), rep.passes(tol)))
     return items
 
 
@@ -432,55 +446,57 @@ def _suite_integrals(resolved: dict, af: AlphaFunction,
     table = stream.child(0).generator().random(16) + 0.5
     f = IntegrandFunction.from_table(table)
     oracle = float(np.mean(table ** 1.5) ** (1.0 / 1.5))
-    items.append(_deviation_item("integrals.quasinorm_closed_form",
-                                 abs(quasinorm(f, alpha_c) - oracle), 1e-10))
+    items.append(_item("integrals.quasinorm_closed_form",
+                       abs(quasinorm(f, alpha_c) - oracle), 1e-10))
 
     rep = independence_test(half_open_indicator(0.0, 0.5),
                             half_open_indicator(0.5, 1.0), af,
                             stream.child(1), n=n, ensemble=ens)
-    items.append({"name": "integrals.independent_disjoint",
-                  "passed": bool(rep.verdict == "independent"
-                                 and rep.empirical_independent),
-                  "overlap": rep.overlap, "distance": rep.distance,
-                  "threshold": rep.threshold})
+    items.append(_item("integrals.independent_disjoint", rep.distance, rep.threshold,
+                       rep.verdict == "independent" and rep.empirical_independent,
+                       overlap=rep.overlap))
+    # dependence must show: the distance is the limit the threshold stays under
     whole = half_open_indicator(0.0, 1.0)
     rep = independence_test(whole, whole, af, stream.child(2), n=n,
                             ensemble=ens)
-    items.append({"name": "integrals.dependent_overlap",
-                  "passed": bool(rep.verdict == "dependent"
-                                 and not rep.empirical_independent),
-                  "overlap": rep.overlap, "distance": rep.distance,
-                  "threshold": rep.threshold})
+    items.append(_item("integrals.dependent_overlap", rep.threshold, rep.distance,
+                       rep.verdict == "dependent" and not rep.empirical_independent,
+                       overlap=rep.overlap))
     thirds = [half_open_indicator(k / 3.0, (k + 1) / 3.0) for k in range(3)]
     pw = pairwise_independence(thirds, af)
-    items.append({"name": "integrals.pairwise_thirds",
-                  "passed": bool(pw.independent),
-                  "overlaps": [list(o) for o in pw.overlaps]})
+    items.append(_item("integrals.pairwise_thirds",
+                       max(ov for _, _, ov in pw.overlaps), _NULL_SET_TOL,
+                       pw.independent, overlaps=pw.overlaps))
 
     kernel = KernelFunction.running_indicator()
     worst = 0.0
     for t, v in ((0.5, 0.5 - 2.0 ** -4), (0.75, 0.75 - 2.0 ** -6)):
         delta = kernel.slice(t) - kernel.slice(v)
         worst = max(worst, abs(modular_integral(delta, af) - (t - v)))
-    items.append(_deviation_item("integrals.hoelder_energy_identity", worst, 1e-10))
+    items.append(_item("integrals.hoelder_energy_identity", worst, 1e-10))
     return items
+
+
+def _localize_tolerance(resolved: dict) -> float:
+    """The final sup-CF deviation a localisability trend must beat."""
+    tol, ens = resolved["tolerance"], int(resolved["ensemble"])
+    return float(tol) if tol is not None else max(0.05, 6.0 / math.sqrt(ens))
 
 
 def _suite_localisability(resolved: dict, af: AlphaFunction,
                           stream: RandomStream) -> list[dict]:
-    ens = int(resolved["ensemble"])
-    n = max(int(resolved["n"]), 12)
-    tol = resolved["tolerance"]
-    tolerance = tol if tol is not None else max(0.05, 6.0 / math.sqrt(ens))
     rep = localisability_test(af, 0.5, 1.0,
                               [2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7],
-                              n, ens, stream.child(0), tolerance=tolerance)
-    return [{"name": "localisability.linear_trend",
-             "passed": bool(rep.passed),
-             "deviations": list(rep.deviations),
-             "spearman": float(rep.spearman),
-             "final_deviation": float(rep.final_deviation),
-             "tolerance": float(rep.tolerance)}]
+                              max(int(resolved["n"]), 12), int(resolved["ensemble"]),
+                              stream.child(0), tolerance=_localize_tolerance(resolved))
+    return [_item("localisability.linear_trend", rep.final_deviation, rep.tolerance,
+                  rep.passed, deviations=rep.deviations, spearman=rep.spearman)]
+
+
+# Suite name -> runner, in the order that fixes each suite's stream.child(tag).
+_SUITES = {"stable": _suite_stable, "schemes": _suite_schemes,
+           "continuous": _suite_continuous, "integrals": _suite_integrals,
+           "localisability": _suite_localisability}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -489,16 +505,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     suite = resolved["suite"]
     if suite != "all" and suite not in _SUITES:
         raise ParameterError(
-            f"unknown suite {suite!r}; pick one of {('all',) + _SUITES}")
-    selected = _SUITES if suite == "all" else (suite,)
+            f"unknown suite {suite!r}; pick one of {('all', *_SUITES)}")
+    if int(resolved["ensemble"]) < 1000:
+        raise ParameterError(
+            f"verify needs --ensemble >= 1000, got {resolved['ensemble']}")
+    tol = resolved["tolerance"]
+    if tol is not None and not float(tol) > 0.0:
+        raise ParameterError(f"--tolerance must be positive, got {tol}")
     stream = RandomStream(int(resolved["seed"]))
-    runners = {"stable": _suite_stable, "schemes": _suite_schemes,
-               "continuous": _suite_continuous, "integrals": _suite_integrals,
-               "localisability": _suite_localisability}
     items: list[dict] = []
-    for tag, name in enumerate(_SUITES):
-        if name in selected:
-            items.extend(runners[name](resolved, af, stream.child(tag)))
+    for tag, (name, run) in enumerate(_SUITES.items()):
+        if suite in ("all", name):
+            items.extend(run(resolved, af, stream.child(tag)))
     items.sort(key=lambda item: item["name"])
     all_pass = all(item["passed"] for item in items)
     report = {"command": "verify", "config": resolved, "items": items,
@@ -538,15 +556,12 @@ _LOCALIZE_DEFAULTS: dict = {
 def _cmd_localize(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _LOCALIZE_DEFAULTS)
     af = _alpha_of(resolved)
-    ens = int(resolved["ensemble"])
-    tol = resolved["tolerance"]
-    tolerance = float(tol) if tol is not None else max(0.05, 6.0 / math.sqrt(ens))
-    resolved["tolerance"] = tolerance
+    resolved["tolerance"] = _localize_tolerance(resolved)
     rep = localisability_test(af, float(resolved["x"]), float(resolved["u"]),
                               _parse_floats(resolved["r_list"]),
-                              int(resolved["n"]), ens,
+                              int(resolved["n"]), int(resolved["ensemble"]),
                               RandomStream(int(resolved["seed"])),
-                              tolerance=tolerance)
+                              tolerance=resolved["tolerance"])
     payload = {"command": "localize", "config": resolved,
                "report": rep}
     _emit_json(payload, resolved["out"])
@@ -569,7 +584,8 @@ def _cmd_condition7(args: argparse.Namespace) -> int:
     lags = _parse_floats(resolved["lags"])
     resolved["lags"] = lags
     t0, t1 = af.domain
-    xs = np.linspace(t0, t1, int(resolved["x_points"]))
+    xs = np.linspace(t0, t1, _at_most(resolved["x_points"], 2 ** _MAX_LEVEL,
+                                      "--x-points"))
     # A jump at p only registers for lag t when some probe lies in
     # [p - t, p), so straddle every breakpoint at every lag explicitly.
     straddles = [p - lag / 2.0 for p in af.breakpoints for lag in lags]
@@ -589,7 +605,8 @@ _EXAMPLE1_DEFAULTS: dict = {
 
 def _cmd_example1(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _EXAMPLE1_DEFAULTS)
-    n_min, n_max = int(resolved["n_min"]), int(resolved["n_max"])
+    n_min = int(resolved["n_min"])
+    n_max = _at_most(resolved["n_max"], _MAX_LEVEL, "--n-max")
     if not 0 <= n_min <= n_max:
         raise ParameterError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
     af = plateau_identity_alpha(float(resolved["b"]))
@@ -656,11 +673,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common, seeded, alpha_arg],
                        help="run a verification suite, write a JSON report")
-    p.add_argument("--suite", choices=("all",) + _SUITES)
+    p.add_argument("--suite", choices=("all", *_SUITES))
     p.add_argument("--n", type=int, help="dyadic refinement level")
     p.add_argument("--ensemble", type=int, help="Monte-Carlo size (>= 1000)")
     p.add_argument("--tolerance", type=float,
-                   help="override every statistical pass threshold")
+                   help="limit for the ECF items (stable.cf_match, "
+                        "schemes.increment, schemes.agreement, "
+                        "continuous.boundary_marginal_cf) and the final "
+                        "deviation of localisability.linear_trend; the "
+                        "independence and tightness limits stay fixed")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("norm", parents=[common, alpha_arg],

@@ -112,9 +112,12 @@ def _dyadic_times(n: int) -> np.ndarray:
     return np.arange(m + 1, dtype=float) / m
 
 
+_MAX_LEVEL = 26
+
+
 def _check_level(n: int) -> None:
-    if not (1 <= n <= 26):
-        raise ParameterError(f"dyadic level n must lie in [1, 26], got {n}")
+    if not (1 <= n <= _MAX_LEVEL):
+        raise ParameterError(f"dyadic level n must lie in [1, {_MAX_LEVEL}], got {n}")
 
 
 def _check_ensemble(ensemble: int) -> None:

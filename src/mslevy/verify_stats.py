@@ -93,9 +93,11 @@ class EcfReport:
     n_samples: int
     label: str = ""
 
+    def _limit(self, tolerance: float | None = None) -> float:
+        return 5.0 * self.mc_stderr if tolerance is None else tolerance
+
     def passes(self, tolerance: float | None = None) -> bool:
-        tol = 5.0 * self.mc_stderr if tolerance is None else tolerance
-        return bool(self.sup_deviation < tol)
+        return bool(self.sup_deviation < self._limit(tolerance))
 
 
 def ecf_report(samples, theoretical, theta_grid=None, label: str = "") -> EcfReport:

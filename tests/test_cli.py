@@ -27,6 +27,8 @@ def run(argv):
 
 
 STEP_ALPHA = json.dumps({"kind": "piecewise", "breaks": [0.5], "values": [1.2, 1.8]})
+CONST_ALPHA = json.dumps({"kind": "constant", "value": 1.5})
+VERIFY_SUITES = ("all", "stable", "schemes", "continuous", "integrals", "localisability")
 
 
 class TestUsageErrors:
@@ -43,6 +45,22 @@ class TestUsageErrors:
 
     def test_unknown_suite(self):
         assert run(["verify", "--suite", "bogus", "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["example1", "--n-max", "27"],
+        ["simulate", "--scheme", "sn", "--n", "3", "--seed", "1", "--mesh-level", "27"],
+        ["simulate", "--scheme", "sn", "--n", "3", "--seed", "1", "--levels", "27"],
+        ["simulate", "--scheme", "stable", "--alpha", CONST_ALPHA, "--seed", "1",
+         "--n-terms", str(2 ** 26 + 1)],
+        ["simulate", "--scheme", "stable", "--alpha", CONST_ALPHA, "--seed", "1",
+         "--n", "27"],
+        ["condition7", "--x-points", str(2 ** 26 + 1)],
+    ], ids=["n_max", "mesh_level", "levels", "n_terms", "n_terms_default", "x_points"])
+    def test_oversized_array_flags_rejected(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at most" in captured.err
 
     def test_plot_requires_out(self, capsys):
         assert run(["simulate", "--n", "4", "--seed", "1", "--plot"]) == 2
@@ -80,7 +98,7 @@ class TestSimulate:
     def test_stable_scheme_needs_constant_alpha(self, capsys):
         assert run(["simulate", "--scheme", "stable", "--n", "3", "--seed", "5"]) == 2
         assert run(["simulate", "--scheme", "stable", "--n", "3", "--seed", "5",
-                    "--alpha", json.dumps({"kind": "constant", "value": 1.5})]) == 0
+                    "--alpha", CONST_ALPHA]) == 0
         capsys.readouterr()
 
     def test_ensemble_first_replicate_matches_single_run(self, capsys):
@@ -196,6 +214,103 @@ class TestVerify:
                     "--ensemble", "1500"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["all_pass"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", suite, "--ensemble", "999"] for suite in VERIFY_SUITES
+    ] + [["--suite", "stable", "--tolerance", tol] for tol in ("0", "-0.1", "nan")],
+        ids=[f"ensemble_999_{s}" for s in VERIFY_SUITES] + ["tol_0", "tol_neg", "tol_nan"])
+    def test_rejected_before_any_suite_runs(self, argv, capsys):
+        assert run(["verify", "--seed", "1"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
+# (passed, value) of every item of `verify --suite all --seed 7 --ensemble
+# 1000` as read from the report before every item shared one schema: the
+# deviation, worst violation, distance or final deviation each item was held
+# to; for dependent_overlap its threshold; for pairwise_thirds the largest
+# overlap; for tightness the largest empirical/bound ratio.
+VERIFY_SEED_7 = {
+    "continuous.boundary_marginal_cf": (True, 0.04829577615486103),
+    "continuous.level_increment_identity": (True, 9.71445146547012e-17),
+    "continuous.scale_bounds": (True, 0.0),
+    "continuous.scale_pins": (True, 0.0),
+    "integrals.dependent_overlap": (True, 0.12649110640673517),
+    "integrals.hoelder_energy_identity": (True, 0.0),
+    "integrals.independent_disjoint": (True, 0.05562780950812961),
+    "integrals.pairwise_thirds": (True, 0.0),
+    "integrals.quasinorm_closed_form": (True, 2.7911006839076435e-13),
+    "localisability.linear_trend": (True, 0.029975278900046108),
+    "schemes.agreement_li_lc": (True, 0.05162650705627412),
+    "schemes.agreement_li_lr": (True, 0.09865934734482643),
+    "schemes.agreement_lr_lc": (True, 0.07299020884368505),
+    "schemes.increment_li[0.0,1.0]": (True, 0.04930751577028565),
+    "schemes.increment_li[0.25,0.75]": (True, 0.036165269950231324),
+    "schemes.tightness": (True, 0.008894097607842842),
+    "stable.billingsley_exponential": (True, 0.0),
+    "stable.cf_match[0.8]": (True, 0.04917812173008604),
+    "stable.cf_match[1.5]": (True, 0.0539012828497697),
+    "stable.cf_match[2.0]": (True, 0.03565422748773049),
+    "stable.normalizer_at_one": (True, 0.0),
+}
+# Items whose verdict comes from a library report; every other item passes
+# iff value < limit.
+REPORT_VERDICTS = {
+    "continuous.boundary_marginal_cf", "integrals.dependent_overlap",
+    "integrals.independent_disjoint", "integrals.pairwise_thirds",
+    "localisability.linear_trend", "schemes.increment_li[0.0,1.0]",
+    "schemes.increment_li[0.25,0.75]", "schemes.tightness",
+    "stable.cf_match[0.8]", "stable.cf_match[1.5]", "stable.cf_match[2.0]",
+}
+
+
+@pytest.fixture(scope="module")
+def verify_reports(tmp_path_factory):
+    """`verify --suite all --seed 7 --ensemble 1000`, once as it is and once
+    with a tolerance that fails two agreement items: (exit code, report)."""
+    reports = {}
+    for key, extra in (("default", []), ("tight", ["--tolerance", "0.06"])):
+        out = tmp_path_factory.mktemp("verify") / "report.json"
+        rc = run(["verify", "--suite", "all", "--seed", "7", "--ensemble", "1000",
+                  "--out", str(out)] + extra)
+        reports[key] = (rc, json.loads(out.read_text()))
+    return reports
+
+
+class TestVerifyItems:
+    def test_names_verdicts_and_values_are_the_pinned_ones(self, verify_reports):
+        rc, report = verify_reports["default"]
+        assert rc == 0 and report["all_pass"] is True
+        got = {item["name"]: (item["passed"], item["value"]) for item in report["items"]}
+        assert got == VERIFY_SEED_7
+
+    @pytest.mark.parametrize("key", ["default", "tight"])
+    def test_one_schema_with_margin(self, verify_reports, key):
+        for item in verify_reports[key][1]["items"]:
+            assert set(item) - {"detail"} == {"name", "passed", "value", "limit", "margin"}
+            assert item["margin"] == item["value"] / item["limit"]
+            if item["name"] not in REPORT_VERDICTS:
+                assert item["passed"] == (item["value"] < item["limit"]), item["name"]
+
+    def test_tolerance_sets_the_limit_of_the_items_it_overrides(self, verify_reports):
+        rc, report = verify_reports["tight"]
+        items = {item["name"]: item for item in report["items"]}
+        failed = sorted(name for name, item in items.items() if not item["passed"])
+        assert failed == ["schemes.agreement_li_lr", "schemes.agreement_lr_lc"]
+        assert rc == 1 and report["all_pass"] is False
+        for name, item in items.items():
+            overridden = (name.startswith(("stable.cf_match", "schemes.increment",
+                                           "schemes.agreement"))
+                          or name in ("continuous.boundary_marginal_cf",
+                                      "localisability.linear_trend"))
+            assert (item["limit"] == 0.06) == overridden, name
+            assert item["value"] == VERIFY_SEED_7[name][1]
+
+    def test_dependent_overlap_holds_the_threshold_under_the_distance(self, verify_reports):
+        item = {i["name"]: i for i in verify_reports["default"][1]["items"]}[
+            "integrals.dependent_overlap"]
+        assert item["value"] < item["limit"] and item["detail"] == {"overlap": 1.0}
 
 
 class TestCondition7:
