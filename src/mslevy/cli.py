@@ -52,7 +52,6 @@ from .integrals import (
 from .msl_schemes import (
     SchemeConfig,
     _MAX_LEVEL,
-    _check_ensemble,
     ensemble_to_csv,
     marginal_ensemble,
     path_to_csv,
@@ -73,7 +72,6 @@ from .verify_stats import (
 
 _ENV_SEED = "MSLEVY_SEED"
 _SCHEMES = ("li", "lr", "lc", "sn", "stable", "weighted")
-_DEFAULT_ALPHA = {"kind": "linear", "intercept": 1.2, "slope": 0.6}
 
 
 # ---------------------------------------------------------------------------
@@ -91,27 +89,43 @@ def _env_seed() -> int:
             f"environment variable {_ENV_SEED} must be an integer, got {raw!r}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+def _resolve(argv) -> tuple[argparse.Namespace, dict]:
     """Built-in defaults, overridden by the --config file, overridden by
-    explicitly supplied flags (argparse defaults are all None)."""
-    resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
+    explicit flags.  The file's values become the subcommand's defaults and
+    the line is parsed again, so a string value goes through its flag's type."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    sub = commands[args.command]
+    known = set(vars(sub.parse_args([]))) - {"func", "config"}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ParameterError("the config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(defaults))
+        unknown = sorted(set(file_cfg) - known)
         if unknown:
             raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
-        resolved.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    if "seed" in resolved and resolved["seed"] is None:
+        sub.set_defaults(**file_cfg)
+        args = parser.parse_args(argv)
+    resolved = {key: value for key, value in vars(args).items() if key in known}
+    if resolved.get("seed", 0) is None:
         resolved["seed"] = _env_seed()
-    return resolved
+    return args, resolved
+
+
+def _check_shared(command: str, resolved: dict) -> None:
+    """The checks several commands share, made before any command starts,
+    so that a bad value exits 2 with nothing written."""
+    if resolved.get("plot") and not resolved.get("out"):
+        raise ParameterError("--plot needs --out to know where the SVG goes")
+    if "ensemble" in resolved:
+        low, ens = (1000 if command == "verify" else 1), int(resolved["ensemble"])
+        if not low <= ens <= 2 ** _MAX_LEVEL:
+            raise ParameterError(f"{command} needs {low} <= --ensemble <= "
+                                 f"2^{_MAX_LEVEL}, got {ens}")
+    tol = resolved.get("tolerance")
+    if tol is not None and not float(tol) > 0.0:
+        raise ParameterError(f"--tolerance must be positive, got {tol}")
 
 
 def _alpha_of(resolved: dict) -> AlphaFunction:
@@ -135,28 +149,18 @@ def _parse_floats(value) -> list[float]:
     return [float(tok) for tok in str(value).replace(",", " ").split()]
 
 
-def _jsonable(obj):
-    """Recursively convert report dataclasses (field by field) and numpy
-    scalars/arrays so json can serialize."""
+def _json_default(obj):
+    """``json.dumps`` hook: report dataclasses field by field, numpy arrays
+    and scalars as Python lists and numbers."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
+        return dataclasses.asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -164,11 +168,12 @@ def _emit_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _svg_target(resolved: dict) -> str:
-    out = resolved.get("out")
-    if not out:
-        raise ParameterError("--plot needs --out to know where the SVG goes")
-    return os.path.splitext(out)[0] + ".svg"
+def _plot(resolved: dict, series, title: str, meta: dict) -> None:
+    """With --plot, write ``series`` as an SVG next to --out."""
+    if resolved["plot"]:
+        with open(os.path.splitext(resolved["out"])[0] + ".svg", "w",
+                  encoding="utf-8") as fh:
+            write_svg(fh, series, title=title, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +217,8 @@ def write_svg(fp, series, title: str = "", meta: dict | None = None) -> None:
              f'height="{height}" viewBox="0 0 {width} {height}">']
     if meta is not None:
         parts.append("<desc>"
-                     + _xml_escape(json.dumps(_jsonable(meta), sort_keys=True))
+                     + _xml_escape(json.dumps(meta, sort_keys=True,
+                                                default=_json_default))
                      + "</desc>")
     parts.append(f'<rect width="{width}" height="{height}" fill="white"/>')
     axis = (f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
@@ -255,13 +261,6 @@ def write_svg(fp, series, title: str = "", meta: dict | None = None) -> None:
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIMULATE_DEFAULTS: dict = {
-    "scheme": "li", "alpha": _DEFAULT_ALPHA, "n": 10, "ensemble": 1,
-    "seed": None, "out": None, "nested": False, "d": 1.0, "levels": None,
-    "mesh_level": None, "weight": "1", "n_terms": None, "plot": False,
-}
-
-
 def _simulate_path(resolved: dict, af: AlphaFunction, stream: RandomStream):
     scheme = resolved["scheme"]
     n = int(resolved["n"])
@@ -288,21 +287,20 @@ def _simulate_path(resolved: dict, af: AlphaFunction, stream: RandomStream):
         n_terms = _at_most(n_terms if n_terms is not None else 2 ** n,
                            2 ** _MAX_LEVEL, "--n-terms (default 2^n)")
         return simulate_stable_fclt(af.a, n_terms, stream)
-    if scheme == "weighted":
-        w = IntegrandFunction.from_table(_parse_floats(resolved["weight"]))
-        return weighted_mslm(w, af, n, stream)
-    raise ParameterError(f"unknown scheme {scheme!r}; pick one of {_SCHEMES}")
+    w = IntegrandFunction.from_table(_parse_floats(resolved["weight"]))  # weighted
+    return weighted_mslm(w, af, n, stream)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _SIMULATE_DEFAULTS)
+def _cmd_simulate(resolved: dict) -> int:
     af = _alpha_of(resolved)
     if resolved["scheme"] not in _SCHEMES:
         raise ParameterError(
             f"unknown scheme {resolved['scheme']!r}; pick one of {_SCHEMES}")
-    ensemble = int(resolved["ensemble"])
-    _check_ensemble(ensemble)
-    svg_path = _svg_target(resolved) if resolved["plot"] else None
+    n, ensemble = int(resolved["n"]), int(resolved["ensemble"])
+    # 2^n cells a path; a single path keeps the level range [1, 26]
+    if n > _MAX_LEVEL or ensemble << max(n, 0) > 2 ** _MAX_LEVEL:
+        raise ParameterError(f"--ensemble × 2^n must be at most 2^{_MAX_LEVEL}, "
+                             f"got {ensemble} × 2^{n}")
     stream = RandomStream(int(resolved["seed"]))
     paths = [_simulate_path(resolved, af, stream.child(r))
              for r in range(ensemble)]
@@ -313,24 +311,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             path_to_csv(paths[0], fh, meta)
         else:
             ensemble_to_csv(paths, fh, meta)
-    if svg_path:
-        shown = paths[:len(_SVG_COLORS)]
-        series = [(p.times, p.values, f"replicate {r}" if ensemble > 1 else "")
-                  for r, p in enumerate(shown)]
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            write_svg(fh, series, title=f"{resolved['scheme']} path", meta=meta)
+    _plot(resolved, [(p.times, p.values, f"replicate {r}" if ensemble > 1 else "")
+                     for r, p in enumerate(paths[:len(_SVG_COLORS)])],
+          f"{resolved['scheme']} path", meta)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-_VERIFY_DEFAULTS: dict = {
-    "suite": "all", "alpha": _DEFAULT_ALPHA, "n": 10, "ensemble": 2000,
-    "seed": None, "tolerance": None, "out": None,
-}
-
 
 def _item(name: str, value, limit, passed=None, **detail) -> dict:
     """A verify item with margin = value/limit; ``passed`` is the library
@@ -499,19 +488,12 @@ _SUITES = {"stable": _suite_stable, "schemes": _suite_schemes,
            "localisability": _suite_localisability}
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _VERIFY_DEFAULTS)
+def _cmd_verify(resolved: dict) -> int:
     af = _alpha_of(resolved)
     suite = resolved["suite"]
     if suite != "all" and suite not in _SUITES:
         raise ParameterError(
             f"unknown suite {suite!r}; pick one of {('all', *_SUITES)}")
-    if int(resolved["ensemble"]) < 1000:
-        raise ParameterError(
-            f"verify needs --ensemble >= 1000, got {resolved['ensemble']}")
-    tol = resolved["tolerance"]
-    if tol is not None and not float(tol) > 0.0:
-        raise ParameterError(f"--tolerance must be positive, got {tol}")
     stream = RandomStream(int(resolved["seed"]))
     items: list[dict] = []
     for tag, (name, run) in enumerate(_SUITES.items()):
@@ -529,11 +511,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # norm / localize / condition7 / example1
 # ---------------------------------------------------------------------------
 
-_NORM_DEFAULTS: dict = {"alpha": _DEFAULT_ALPHA, "table": None, "out": None}
-
-
-def _cmd_norm(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _NORM_DEFAULTS)
+def _cmd_norm(resolved: dict) -> int:
     af = _alpha_of(resolved)
     if resolved["table"] is None:
         raise ParameterError("norm needs --table with comma-separated values")
@@ -546,15 +524,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     return 0
 
 
-_LOCALIZE_DEFAULTS: dict = {
-    "alpha": _DEFAULT_ALPHA, "x": 0.5, "u": 1.0, "n": 12, "ensemble": 4000,
-    "seed": None, "r_list": "0.0625,0.03125,0.015625,0.0078125",
-    "tolerance": None, "out": None, "plot": False,
-}
-
-
-def _cmd_localize(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _LOCALIZE_DEFAULTS)
+def _cmd_localize(resolved: dict) -> int:
     af = _alpha_of(resolved)
     resolved["tolerance"] = _localize_tolerance(resolved)
     rep = localisability_test(af, float(resolved["x"]), float(resolved["u"]),
@@ -565,21 +535,12 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     payload = {"command": "localize", "config": resolved,
                "report": rep}
     _emit_json(payload, resolved["out"])
-    if resolved["plot"]:
-        with open(_svg_target(resolved), "w", encoding="utf-8") as fh:
-            write_svg(fh, [(rep.r_list, rep.deviations, "sup CF deviation")],
-                      title=f"rescaled increments at x={rep.x}", meta=payload)
+    _plot(resolved, [(rep.r_list, rep.deviations, "sup CF deviation")],
+          f"rescaled increments at x={rep.x}", payload)
     return 0 if rep.passed else 1
 
 
-_CONDITION7_DEFAULTS: dict = {
-    "alpha": _DEFAULT_ALPHA, "threshold": 1e-3, "x_points": 257,
-    "lags": tuple(2.0 ** -k for k in range(2, 21)), "out": None,
-}
-
-
-def _cmd_condition7(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _CONDITION7_DEFAULTS)
+def _cmd_condition7(resolved: dict) -> int:
     af = _alpha_of(resolved)
     lags = _parse_floats(resolved["lags"])
     resolved["lags"] = lags
@@ -597,14 +558,7 @@ def _cmd_condition7(args: argparse.Namespace) -> int:
     return 0 if rep.verdict == "satisfied" else 1
 
 
-_EXAMPLE1_DEFAULTS: dict = {
-    "b": 1.8, "u": 0.95, "theta": 1.0, "n_min": 4, "n_max": 20,
-    "out": None, "plot": False,
-}
-
-
-def _cmd_example1(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _EXAMPLE1_DEFAULTS)
+def _cmd_example1(resolved: dict) -> int:
     n_min = int(resolved["n_min"])
     n_max = _at_most(resolved["n_max"], _MAX_LEVEL, "--n-max")
     if not 0 <= n_min <= n_max:
@@ -619,12 +573,8 @@ def _cmd_example1(args: argparse.Namespace) -> int:
         _emit_json({"command": "example1", "config": resolved,
                     "alpha": af.to_json_dict(),
                     "rows": [[n, v] for n, v in rows]}, resolved["out"])
-    if resolved["plot"]:
-        with open(_svg_target(resolved), "w", encoding="utf-8") as fh:
-            write_svg(fh, [([n for n, _ in rows], [v for _, v in rows],
-                            "CF exponent")],
-                      title="field-based scheme divergence",
-                      meta={"command": "example1", "config": resolved})
+    _plot(resolved, [([n for n, _ in rows], [v for _, v in rows], "CF exponent")],
+          "field-based scheme divergence", {"command": "example1", "config": resolved})
     return 0
 
 
@@ -632,16 +582,20 @@ def _cmd_example1(args: argparse.Namespace) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name; every flag carries its
+    built-in default here and nowhere else."""
     parser = argparse.ArgumentParser(
         prog="mslevy",
         description="Simulate multistable Levy motions and verify their "
                     "distributional properties.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # parents share their action objects, so they are built anew per parser
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with defaults; explicit "
-                                         "flags override its values")
+    common.add_argument("--config", help="JSON file whose values replace the "
+                                         "built-in defaults; explicit flags "
+                                         "override its values")
     common.add_argument("--out", help="artifact path (default: stdout)")
 
     seeded = argparse.ArgumentParser(add_help=False)
@@ -649,33 +603,39 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"RNG seed (default: ${_ENV_SEED} or 0)")
 
     alpha_arg = argparse.ArgumentParser(add_help=False)
-    alpha_arg.add_argument("--alpha", help="stability-exponent function as "
-                                           "JSON (kind constant/linear/"
-                                           "piecewise/piecewise_linear/table)")
+    alpha_arg.add_argument("--alpha",
+                           default={"kind": "linear", "intercept": 1.2, "slope": 0.6},
+                           help="stability-exponent function as JSON (kind "
+                                "constant/linear/piecewise/piecewise_linear/table)")
 
-    p = sub.add_parser("simulate", parents=[common, seeded, alpha_arg],
+    plotted = argparse.ArgumentParser(add_help=False)
+    plotted.add_argument("--plot", action="store_true",
+                         help="also write an SVG chart next to --out")
+
+    p = sub.add_parser("simulate", parents=[common, seeded, alpha_arg, plotted],
                        help="draw paths and write them as CSV")
-    p.add_argument("--scheme", choices=_SCHEMES)
-    p.add_argument("--n", type=int, help="dyadic refinement level")
-    p.add_argument("--ensemble", type=int, help="number of replicate paths")
-    p.add_argument("--nested", action="store_true", default=None,
+    p.add_argument("--scheme", choices=_SCHEMES, default="li")
+    p.add_argument("--n", type=int, default=10, help="dyadic refinement level")
+    p.add_argument("--ensemble", type=int, default=1,
+                   help="number of replicate paths (ensemble × 2^n at most 2^26)")
+    p.add_argument("--nested", action="store_true",
                    help="share draws across levels (dyadic addressing)")
-    p.add_argument("--d", type=float, help="basis decay exponent (sn)")
+    p.add_argument("--d", type=float, default=1.0, help="basis decay exponent (sn)")
     p.add_argument("--levels", type=int, help="series truncation level (sn)")
     p.add_argument("--mesh-level", type=int, dest="mesh_level",
                    help="output grid level for sn (default n+2)")
-    p.add_argument("--weight", help="comma-separated weight table (weighted)")
+    p.add_argument("--weight", default="1",
+                   help="comma-separated weight table (weighted)")
     p.add_argument("--n-terms", type=int, dest="n_terms",
                    help="summand count for the stable scheme (default 2^n)")
-    p.add_argument("--plot", action="store_true", default=None,
-                   help="also write an SVG chart next to --out")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("verify", parents=[common, seeded, alpha_arg],
                        help="run a verification suite, write a JSON report")
-    p.add_argument("--suite", choices=("all", *_SUITES))
-    p.add_argument("--n", type=int, help="dyadic refinement level")
-    p.add_argument("--ensemble", type=int, help="Monte-Carlo size (>= 1000)")
+    p.add_argument("--suite", choices=("all", *_SUITES), default="all")
+    p.add_argument("--n", type=int, default=10, help="dyadic refinement level")
+    p.add_argument("--ensemble", type=int, default=2000,
+                   help="Monte-Carlo size (1000 to 2^26)")
     p.add_argument("--tolerance", type=float,
                    help="limit for the ECF items (stable.cf_match, "
                         "schemes.increment, schemes.agreement, "
@@ -690,45 +650,47 @@ def build_parser() -> argparse.ArgumentParser:
                                    "uniform grid")
     p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("localize", parents=[common, seeded, alpha_arg],
+    p = sub.add_parser("localize", parents=[common, seeded, alpha_arg, plotted],
                        help="rescaled-increment convergence diagnostic")
-    p.add_argument("--x", type=float, help="center point")
-    p.add_argument("--u", type=float, help="window direction")
-    p.add_argument("--n", type=int, help="dyadic refinement level")
-    p.add_argument("--ensemble", type=int)
+    p.add_argument("--x", type=float, default=0.5, help="center point")
+    p.add_argument("--u", type=float, default=1.0, help="window direction")
+    p.add_argument("--n", type=int, default=12, help="dyadic refinement level")
+    p.add_argument("--ensemble", type=int, default=4000,
+                   help="Monte-Carlo size (1 to 2^26)")
     p.add_argument("--r-list", dest="r_list",
+                   default="0.0625,0.03125,0.015625,0.0078125",
                    help="comma-separated decreasing radii")
     p.add_argument("--tolerance", type=float,
                    help="final sup-CF deviation to beat")
-    p.add_argument("--plot", action="store_true", default=None)
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("condition7", parents=[common, alpha_arg],
                        help="vanishing-oscillation diagnostic on the exponent")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--x-points", type=int, dest="x_points")
-    p.add_argument("--lags", help="comma-separated decreasing lags in (0,1)")
+    p.add_argument("--threshold", type=float, default=1e-3)
+    p.add_argument("--x-points", type=int, dest="x_points", default=257)
+    p.add_argument("--lags", default=tuple(2.0 ** -k for k in range(2, 21)),
+                   help="comma-separated decreasing lags in (0,1)")
     p.set_defaults(func=_cmd_condition7)
 
-    p = sub.add_parser("example1", parents=[common],
+    p = sub.add_parser("example1", parents=[common, plotted],
                        help="divergence table of the naive field-based "
                             "scheme's CF exponent")
-    p.add_argument("--b", type=float, help="plateau parameter in (0,2)")
-    p.add_argument("--u", type=float, help="evaluation point")
-    p.add_argument("--theta", type=float, help="CF argument")
-    p.add_argument("--n-min", type=int, dest="n_min")
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--plot", action="store_true", default=None)
+    p.add_argument("--b", type=float, default=1.8, help="plateau parameter in (0,2)")
+    p.add_argument("--u", type=float, default=0.95, help="evaluation point")
+    p.add_argument("--theta", type=float, default=1.0, help="CF argument")
+    p.add_argument("--n-min", type=int, dest="n_min", default=4)
+    p.add_argument("--n-max", type=int, dest="n_max", default=20)
     p.set_defaults(func=_cmd_example1)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:
+        args, resolved = _resolve(argv)
+        _check_shared(args.command, resolved)
+        return args.func(resolved)
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

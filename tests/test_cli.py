@@ -3,6 +3,7 @@ precedence, deterministic artifacts and plot output."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mslevy import AlphaFunction, IntegrandFunction, quasinorm
+from mslevy import AlphaFunction, IntegrandFunction, cli, quasinorm
 from mslevy.cli import main, write_svg
 from mslevy.errors import ParameterError
 
@@ -55,7 +56,9 @@ class TestUsageErrors:
         ["simulate", "--scheme", "stable", "--alpha", CONST_ALPHA, "--seed", "1",
          "--n", "27"],
         ["condition7", "--x-points", str(2 ** 26 + 1)],
-    ], ids=["n_max", "mesh_level", "levels", "n_terms", "n_terms_default", "x_points"])
+        ["simulate", "--seed", "1", "--n", "10", "--ensemble", str(2 ** 16 + 1)],
+    ], ids=["n_max", "mesh_level", "levels", "n_terms", "n_terms_default", "x_points",
+            "ensemble_cells"])
     def test_oversized_array_flags_rejected(self, argv, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
@@ -67,6 +70,34 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["localize", "--ensemble", "1000", "--seed", "2", "--plot"], "--plot"),
+        (["example1", "--n-max", "6", "--plot"], "--plot"),
+        (["localize", "--ensemble", "0"], "--ensemble"),
+        (["localize", "--ensemble", "-5"], "--ensemble"),
+        (["localize", "--ensemble", str(2 ** 26 + 1)], "--ensemble"),
+        (["simulate", "--seed", "1", "--ensemble", "0"], "--ensemble"),
+        (["localize", "--tolerance", "-1"], "--tolerance"),
+        (["localize", "--tolerance", "0"], "--tolerance"),
+        (["localize", "--tolerance", "nan"], "--tolerance"),
+    ], ids=["localize_plot", "example1_plot", "localize_ensemble_0",
+            "localize_ensemble_neg", "localize_ensemble_cap", "simulate_ensemble_0",
+            "localize_tol_neg", "localize_tol_0", "localize_tol_nan"])
+    def test_shared_checks_run_before_any_output(self, argv, flag, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and flag in captured.err
+
+    def test_failed_allocation_is_a_usage_error(self, monkeypatch, capsys):
+        """A run that cannot allocate exits 2, never 1 (a failed verification)."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+        monkeypatch.setattr(cli, "sample_stable", no_memory)
+        assert run(["verify", "--suite", "stable", "--seed", "1", "--ensemble", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot allocate" in captured.err
 
 
 class TestSimulate:
@@ -128,6 +159,28 @@ class TestSimulate:
         assert svg.count("<polyline") == 1
 
 
+# command -> (argv, config file, key a flag then overrides, the flag's value)
+CONFIG_CASES = {
+    "simulate": ([], {"n": 5, "seed": 4, "scheme": "lc"}, "n", 4),
+    "verify": (["--suite", "stable"], {"ensemble": 1000, "seed": 4}, "seed", 6),
+    "norm": (["--table", "0.5,2"], {"alpha": {"kind": "constant", "value": 1.5}},
+             "table", "1,3"),
+    "localize": (["--n", "6", "--r-list", "0.25,0.125"],
+                 {"ensemble": 1000, "seed": 4, "tolerance": 0.5}, "seed", 6),
+    "condition7": ([], {"threshold": 0.01, "x_points": 65}, "x_points", 33),
+    "example1": (["--n-max", "6"], {"b": 1.5, "theta": 2.0}, "theta", 0.5),
+}
+
+
+def recorded_config(path):
+    """The resolved configuration an artifact embeds."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        meta = json.loads(text.splitlines()[0][2:])
+        return {k: v for k, v in meta.items() if k not in ("command", "format")}
+    return json.loads(text)["config"]
+
+
 class TestConfigPrecedence:
     def test_config_file_overrides_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -149,6 +202,46 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"n": 5, "sede": 4}))
         assert run(["simulate", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_CASES))
+    def test_every_subcommand_layers_flags_over_file_over_defaults(
+            self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv, file_cfg, key, flag_value = CONFIG_CASES[command]
+        out = "o.csv" if command == "simulate" else "o.json"
+        (tmp_path / "cfg.json").write_text(json.dumps(file_cfg))
+        configs = []
+        for extra in ([], ["--config", "cfg.json"],
+                      ["--config", "cfg.json", f"--{key.replace('_', '-')}", str(flag_value)]):
+            assert run([command, *argv, "--out", out, *extra]) in (0, 1)
+            configs.append(recorded_config(tmp_path / out))
+        defaults, from_file, flagged = configs
+        assert from_file == {**defaults, **file_cfg}
+        assert flagged == {**from_file, key: flag_value}
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_CASES))
+    @pytest.mark.parametrize("bad", ["bogus", "config", "func"])
+    def test_every_subcommand_rejects_unknown_keys(self, command, bad, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({bad: 1}))
+        assert run([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unknown config keys: {bad}" in captured.err
+
+    def test_string_values_go_through_the_flag_type(self, tmp_path, capsys):
+        """A JSON string for a typed flag is converted as the flag is: "5" is
+        recorded as the integer 5, and "x" is a usage error."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "5", "seed": "4"}))
+        assert run(["simulate", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        meta = json.loads(lines[0][2:])
+        assert (meta["n"], meta["seed"]) == (5, 4) and len(lines) == 2 + 33
+        cfg.write_text(json.dumps({"n": "x"}))
+        assert run(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid int value" in captured.err
 
     def test_seed_env_fallback_and_flag_override(self, monkeypatch, capsys):
         monkeypatch.setenv("MSLEVY_SEED", "77")
@@ -217,8 +310,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv", [
         ["--suite", suite, "--ensemble", "999"] for suite in VERIFY_SUITES
-    ] + [["--suite", "stable", "--tolerance", tol] for tol in ("0", "-0.1", "nan")],
-        ids=[f"ensemble_999_{s}" for s in VERIFY_SUITES] + ["tol_0", "tol_neg", "tol_nan"])
+    ] + [["--suite", "stable", "--tolerance", tol] for tol in ("0", "-0.1", "nan")]
+      + [["--ensemble", ens] for ens in (str(2 ** 26 + 1), "1000000000")],
+        ids=[f"ensemble_999_{s}" for s in VERIFY_SUITES] + ["tol_0", "tol_neg", "tol_nan"]
+        + ["ensemble_cap", "ensemble_1e9"])
     def test_rejected_before_any_suite_runs(self, argv, capsys):
         assert run(["verify", "--seed", "1"] + argv) == 2
         captured = capsys.readouterr()
@@ -346,6 +441,83 @@ class TestLocalize:
         payload = json.loads(out.read_text())
         assert payload["report"]["passed"] is True
         capsys.readouterr()
+
+
+# The config file the "config" runs read; a flag overrides its n.
+ARTIFACT_CONFIG = {"n": 5, "seed": 4, "scheme": "lc"}
+ARTIFACT_RUNS = {
+    "simulate_li": ["simulate", "--scheme", "li", "--n", "5", "--seed", "3", "--out", "a.csv"],
+    "simulate_lr": ["simulate", "--scheme", "lr", "--n", "5", "--seed", "3", "--out", "a.csv"],
+    "simulate_lc": ["simulate", "--scheme", "lc", "--n", "5", "--seed", "3", "--out", "a.csv"],
+    "simulate_sn": ["simulate", "--scheme", "sn", "--n", "4", "--seed", "3", "--out", "a.csv"],
+    "simulate_stable": ["simulate", "--scheme", "stable", "--alpha", CONST_ALPHA, "--n", "5",
+                        "--seed", "3", "--out", "a.csv"],
+    "simulate_weighted": ["simulate", "--scheme", "weighted", "--weight", "1,2,0.5", "--n", "5",
+                          "--seed", "3", "--out", "a.csv"],
+    "simulate_ensemble_plot": ["simulate", "--n", "4", "--ensemble", "3", "--seed", "3",
+                               "--plot", "--out", "a.csv"],
+    "verify_stable": ["verify", "--suite", "stable", "--seed", "5", "--ensemble", "1000",
+                      "--out", "r.json"],
+    "verify_integrals": ["verify", "--suite", "integrals", "--seed", "5", "--ensemble", "1000",
+                         "--out", "r.json"],
+    "norm": ["norm", "--table", "0.5,2.0,1.0", "--out", "q.json"],
+    "localize_plot": ["localize", "--n", "8", "--ensemble", "1000", "--seed", "2",
+                      "--r-list", "0.25,0.125", "--plot", "--out", "l.json"],
+    "condition7_step": ["condition7", "--alpha", STEP_ALPHA, "--out", "c.json"],
+    "example1_plot": ["example1", "--n-max", "8", "--plot", "--out", "e.json"],
+    "config": ["simulate", "--config", "cfg.json", "--out", "a.csv"],
+    "config_flag_override": ["simulate", "--config", "cfg.json", "--n", "4", "--out", "a.csv"],
+}
+# (exit code, sha256 of every file the run writes), recorded before each flag
+# carried its own default and the config file became the subcommand's defaults.
+ARTIFACT_DIGESTS = {
+    "simulate_li": (0, {
+        "a.csv": "15a15977dc8d6968e17c129cd952dcd339769abad8a94997f53a544e9faa381a"}),
+    "simulate_lr": (0, {
+        "a.csv": "d2e67f26d299776c15564a24c59d94d8fcda66b9ff7a8c4414940d703746e261"}),
+    "simulate_lc": (0, {
+        "a.csv": "eee5e978f07b6c41daf6fd4eff593fd8a8e77e0f81d22f293479f0ad1fcef668"}),
+    "simulate_sn": (0, {
+        "a.csv": "f7c9091861014401d65848baf29f2d19c5aebae00b57b115c087fc9efc3f98d3"}),
+    "simulate_stable": (0, {
+        "a.csv": "91c8d939acb405fabcdb197f18075da7d7423572f28dfc80f01aa4315dd473c8"}),
+    "simulate_weighted": (0, {
+        "a.csv": "d69c1c7b6f3bb07b0a9694556c87e9635781cbfe404b494c8405e164980fa759"}),
+    "simulate_ensemble_plot": (0, {
+        "a.csv": "e44c41e186ee51a1336253f7afe747058ed1417c1db3e6780e4e42518dca0038",
+        "a.svg": "52c95fdae2789e9142bda011ae1bf6b22f41d7f154ec65ebfc5723b5d8642729"}),
+    "verify_stable": (0, {
+        "r.json": "adf86ec53876b4f5a164f53ec1d8375d404adb0ab90a5cfc898eab56b556b741"}),
+    "verify_integrals": (0, {
+        "r.json": "07efb290b413345332fa1bb5a0f2e267e67eb7f2a9646d348add80a3bc4e26e3"}),
+    "norm": (0, {
+        "q.json": "c070d96bdde456173c827f9d3ce8b3f78df7bf17d9702d51ee55a945a7d3ebcb"}),
+    "localize_plot": (0, {
+        "l.json": "7088c2b4fdb6cf9c004d93b0b1e6679ff151ea0fd7b7d8ce04decd7a96a4bfce",
+        "l.svg": "a67c8ae0e9458eb6be6008eae7c5bea59be01563bd5e129df681111e6a124e47"}),
+    "condition7_step": (1, {
+        "c.json": "46c818eb9b7b84e21f02e1e89628b53c83938eab78d5cc5911d9b767dc9aedea"}),
+    "example1_plot": (0, {
+        "e.json": "47e36192efac24465c3abd3c8b114b836cde1ef2fc42f0aa2c86cb9b823b36b9",
+        "e.svg": "199944ad9be2765da449a2a86b43dd8ab7bbe665a67d71c4215250ddd09d87d0"}),
+    "config": (0, {
+        "a.csv": "ebf1c04b9a98675579d884438a997a08b654137723fdda4275052a2eadbfa1b4"}),
+    "config_flag_override": (0, {
+        "a.csv": "baea1250f96d247bad9cbfa4451dfce0c66d852658fe9b877e3e5ce76ab9ca21"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_RUNS))
+def test_artifact_bytes_are_the_pinned_ones(name, tmp_path, monkeypatch, capsys):
+    """Relative --out names, because the SVG <desc> embeds the --out path."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(ARTIFACT_CONFIG))
+    rc, digests = ARTIFACT_DIGESTS[name]
+    assert run(ARTIFACT_RUNS[name]) == rc
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir()) if p.name != "cfg.json"}
+    assert got == digests
+    capsys.readouterr()
 
 
 def svg_text(writer, series, **kwargs):
