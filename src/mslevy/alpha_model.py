@@ -127,7 +127,7 @@ class AlphaFunction:
         scalar = np.isscalar(u)
         x = np.asarray(u, dtype=float)
         t0, t1 = self.domain
-        if np.any(x < t0 - _EDGE_TOL) or np.any(x > t1 + _EDGE_TOL):
+        if not np.all((x >= t0 - _EDGE_TOL) & (x <= t1 + _EDGE_TOL)):
             raise DomainError(f"argument outside exponent domain [{t0}, {t1}]")
         x = np.clip(x, t0, t1)
         if self.breaks:
@@ -374,7 +374,7 @@ def li_cf(af: AlphaFunction, times: Sequence[float], thetas: Sequence[float]) ->
     ts = np.asarray(times, dtype=float)
     if ts.size == 0:
         return 1.0
-    if np.any(ts < 0.0) or np.any(ts > t_end + _EDGE_TOL):
+    if not np.all((ts >= 0.0) & (ts <= t_end + _EDGE_TOL)):
         raise DomainError(f"evaluation times must lie in [0, {t_end}]")
     th = np.asarray(thetas, dtype=float)
     edges = sorted(set(ts.tolist()) | {0.0})
@@ -397,7 +397,7 @@ def integral_cf(fs: Sequence[IntegrandFunction], thetas: Sequence[float],
     g = IntegrandFunction(lambda x: sum(t * f(x) for t, f in zip(th, fs)),
                           [p for f in fs for p in f.breakpoints],
                           steps=all(f.steps for f in fs))
-    total = _modular(g, af, 1.0)
+    total = modular_integral(g, af)
     if not math.isfinite(total):
         raise DomainError("the combined integrand is not integrable under this exponent")
     return math.exp(-total)
@@ -457,9 +457,12 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
 # variable-exponent quasinorm
 # ---------------------------------------------------------------------------
 
-def _modular(f: IntegrandFunction, af: AlphaFunction, lam: float) -> float:
-    """integral_0^1 |f(x)/lam|^alpha(x) dx: exact for step functions, by
-    Gauss-Kronrod cells for general integrands (0^alpha = 0 as alpha > 0)."""
+def modular_integral(f: IntegrandFunction, af: AlphaFunction, lam: float = 1.0) -> float:
+    """integral_0^1 |f(x)/lam|^alpha(x) dx, the modular behind the quasinorm
+    (at lam = 1, the variable-exponent energy of f): exact for step functions,
+    by Gauss-Kronrod cells for general integrands (0^alpha = 0 as alpha > 0)."""
+    if not lam > 0.0:
+        raise ParameterError(f"scale must be positive, got {lam}")
     breakpoints = (*af.breakpoints, *f.breakpoints)
     if f.steps:
         edges, mids = _cells(0.0, 1.0, breakpoints)
@@ -468,14 +471,6 @@ def _modular(f: IntegrandFunction, af: AlphaFunction, lam: float) -> float:
                    for lo, hi, v, c, m in zip(edges, edges[1:], vs, *af._affine(mids)))
     return gauss_kronrod(lambda x: (np.abs(f(x)) / lam) ** af(x), 0.0, 1.0,
                          breakpoints=breakpoints)
-
-
-def modular_integral(f: IntegrandFunction, af: AlphaFunction, lam: float = 1.0) -> float:
-    """integral_0^1 |f(x)/lam|^alpha(x) dx, the modular behind the quasinorm
-    (and, at lam = 1, the variable-exponent energy of an integrand)."""
-    if lam <= 0.0:
-        raise ParameterError(f"scale must be positive, got {lam}")
-    return _modular(f, af, lam)
 
 
 def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
@@ -494,7 +489,7 @@ def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
 
     hi = sup
     for _ in range(200):
-        g_hi = _modular(f, af, hi)
+        g_hi = modular_integral(f, af, hi)
         if math.isinf(g_hi):
             hi *= 2.0
             if hi > sup * 2.0 ** 200:
@@ -509,7 +504,7 @@ def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
 
     lo = min(sup * 1e-6, 0.5 * hi)
     for _ in range(600):
-        if _modular(f, af, lo) >= 1.0:
+        if modular_integral(f, af, lo) >= 1.0:
             break
         lo *= 0.25
         if lo < 1e-300:
@@ -519,7 +514,7 @@ def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
 
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        if _modular(f, af, mid) >= 1.0:
+        if modular_integral(f, af, mid) >= 1.0:
             lo = mid
         else:
             hi = mid
@@ -556,10 +551,12 @@ def check_condition7(af: AlphaFunction, x_grid, t_grid,
     """
     xs = np.asarray(x_grid, dtype=float)
     ts = np.asarray(t_grid, dtype=float)
-    if ts.size == 0 or np.any(ts <= 0.0) or np.any(ts >= 1.0):
+    if not (ts.size and np.all((ts > 0.0) & (ts < 1.0))):
         raise DomainError("lags must lie in (0, 1)")
-    if np.any(np.diff(ts) >= 0.0):
+    if not np.all(np.diff(ts) < 0.0):
         raise DomainError("lags must be strictly decreasing")
+    if not threshold > 0.0:
+        raise ParameterError(f"threshold must be positive, got {threshold}")
     t0, t1 = af.domain
     values = []
     for t in ts:

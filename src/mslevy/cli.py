@@ -92,7 +92,8 @@ def _env_seed() -> int:
 def _resolve(argv) -> tuple[argparse.Namespace, dict]:
     """Built-in defaults, overridden by the --config file, overridden by
     explicit flags.  The file's values become the subcommand's defaults and
-    the line is parsed again, so a string value goes through its flag's type."""
+    the line is parsed again: a typed flag's value as its string, which
+    argparse converts as it would the flag's text (null only if the default is)."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     sub = commands[args.command]
@@ -105,7 +106,9 @@ def _resolve(argv) -> tuple[argparse.Namespace, dict]:
         unknown = sorted(set(file_cfg) - known)
         if unknown:
             raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
-        sub.set_defaults(**file_cfg)
+        typed = {a.dest: a.default for a in sub._actions if a.type is not None}
+        sub.set_defaults(**{k: v if k not in typed or (v is None and typed[k] is None)
+                            else str(v) for k, v in file_cfg.items()})
         args = parser.parse_args(argv)
     resolved = {key: value for key, value in vars(args).items() if key in known}
     if resolved.get("seed", 0) is None:
@@ -119,12 +122,12 @@ def _check_shared(command: str, resolved: dict) -> None:
     if resolved.get("plot") and not resolved.get("out"):
         raise ParameterError("--plot needs --out to know where the SVG goes")
     if "ensemble" in resolved:
-        low, ens = (1000 if command == "verify" else 1), int(resolved["ensemble"])
+        low, ens = (1000 if command == "verify" else 1), resolved["ensemble"]
         if not low <= ens <= 2 ** _MAX_LEVEL:
             raise ParameterError(f"{command} needs {low} <= --ensemble <= "
                                  f"2^{_MAX_LEVEL}, got {ens}")
     tol = resolved.get("tolerance")
-    if tol is not None and not float(tol) > 0.0:
+    if tol is not None and not tol > 0.0:
         raise ParameterError(f"--tolerance must be positive, got {tol}")
 
 
@@ -135,9 +138,7 @@ def _alpha_of(resolved: dict) -> AlphaFunction:
 
 
 def _at_most(value, cap: int, flag: str) -> int:
-    """An array-sizing flag as an int, rejected above its cap before
-    anything is allocated."""
-    value = int(value)
+    """An array-sizing flag, rejected above its cap before anything is allocated."""
     if value > cap:
         raise ParameterError(f"{flag} must be at most {cap}, got {value}")
     return value
@@ -263,7 +264,7 @@ def write_svg(fp, series, title: str = "", meta: dict | None = None) -> None:
 
 def _simulate_path(resolved: dict, af: AlphaFunction, stream: RandomStream):
     scheme = resolved["scheme"]
-    n = int(resolved["n"])
+    n = resolved["n"]
     if scheme in ("li", "lr", "lc"):
         cfg = SchemeConfig(n=n, af=af, stream=stream,
                            nested=bool(resolved["nested"]))
@@ -276,7 +277,7 @@ def _simulate_path(resolved: dict, af: AlphaFunction, stream: RandomStream):
         levels = resolved["levels"]
         levels = _at_most(levels, _MAX_LEVEL, "--levels") if levels is not None \
             else max(16, n)
-        return simulate_sn(n, af, stream, t_grid, d=float(resolved["d"]),
+        return simulate_sn(n, af, stream, t_grid, d=resolved["d"],
                            levels=levels)
     if scheme == "stable":
         if af.a != af.b:
@@ -296,12 +297,12 @@ def _cmd_simulate(resolved: dict) -> int:
     if resolved["scheme"] not in _SCHEMES:
         raise ParameterError(
             f"unknown scheme {resolved['scheme']!r}; pick one of {_SCHEMES}")
-    n, ensemble = int(resolved["n"]), int(resolved["ensemble"])
+    n, ensemble = resolved["n"], resolved["ensemble"]
     # 2^n cells a path; a single path keeps the level range [1, 26]
     if n > _MAX_LEVEL or ensemble << max(n, 0) > 2 ** _MAX_LEVEL:
         raise ParameterError(f"--ensemble × 2^n must be at most 2^{_MAX_LEVEL}, "
                              f"got {ensemble} × 2^{n}")
-    stream = RandomStream(int(resolved["seed"]))
+    stream = RandomStream(resolved["seed"])
     paths = [_simulate_path(resolved, af, stream.child(r))
              for r in range(ensemble)]
     meta = {"command": "simulate", "format": "csv", **resolved}
@@ -333,7 +334,7 @@ def _item(name: str, value, limit, passed=None, **detail) -> dict:
 
 def _suite_stable(resolved: dict, af: AlphaFunction,
                   stream: RandomStream) -> list[dict]:
-    ens = int(resolved["ensemble"])
+    ens = resolved["ensemble"]
     tol = resolved["tolerance"]
     items = [_item("stable.normalizer_at_one",
                    abs(compute_C_alpha(1.0) - 2.0 / math.pi), 1e-12)]
@@ -351,8 +352,7 @@ def _suite_stable(resolved: dict, af: AlphaFunction,
 
 def _suite_schemes(resolved: dict, af: AlphaFunction,
                    stream: RandomStream) -> list[dict]:
-    ens = int(resolved["ensemble"])
-    n = int(resolved["n"])
+    ens, n = resolved["ensemble"], resolved["n"]
     tol = resolved["tolerance"]
     items = []
     for rep in increment_cf_test("li", af, n, [(0.0, 1.0), (0.25, 0.75)],
@@ -378,7 +378,7 @@ def _suite_schemes(resolved: dict, af: AlphaFunction,
 
 def _suite_continuous(resolved: dict, af: AlphaFunction,
                       stream: RandomStream) -> list[dict]:
-    ens = int(resolved["ensemble"])
+    ens = resolved["ensemble"]
     tol = resolved["tolerance"]
     items = []
 
@@ -414,7 +414,7 @@ def _suite_continuous(resolved: dict, af: AlphaFunction,
     items.append(_item("continuous.scale_pins", pins, 1e-14))
     items.append(_item("continuous.scale_bounds", worst, 1e-12))
 
-    n_sn = min(int(resolved["n"]), 6)
+    n_sn = min(resolved["n"], 6)
     draws = sn_boundary_ensemble(n_sn, af, stream.child(1), [2 ** n_sn], ens)
     theo = [np.exp(-exponent_integral(af, t, 0.0, 1.0))
             for t in theta_grid_default()]
@@ -427,8 +427,7 @@ def _suite_continuous(resolved: dict, af: AlphaFunction,
 
 def _suite_integrals(resolved: dict, af: AlphaFunction,
                      stream: RandomStream) -> list[dict]:
-    ens = int(resolved["ensemble"])
-    n = min(int(resolved["n"]), 10)
+    ens, n = resolved["ensemble"], min(resolved["n"], 10)
     items = []
 
     alpha_c = AlphaFunction.constant(1.5)
@@ -468,15 +467,15 @@ def _suite_integrals(resolved: dict, af: AlphaFunction,
 
 def _localize_tolerance(resolved: dict) -> float:
     """The final sup-CF deviation a localisability trend must beat."""
-    tol, ens = resolved["tolerance"], int(resolved["ensemble"])
-    return float(tol) if tol is not None else max(0.05, 6.0 / math.sqrt(ens))
+    tol = resolved["tolerance"]
+    return tol if tol is not None else max(0.05, 6.0 / math.sqrt(resolved["ensemble"]))
 
 
 def _suite_localisability(resolved: dict, af: AlphaFunction,
                           stream: RandomStream) -> list[dict]:
     rep = localisability_test(af, 0.5, 1.0,
                               [2.0 ** -4, 2.0 ** -5, 2.0 ** -6, 2.0 ** -7],
-                              max(int(resolved["n"]), 12), int(resolved["ensemble"]),
+                              max(resolved["n"], 12), resolved["ensemble"],
                               stream.child(0), tolerance=_localize_tolerance(resolved))
     return [_item("localisability.linear_trend", rep.final_deviation, rep.tolerance,
                   rep.passed, deviations=rep.deviations, spearman=rep.spearman)]
@@ -494,7 +493,7 @@ def _cmd_verify(resolved: dict) -> int:
     if suite != "all" and suite not in _SUITES:
         raise ParameterError(
             f"unknown suite {suite!r}; pick one of {('all', *_SUITES)}")
-    stream = RandomStream(int(resolved["seed"]))
+    stream = RandomStream(resolved["seed"])
     items: list[dict] = []
     for tag, (name, run) in enumerate(_SUITES.items()):
         if suite in ("all", name):
@@ -527,10 +526,9 @@ def _cmd_norm(resolved: dict) -> int:
 def _cmd_localize(resolved: dict) -> int:
     af = _alpha_of(resolved)
     resolved["tolerance"] = _localize_tolerance(resolved)
-    rep = localisability_test(af, float(resolved["x"]), float(resolved["u"]),
-                              _parse_floats(resolved["r_list"]),
-                              int(resolved["n"]), int(resolved["ensemble"]),
-                              RandomStream(int(resolved["seed"])),
+    rep = localisability_test(af, resolved["x"], resolved["u"],
+                              _parse_floats(resolved["r_list"]), resolved["n"],
+                              resolved["ensemble"], RandomStream(resolved["seed"]),
                               tolerance=resolved["tolerance"])
     payload = {"command": "localize", "config": resolved,
                "report": rep}
@@ -552,19 +550,19 @@ def _cmd_condition7(resolved: dict) -> int:
     straddles = [p - lag / 2.0 for p in af.breakpoints for lag in lags]
     if straddles:
         xs = np.union1d(xs, np.clip(straddles, t0, t1))
-    rep = check_condition7(af, xs, lags, float(resolved["threshold"]))
+    rep = check_condition7(af, xs, lags, resolved["threshold"])
     _emit_json({"command": "condition7", "config": resolved,
                 "report": rep}, resolved["out"])
     return 0 if rep.verdict == "satisfied" else 1
 
 
 def _cmd_example1(resolved: dict) -> int:
-    n_min = int(resolved["n_min"])
+    n_min = resolved["n_min"]
     n_max = _at_most(resolved["n_max"], _MAX_LEVEL, "--n-max")
     if not 0 <= n_min <= n_max:
         raise ParameterError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
-    af = plateau_identity_alpha(float(resolved["b"]))
-    u, theta = float(resolved["u"]), float(resolved["theta"])
+    af = plateau_identity_alpha(resolved["b"])
+    u, theta = resolved["u"], resolved["theta"]
     rows = [(n, lf_n_exponent(af, u, theta, n)) for n in range(n_min, n_max + 1)]
     sys.stdout.write("n,exponent\n")
     for n, value in rows:

@@ -20,7 +20,8 @@ import numpy as np
 from .alpha_model import AlphaFunction
 from .errors import DomainError, ParameterError
 from .msl_schemes import PathGrid, _check_ensemble, _check_level
-from .stable_core import RandomStream, _cms, _row_chunks, _uniform_pairs, sample_symmetric
+from .stable_core import (RandomStream, _check_alphas, _cms, _row_chunks, _uniform_pairs,
+                          sample_symmetric)
 
 _TAG_LEVEL = 0x1E7E1
 _TAG_CELL = 0xCE11
@@ -44,16 +45,15 @@ class ContinuousStableConfig:
     lp_mode: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 2.0):
-            raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
+        _check_alphas(self.alpha)
         if self.levels < 0:
             raise ParameterError("truncation level must be >= 0")
         floor = 1.0 / self.alpha
         if self.lp_mode:
-            if self.d < floor - 1e-12:
+            if not self.d >= floor - 1e-12:
                 raise ParameterError(
                     f"moment mode needs d >= 1/alpha = {floor}, got d = {self.d}")
-        elif self.d <= floor:
+        elif not self.d > floor:
             raise ParameterError(
                 f"continuous regime needs d > 1/alpha = {floor}, got d = {self.d}"
                 " (pass lp_mode=True to allow the boundary case)")
@@ -66,12 +66,9 @@ def truncation_level(alpha: float, d: float, sup_tol: float) -> int:
     grows like 2^(jc) for any c > 1/alpha; with c midway between 1/alpha
     and d the tail sum_{j>J} 2^(j(c-d)) is geometric.
     """
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
-    if d <= 1.0 / alpha:
-        raise ParameterError("tail bound needs d > 1/alpha")
-    if sup_tol <= 0.0:
-        raise ParameterError("tolerance must be positive")
+    ContinuousStableConfig(alpha, d)  # alpha in (0, 2] and d > 1/alpha
+    if not 0.0 < sup_tol < math.inf:
+        raise ParameterError(f"tolerance must be positive and finite, got {sup_tol}")
     c = 0.5 * (1.0 / alpha + d)
     q = 2.0 ** (c - d)
     j = math.ceil(math.log(sup_tol * (1.0 - q)) / math.log(q)) - 1
@@ -113,6 +110,17 @@ def stable_level_draws(alpha: float, j: int, stream: RandomStream,
     return sample_symmetric(np.full(count, float(alpha)), stream.child(_TAG_LEVEL, j))
 
 
+def _check_grid(t_grid) -> np.ndarray:
+    """A time grid of the triangle-series samplers as a float array: it
+    must start at 0, increase strictly (NaN fails) and end at most at 1."""
+    t = np.ascontiguousarray(t_grid, dtype=float)
+    if not (t.size and t[0] == 0.0 and np.all(np.diff(t) > 0.0)):
+        raise ParameterError("t_grid must start at 0 and increase strictly")
+    if not t[-1] <= 1.0:
+        raise DomainError("t_grid must stay inside [0, 1]")
+    return t
+
+
 def sample_continuous_stable(cfg: ContinuousStableConfig, t_grid,
                              stream: RandomStream) -> PathGrid:
     """Evaluate one draw of the truncated triangle series on ``t_grid``.
@@ -122,11 +130,7 @@ def sample_continuous_stable(cfg: ContinuousStableConfig, t_grid,
     stream at a higher truncation level refines this path rather than
     replacing it.
     """
-    t = np.ascontiguousarray(t_grid, dtype=float)
-    if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-        raise ParameterError("t_grid must start at 0 and increase strictly")
-    if t[-1] > 1.0 or t[0] < 0.0:
-        raise DomainError("t_grid must stay inside [0, 1]")
+    t = _check_grid(t_grid)
     values = np.zeros_like(t)
     for j in range(cfg.levels + 1):
         pos = np.ldexp(t, j)
@@ -154,7 +158,7 @@ def scale_parameter(cfg: ContinuousStableConfig, t):
     """Scale of the series marginal at time t (its CF is
     exp(-scale^alpha |theta|^alpha)); exactly 0 at t = 0 and 1 at t = 1/2."""
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError("scale parameter is defined on [0, 1]")
     out = _scale_alpha_series(cfg.alpha, cfg.d, np.atleast_1d(arr)) ** (1.0 / cfg.alpha)
     return float(out[0]) if np.isscalar(t) or arr.ndim == 0 else out.reshape(arr.shape)
@@ -187,7 +191,7 @@ def max_deviation_probability(alpha: float, c: float, j: int, n_mc: int,
     """
     if not (0.0 < alpha < 2.0):
         raise ParameterError(f"the tail rate needs alpha in (0, 2), got {alpha}")
-    if c <= 1.0 / alpha:
+    if not c > 1.0 / alpha:
         raise ParameterError(f"need c > 1/alpha = {1.0 / alpha}, got {c}")
     if j < 0 or n_mc < 1:
         raise ParameterError("level must be >= 0 and n_mc >= 1")
@@ -265,7 +269,7 @@ def _sn_cells(n: int, af: AlphaFunction, d: float, levels: int):
         raise ParameterError("the exponent function must cover [0, 1]")
     m = 2 ** n
     alphas = np.asarray(af(np.arange(m, dtype=float) / m), dtype=float)
-    if d <= 1.0 / float(np.min(alphas)):
+    if not d > 1.0 / float(np.min(alphas)):
         raise ParameterError(
             f"continuous regime needs d > 1/alpha on every cell; d = {d} fails")
     return alphas, (2.0 ** -n) ** (1.0 / alphas), _sigma_tilde_boundary(alphas, d, n)
@@ -281,12 +285,7 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
     unit-scale stable.
     """
     alphas, weights, sig = _sn_cells(n, af, d, levels)
-    t = np.ascontiguousarray(t_grid, dtype=float)
-    if t.size == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-        raise ParameterError("t_grid must start at 0 and increase strictly")
-    if t[-1] > 1.0:
-        raise DomainError("t_grid must stay inside [0, 1]")
-
+    t = _check_grid(t_grid)
     m = 2 ** n
     cell_of = np.floor(np.ldexp(t, n)).astype(np.int64)
     args = t - cell_of / m

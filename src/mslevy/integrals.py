@@ -143,6 +143,8 @@ def integrand_convergence(f_seq, f: IntegrandFunction, af: AlphaFunction,
                           threshold: float = 1e-2) -> ConvergenceReport:
     """Quasinorm of f_j - f per j with a monotone-trend verdict: the
     integral draws converge in probability iff these distances tend to 0."""
+    if not threshold > 0.0:
+        raise ParameterError(f"threshold must be positive, got {threshold}")
     norms = [quasinorm(fj - f, af) for fj in f_seq]
     if any(not math.isfinite(v) for v in norms):
         verdict = False
@@ -271,8 +273,8 @@ def pairwise_independence(fs, af: AlphaFunction) -> PairwiseReport:
 def hoelder_tail_constant(C: float, a: float, b: float, x: float) -> float:
     """The explicit constant C * (x/(a+1) + 2^(b+1)/((b+1) x^b)) from the
     truncation-at-x bound on the increment tail."""
-    if x <= 0.0:
-        raise ParameterError("the truncation point must be positive")
+    if not x > 0.0:
+        raise ParameterError(f"the truncation point must be positive, got {x}")
     return C * (x / (a + 1.0) + 2.0 ** (b + 1.0) / ((b + 1.0) * x ** b))
 
 
@@ -307,7 +309,7 @@ def hoelder_bound_check(kernel: KernelFunction, af: AlphaFunction, eta: float,
     the Monte-Carlo tail P(|X(t) - X(v)| >= |t-v|^beta) against the explicit
     one-sided bound C_{a,b} |t-v|^(eta - b beta).
     """
-    if not (0.0 < beta < min(1.0, eta / af.b)):
+    if not (0.0 < beta < 1.0 and beta < eta / af.b):
         raise ParameterError(
             f"beta must lie in (0, min(1, eta/b)) = (0, {min(1.0, eta / af.b)})")
     results = []
@@ -383,12 +385,12 @@ def strong_localisability_check(kernel: KernelFunction, af: AlphaFunction,
     quasinorm variant of the same increments is fitted alongside.
     """
     rs = [float(r) for r in r_list]
-    if any(r <= 0.0 for r in rs):
+    if not all(r > 0.0 for r in rs):
         raise ParameterError("radii must be positive")
     ts = [float(t) for pair in pairs for t in pair]
-    if min(ts) < 0.0:
+    if not all(t >= 0.0 for t in ts):
         raise ParameterError("pair times must be nonnegative")
-    if not (0.0 <= x <= 1.0) or x + max(rs) * max(ts) > 1.0 + 1e-12:
+    if not (0.0 <= x <= 1.0 and x + max(rs) * max(ts) <= 1.0 + 1e-12):
         raise ParameterError("window x + r*t must stay inside [0, 1]")
     alpha_x = float(af(x))
     eta_by_r, const_by_r, q_eta_by_r = [], [], []
@@ -452,8 +454,8 @@ def billingsley_bound(cf_handle: Callable[[float], float], lam: float) -> float:
     """Tail bound P(|X| >= lam) <= (lam/2) integral_{-2/lam}^{2/lam}
     (1 - CF(theta)) dtheta for a symmetric (real-CF) law.  ``cf_handle``
     takes one float; it is called once per quadrature node."""
-    if lam <= 0.0:
-        raise ParameterError(f"threshold must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ParameterError(f"threshold must be positive and finite, got {lam}")
 
     def one_minus_cf(ths: np.ndarray) -> np.ndarray:
         return np.array([1.0 - float(cf_handle(th)) for th in ths.tolist()])

@@ -57,7 +57,7 @@ class PathGrid:
             raise ParameterError("times and values must be non-empty and equally long")
         if t[0] != 0.0 or v[0] != 0.0:
             raise ParameterError("paths start at (0, 0)")
-        if np.any(np.diff(t) <= 0.0):
+        if not np.all(np.diff(t) > 0.0):
             raise ParameterError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
@@ -121,7 +121,7 @@ def _check_level(n: int) -> None:
 
 
 def _check_ensemble(ensemble: int) -> None:
-    if ensemble < 1:
+    if not ensemble >= 1:
         raise ParameterError(f"ensemble size must be >= 1, got {ensemble}")
 
 
@@ -271,7 +271,7 @@ def _scheme_values(scheme: str, cfg: SchemeConfig, cols=None,
                                                      _TAG_ARRIVALS).tolist()])
         else:
             gammas = np.array([gamma_value])
-        if np.any(gammas <= 0.0):
+        if not np.all(gammas > 0.0):
             raise ParameterError(f"arrival total must be positive, got {gammas.min()}")
         base = float(1.0 / gammas[0]) if replicates is None else 1.0 / gammas
         return _weighted_sums(af, m, stream, base, cols=cols, nested=cfg.nested,
@@ -360,15 +360,13 @@ def glue_whole_line(af: AlphaFunction, n: int, stream: RandomStream) -> PathGrid
 def simulate_stable_fclt(alpha: float, n_terms: int, stream: RandomStream) -> PathGrid:
     """Partial-sum path sum_{k <= floor(n u)} n^(-1/alpha) Y_k of i.i.d.
     symmetric alpha-stable draws on the grid u = k/n."""
-    if not (0.0 < alpha <= 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2], got {alpha}")
     if n_terms < 1 or n_terms != int(n_terms):
         raise ParameterError(f"n_terms must be an integer >= 1, got {n_terms}")
+    af = AlphaFunction.constant(alpha)  # checks alpha before n^(-1/alpha) is formed
     # n^(-1/alpha) enters as a constant integrand over the unit base, where
     # 1^(1/alpha) = 1 exactly; the base 1/n would round differently
     weight = IntegrandFunction.constant(n_terms ** (-1.0 / alpha))
-    values = _weighted_sums(AlphaFunction.constant(alpha), n_terms, stream, 1.0,
-                            fs=[weight])[0]
+    values = _weighted_sums(af, n_terms, stream, 1.0, fs=[weight])[0]
     times = np.arange(n_terms + 1, dtype=float) / n_terms
     return PathGrid(times=times, values=values)
 

@@ -143,8 +143,8 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
     still over tolerance after 40 halvings, or a round that would open more
     than 2^14 cells, raise :class:`QuadratureError`.
     """
-    if b < a:
-        raise ParameterError("integration bounds must satisfy a <= b")
+    if not -math.inf < a <= b < math.inf:
+        raise ParameterError(f"integration bounds must be finite with a <= b, got [{a}, {b}]")
     if b == a:
         return 0.0
     edges = np.asarray(split_points(a, b, breakpoints))

@@ -173,10 +173,10 @@ class StableParams:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 2.0):
-            raise ParameterError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.sigma < 0.0:
-            raise ParameterError(f"sigma must be >= 0, got {self.sigma}")
+        _check_alphas(self.alpha)
+        if not (0.0 <= self.sigma < math.inf and math.isfinite(self.mu)):
+            raise ParameterError(f"need a finite sigma >= 0 and a finite mu, "
+                                 f"got sigma = {self.sigma}, mu = {self.mu}")
         if not (-1.0 <= self.beta <= 1.0):
             raise ParameterError(f"beta must lie in [-1, 1], got {self.beta}")
         if self.alpha == 2.0 and self.beta != 0.0:
@@ -230,9 +230,12 @@ def _exponential(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(np.negative(np.log1p(out, out=out), out=out), 1e-16, out=out)
 
 
-def _check_alphas(alphas: np.ndarray) -> None:
-    if np.any(alphas <= 0.0) or np.any(alphas > 2.0):
-        raise ParameterError("stability indices must lie in (0, 2]")
+def _check_alphas(alphas) -> None:
+    """The one (0, 2] check of a stability index or an array of them; NaN fails."""
+    ok = (alphas > 0.0) & (alphas <= 2.0)
+    if not np.all(ok):
+        bad = np.ravel(alphas)[~np.ravel(ok)][0]
+        raise ParameterError(f"the stability index must lie in (0, 2], got {bad}")
 
 
 def _cms_saturated(a, p, w, b0: float, scale0: float) -> np.ndarray:
@@ -410,7 +413,7 @@ def tail_asymptote(params: StableParams, lam: float) -> TailAsymptote:
     """
     if params.alpha >= 2.0:
         raise DomainError("power tails require alpha < 2 (the Gaussian tail decays faster)")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise DomainError(f"lam must be positive, got {lam}")
     base = compute_C_alpha(params.alpha) * params.sigma ** params.alpha * lam ** -params.alpha
     return TailAsymptote(upper=0.5 * (1.0 + params.beta) * base,
@@ -425,10 +428,10 @@ class PoissonArrivals:
     times: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.rate <= 0.0:
-            raise ParameterError(f"rate must be positive, got {self.rate}")
+        if not 0.0 < self.rate < math.inf:
+            raise ParameterError(f"rate must be positive and finite, got {self.rate}")
         t = np.asarray(self.times, dtype=float)
-        if t.size and (np.any(t <= 0.0) or np.any(np.diff(t) <= 0.0)):
+        if t.size and not (t[0] > 0.0 and np.all(np.diff(t) > 0.0)):
             raise ParameterError("arrival times must be strictly increasing and positive")
         object.__setattr__(self, "times", t)
 
@@ -443,11 +446,8 @@ def poisson_arrivals(rate: float, count: int, stream: RandomStream) -> PoissonAr
     convention as the stable sampler, so shorter requests are prefixes of
     longer ones under the same stream.
     """
-    if rate <= 0.0:
-        raise ParameterError(f"rate must be positive, got {rate}")
     if count < 0:
         raise ParameterError("count must be >= 0")
-    if count == 0:
-        return PoissonArrivals(rate=rate, times=np.empty(0))
-    gaps = _exponential(_uniform_pairs(stream, count)[:, 1]) / rate
+    with np.errstate(divide="ignore"):  # PoissonArrivals rejects a zero rate
+        gaps = _exponential(_uniform_pairs(stream, count)[:, 1]) / rate
     return PoissonArrivals(rate=rate, times=np.cumsum(gaps))

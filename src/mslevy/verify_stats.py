@@ -212,10 +212,12 @@ def localisability_test(af: AlphaFunction, x: float, u: float, r_list, n: int,
     and the final deviation to beat the tolerance.
     """
     rs = [float(r) for r in r_list]
-    if not rs or any(r2 >= r1 for r1, r2 in zip(rs, rs[1:])) or rs[-1] <= 0.0:
+    if not (rs and all(r1 > r2 for r1, r2 in zip(rs, rs[1:])) and rs[-1] > 0.0):
         raise ParameterError("radii must be nonempty, strictly decreasing and positive")
-    if u <= 0.0 or x < 0.0 or x + rs[0] * u > 1.0:
+    if not (u > 0.0 and x >= 0.0 and x + rs[0] * u <= 1.0):
         raise ParameterError("window x + r*u must stay inside [0, 1]")
+    if not tolerance > 0.0:
+        raise ParameterError(f"tolerance must be positive, got {tolerance}")
     smallest_span = rs[-1] * u
     if smallest_span < 2.0 ** (-n + 2):
         need = int(np.ceil(2.0 - np.log2(smallest_span)))
@@ -272,7 +274,7 @@ def tightness_check(scheme: str, af: AlphaFunction, triple, lambdas, n: int,
                     ensemble: int, stream: RandomStream) -> TightnessReport:
     u1, u, u2 = (float(v) for v in triple)
     lams = [float(l) for l in lambdas]
-    if any(l <= 0.0 for l in lams):
+    if not all(l > 0.0 for l in lams):
         raise ParameterError("exceedance levels must be positive")
     zero_width = (u2 - u1) < 2.0 ** -n
     left, right = np.abs(_increments(scheme, af, n, [(u1, u), (u, u2)], ensemble, stream)).T

@@ -81,9 +81,12 @@ class TestUsageErrors:
         (["localize", "--tolerance", "-1"], "--tolerance"),
         (["localize", "--tolerance", "0"], "--tolerance"),
         (["localize", "--tolerance", "nan"], "--tolerance"),
+        (["condition7", "--threshold", "nan"], "threshold"),
+        (["condition7", "--threshold", "-1"], "threshold"),
     ], ids=["localize_plot", "example1_plot", "localize_ensemble_0",
             "localize_ensemble_neg", "localize_ensemble_cap", "simulate_ensemble_0",
-            "localize_tol_neg", "localize_tol_0", "localize_tol_nan"])
+            "localize_tol_neg", "localize_tol_0", "localize_tol_nan",
+            "condition7_threshold_nan", "condition7_threshold_neg"])
     def test_shared_checks_run_before_any_output(self, argv, flag, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
@@ -242,6 +245,46 @@ class TestConfigPrecedence:
         assert run(["simulate", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "invalid int value" in captured.err
+
+    @pytest.mark.parametrize("command, file_cfg, flag", [
+        ("simulate", {"n": 5.5, "seed": 1}, "--n"),
+        ("simulate", {"n": True}, "--n"),
+        ("simulate", {"n": None}, "--n"),
+        ("simulate", {"d": [1.0], "scheme": "sn"}, "--d"),
+        ("verify", {"ensemble": [1000], "suite": "stable"}, "--ensemble"),
+        ("verify", {"tolerance": {"value": 0.1}, "suite": "stable"}, "--tolerance"),
+        ("condition7", {"x_points": 65.0}, "--x-points"),
+    ], ids=["n_float", "n_bool", "n_null", "d_list", "ensemble_list", "tolerance_dict",
+            "x_points_float"])
+    def test_typed_values_go_through_the_flag_type(self, command, file_cfg, flag,
+                                                   tmp_path, capsys):
+        """A config value for a typed flag is converted as the flag's text
+        would be, so a wrong JSON type is a usage error, not a traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {flag}: invalid" in captured.err
+
+    def test_untyped_and_null_values_keep_their_json_value(self, tmp_path, monkeypatch,
+                                                          capsys):
+        """Numbers of the flag's type, null where the default is null, and
+        the values of flags without a type are recorded as they are."""
+        monkeypatch.setenv("MSLEVY_SEED", "3")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 5, "seed": None, "nested": False, "levels": None,
+                                   "weight": [1, 2], "scheme": "weighted"}))
+        assert run(["simulate", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        meta = json.loads(lines[0][2:])
+        assert (meta["n"], meta["seed"], meta["nested"], meta["levels"], meta["weight"]) \
+            == (5, 3, False, None, [1, 2]) and len(lines) == 2 + 33
+        cfg.write_text(json.dumps({"tolerance": 0.01, "ensemble": 1000, "seed": 1}))
+        assert run(["verify", "--suite", "stable", "--config", str(cfg)]) in (0, 1)
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["tolerance"], config["ensemble"]) == (0.01, 1000)
 
     def test_seed_env_fallback_and_flag_override(self, monkeypatch, capsys):
         monkeypatch.setenv("MSLEVY_SEED", "77")
