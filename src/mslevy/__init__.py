@@ -10,6 +10,7 @@ from .alpha_model import (
     IntegrandFunction,
     check_condition7,
     exponent_integral,
+    grid_index,
     integral_cf,
     lf_n_exponent,
     li_cf,
@@ -65,7 +66,6 @@ from .msl_schemes import (
     SchemeConfig,
     ensemble_to_csv,
     glue_whole_line,
-    grid_index,
     li_window_ensemble,
     marginal_ensemble,
     path_to_csv,

@@ -36,6 +36,21 @@ _EDGE_TOL = 1e-12
 _GRID_SNAP = 1e-12
 
 
+def grid_index(n: int, u: float) -> int:
+    """Index of the last dyadic grid point <= u (paths are cadlag steps);
+    u is snapped up by _GRID_SNAP first, as in PathGrid.value_at."""
+    return int(math.floor(math.ldexp(u + _GRID_SNAP, n)))
+
+
+def _cell_times(m: int, first: int, count: int) -> np.ndarray:
+    """min((first + i)/m, 1), i < count: a level-m grid (first = 0) or cell
+    times.  Built in place: extra temporaries of 2^20-cell rows fragment
+    glibc's heap, which raised the peak RSS of long-path runs."""
+    xs = np.arange(first, first + count, dtype=float)
+    xs /= m
+    return np.minimum(xs, 1.0, out=xs)
+
+
 @dataclass(frozen=True)
 class AlphaFunction:
     """A cadlag stability-exponent function on a closed interval.
@@ -428,8 +443,9 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
 
         sum_{k=1}^{floor(2^n u)} |theta|^alpha(k/2^n) (2^-n)^(alpha(k/2^n)/alpha(u)),
 
-    whose growth in n witnesses that rescaling by the evaluation point's own
-    exponent cannot converge when alpha varies below the evaluation point.
+    for u in [0, 1], where the dyadic schemes live.  Its growth in n
+    witnesses that rescaling by the evaluation point's own exponent cannot
+    converge when alpha varies below the evaluation point.
     For :func:`plateau_identity_alpha` (b) at u > b/2 the sum is at least the
     plateau part P(n) = floor((b/2) 2^n) |theta|^(b/2) 2^(-n b / (2 alpha(u)))
     and diverges at the geometric rate 2^(n (1 - b/(2u))): slowly, since
@@ -439,17 +455,14 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
     if n < 0:
         raise ParameterError("level n must be >= 0")
     _check_interval(af, 0.0, u)
-    m = 2 ** n
-    count = int(math.floor(m * (u + _GRID_SNAP)))
-    if count == 0:
-        return 0.0
-    ks = np.arange(1, count + 1, dtype=float)
-    alphas = np.asarray(af(ks / m), dtype=float)
-    a_u = af(u)
+    if u > 1.0 + _EDGE_TOL:
+        raise DomainError(f"the field-based scheme lives on [0, 1], got u = {u}")
+    count = grid_index(n, u)
     abs_t = abs(float(theta))
-    weights = (2.0 ** -n) ** (alphas / a_u)
-    if abs_t == 0.0:
+    if count == 0 or abs_t == 0.0:
         return 0.0
+    alphas = np.asarray(af(_cell_times(2 ** n, 1, count)), dtype=float)
+    weights = (2.0 ** -n) ** (alphas / af(u))
     return float(np.sum(abs_t ** alphas * weights))
 
 

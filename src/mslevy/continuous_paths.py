@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_model import AlphaFunction
+from .alpha_model import AlphaFunction, _cell_times
 from .errors import DomainError, ParameterError
-from .msl_schemes import PathGrid, _check_ensemble, _check_level
+from .msl_schemes import PathGrid, _check_ensemble, _check_indices, _check_level, _partial_sums
 from .stable_core import (RandomStream, _check_alphas, _cms, _row_chunks, _uniform_pairs,
                           sample_symmetric)
 
@@ -267,12 +267,21 @@ def _sn_cells(n: int, af: AlphaFunction, d: float, levels: int):
     t0, t1 = af.domain
     if t0 != 0.0 or t1 < 1.0:
         raise ParameterError("the exponent function must cover [0, 1]")
-    m = 2 ** n
-    alphas = np.asarray(af(np.arange(m, dtype=float) / m), dtype=float)
+    alphas = np.asarray(af(_cell_times(2 ** n, 0, 2 ** n)), dtype=float)
     if not d > 1.0 / float(np.min(alphas)):
         raise ParameterError(
             f"continuous regime needs d > 1/alpha on every cell; d = {d} fails")
     return alphas, (2.0 ** -n) ** (1.0 / alphas), _sigma_tilde_boundary(alphas, d, n)
+
+
+def _cell_terms(z: np.ndarray, weights, sig, d: float, n: int) -> np.ndarray:
+    """The completed-cell terms w_k X~_k(2^-n) / s_k from the cells' draws z
+    (cells on the second-to-last axis): at 2^-n only the shift-0 tents of
+    levels j <= n are active, with values 2^(j-n), so n + 1 draws suffice."""
+    xt = np.zeros(z.shape[:-1])
+    for j in range(n + 1):
+        xt += 2.0 ** (-j * d) * z[..., j] * 2.0 ** (j - n)
+    return weights * xt / sig
 
 
 def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
@@ -292,32 +301,28 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
     sel = np.flatnonzero(args > 0.0)
     sel_cells = cell_of[sel]
     sizes = _sn_cell_block_sizes(n, levels)
-    count, firsts = sum(sizes), np.cumsum([0] + sizes[:-1])
+    count, firsts = sum(sizes), [sum(sizes[:j]) for j in range(levels + 1)]
     cell_terms = np.empty(m)
     level0 = np.empty(m)
     active = np.zeros_like(t)
-    # each cell's dilated series is read at its mesh points inside the cell
-    # and, last, at the completed-cell argument 2^(-n-1); each cell's stream
-    # holds the level blocks of ``sizes`` back to back.  Cells are drawn and
-    # evaluated in chunks, which bounds the draws held at once.
+    # each cell's dilated series is read at its mesh points inside the cell;
+    # its stream holds the level blocks of ``sizes`` back to back.  Cells are
+    # drawn in chunks, which bounds the draws held at once.
     for cells in _row_chunks(m, count):
         lo, hi = np.searchsorted(sel_cells, [cells[0], cells[-1] + 1])
-        mesh = sel[lo:hi]
-        at = np.concatenate([sel_cells[lo:hi], cells])
-        eval_args = np.concatenate([args[mesh] / 2.0, np.full(cells.size, 2.0 ** (-n - 1))])
+        mesh, at = sel[lo:hi], sel_cells[lo:hi]
+        half = args[mesh] / 2.0
         z = _sn_cell_draws(alphas, stream, count, cells)
         row = at - cells[0]
-        acc = np.zeros_like(eval_args)
+        acc = np.zeros_like(half)
         for j, (first, size) in enumerate(zip(firsts, sizes)):
-            pos = np.ldexp(eval_args, j)
+            pos = np.ldexp(half, j)
             idx = np.minimum(np.floor(pos).astype(np.int64), size - 1)
             acc += 2.0 ** (-j * d) * z[row, first + idx] * triangle(pos - idx)
-        vals = weights[at] * acc / sig[at]
-        active[mesh] = vals[:mesh.size]
-        cell_terms[cells] = vals[mesh.size:]
+        active[mesh] = weights[at] * acc / sig[at]
+        cell_terms[cells] = _cell_terms(z, weights[cells], sig[cells], d, n)
         level0[cells] = z[:, 0]
-    prefix = np.concatenate([[0.0], np.cumsum(cell_terms)])
-    path = PathGrid(times=t, values=prefix[cell_of] + active)
+    path = PathGrid(times=t, values=_partial_sums(cell_terms, 1.0, cell_of) + active)
     if not with_diagnostics:
         return path
     diag = SnDiagnostics(level0_bound=weights * np.abs(level0) / sig,
@@ -340,17 +345,9 @@ def sn_boundary_ensemble(n: int, af: AlphaFunction, stream: RandomStream,
     _check_ensemble(ensemble)
     alphas, weights, sig = _sn_cells(n, af, d, levels)
     m = 2 ** n
-    ks = np.asarray(boundary_ks, dtype=np.int64)
-    if np.any(ks < 0) or np.any(ks > m):
-        raise ParameterError("boundary indices must lie in [0, 2^n]")
-    pair_count = n + 1
+    ks = _check_indices(boundary_ks, 0, m, "boundary indices")
     out = np.empty((ensemble, ks.size))
-    for rows in _row_chunks(ensemble, m * pair_count):
-        z = _sn_cell_draws(alphas, stream, pair_count, np.arange(m), rows)
-        xt = np.zeros((rows.size, m))
-        for j in range(pair_count):
-            xt += 2.0 ** (-j * d) * z[..., j] * 2.0 ** (j - n)
-        prefix = np.concatenate([np.zeros((rows.size, 1)),
-                                 np.cumsum(weights * xt / sig, axis=1)], axis=1)
-        out[rows] = prefix[:, ks]
+    for rows in _row_chunks(ensemble, m * (n + 1)):
+        z = _sn_cell_draws(alphas, stream, n + 1, np.arange(m), rows)
+        out[rows] = _partial_sums(_cell_terms(z, weights, sig, d, n), 1.0, ks)
     return out

@@ -20,8 +20,7 @@ import numpy as np
 from .alpha_model import (AlphaFunction, IntegrandFunction, _cells, _probe_grid,
                           modular_integral, quasinorm)
 from .errors import ParameterError, QuadratureError
-from .msl_schemes import (PathGrid, _check_ensemble, _check_level, _dyadic_times,
-                          _weighted_sums)
+from .msl_schemes import PathGrid, _check_ensemble, _check_level, _grid_path, _weighted_sums
 from .quadrature import gauss_kronrod
 from .stable_core import RandomStream
 from .verify_stats import _factorization_distance, spearman_corr
@@ -122,8 +121,7 @@ def weighted_mslm(w: IntegrandFunction, af: AlphaFunction, n: int,
     weighted multistable motion.  w = 1 reproduces the plain scheme path
     bitwise under the same stream."""
     _check_level(n)
-    values = _weighted_sums(af, 2 ** n, stream, 2.0 ** -n, fs=[w])[0]
-    return PathGrid(times=_dyadic_times(n), values=values)
+    return _grid_path(_weighted_sums(af, 2 ** n, stream, 2.0 ** -n, fs=[w])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +307,8 @@ def hoelder_bound_check(kernel: KernelFunction, af: AlphaFunction, eta: float,
     the Monte-Carlo tail P(|X(t) - X(v)| >= |t-v|^beta) against the explicit
     one-sided bound C_{a,b} |t-v|^(eta - b beta).
     """
+    if not 0.0 <= C < math.inf:
+        raise ParameterError(f"energy constant C must be finite and >= 0, got {C}")
     if not (0.0 < beta < 1.0 and beta < eta / af.b):
         raise ParameterError(
             f"beta must lie in (0, min(1, eta/b)) = (0, {min(1.0, eta / af.b)})")

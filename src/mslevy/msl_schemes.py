@@ -19,12 +19,11 @@ same bits, since draws are prefix-consistent.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_model import _GRID_SNAP, AlphaFunction, IntegrandFunction
+from .alpha_model import _GRID_SNAP, AlphaFunction, IntegrandFunction, _cell_times, grid_index
 from .errors import ParameterError
 from .stable_core import (RandomStream, _child_ids, _cms, _exponential, _row_chunks,
                           _uniform_pairs, sample_symmetric)
@@ -107,11 +106,6 @@ class SchemeConfig:
         return float(np.max(np.abs(self.af(xs) - self.alpha_n(xs))))
 
 
-def _dyadic_times(n: int) -> np.ndarray:
-    m = 2 ** n
-    return np.arange(m + 1, dtype=float) / m
-
-
 _MAX_LEVEL = 26
 
 
@@ -123,6 +117,20 @@ def _check_level(n: int) -> None:
 def _check_ensemble(ensemble: int) -> None:
     if not ensemble >= 1:
         raise ParameterError(f"ensemble size must be >= 1, got {ensemble}")
+
+
+def _check_indices(values, lo: int, hi: int, what: str) -> np.ndarray:
+    """Integer indices in [lo, hi] as int64; NaN and fractions fail, not cast."""
+    v = np.asarray(values, dtype=float)
+    if not np.all((v >= lo) & (v <= hi) & (v == np.floor(v))):
+        raise ParameterError(f"{what} must be integers in [{lo}, {hi}]")
+    return v.astype(np.int64)
+
+
+def _grid_path(values: np.ndarray) -> PathGrid:
+    """The path of m + 1 values on the uniform grid k/m, k = 0..m."""
+    m = values.size - 1
+    return PathGrid(times=_cell_times(m, 0, m + 1), values=values)
 
 
 def _dyadic_addresses(n: int) -> np.ndarray:
@@ -169,19 +177,20 @@ def _single_stream_draws(alphas: np.ndarray, af, stream: RandomStream, m: int,
     return x
 
 
-def _weights(alphas: np.ndarray, base, fs, cells) -> np.ndarray:
+def _weights(alphas: np.ndarray, base, fs, m: int, first: int) -> np.ndarray:
     """base^(1/alpha_k) f(x_k) as (integrands x cells), or (rows x 1 x
-    cells) for a column of per-replicate bases; ``cells`` builds the x_k."""
+    cells) for a column of per-replicate bases, at the cell times x_k of
+    ``_cell_times(m, first, alphas.size)``, built only for integrands."""
     weights = (base ** (1.0 / alphas))[..., None, :]
     if fs is not None:
-        xs = cells()
+        xs = _cell_times(m, first, alphas.size)
         weights = weights * np.stack([np.asarray(f(xs), dtype=float) for f in fs])
     return weights
 
 
-def _partial_sums(x: np.ndarray, weights: np.ndarray, cols) -> np.ndarray:
-    """[0, cumsum(w_k X_k)] along the cells, at the indices ``cols`` (all
-    when None; one index row per replicate when two-dimensional)."""
+def _partial_sums(x: np.ndarray, weights, cols) -> np.ndarray:
+    """[0, cumsum(w_k X_k)] along the last axis (w = 1.0 sums X itself) at
+    the indices ``cols``: all when None, one row per replicate when 2-D."""
     # summed straight into the prefix, and the terms freed before the
     # column copy: a long path holds no third cell-sized array
     terms = weights * x
@@ -220,30 +229,22 @@ def _weighted_sums(af, m: int, stream: RandomStream, base, fs=None, start: int =
     row equals the single-stream run under its child stream.
     """
     count = m if count is None else count
-
-    def cells() -> np.ndarray:
-        # built in place: extra temporaries of 2^20-cell rows fragment
-        # glibc's heap, which raised the peak RSS of long-path runs
-        xs = np.arange(start + 1, start + count + 1, dtype=float)
-        xs /= m
-        return np.minimum(xs, 1.0, out=xs)
-
-    alphas = np.asarray(af(cells()), dtype=float)
+    alphas = np.asarray(af(_cell_times(m, start + 1, count)), dtype=float)
     if replicates is None:
         x = _single_stream_draws(alphas, af, stream, m, start, nested)
         # weights built after the draws, so that sampling, the peak of a
         # long path's memory, holds no array beside alphas
-        return _partial_sums(x, _weights(alphas, base, fs, cells), cols)
+        return _partial_sums(x, _weights(alphas, base, fs, m, start + 1), cols)
     cols = np.asarray(cols)
     per_row = np.ndim(base) == 1
-    weights = None if per_row else _weights(alphas, base, fs, cells)
+    weights = None if per_row else _weights(alphas, base, fs, m, start + 1)
     out = np.empty((replicates, 1 if fs is None else len(fs), cols.shape[-1]))
     for rows in _row_chunks(replicates, count):
         row_cols = cols[rows] if cols.ndim == 2 else cols
         need = int(row_cols.max())
         x = _symmetric_draws(alphas[:need], stream, m, nested, rows)[:, None, :]
         if per_row:
-            w = _weights(alphas[:need], base[rows][:, None], fs, lambda: cells()[:need])
+            w = _weights(alphas[:need], base[rows][:, None], fs, m, start + 1)
         else:
             w = weights[:, :need]
         out[rows] = _partial_sums(x, w, row_cols)
@@ -295,14 +296,12 @@ def _arrival_counts(stream: RandomStream, m: int, cols, *lead) -> np.ndarray:
     stream.child(*lead, _TAG_ARRIVALS)) for every index of ``lead``, which
     gives the leading shape."""
     gaps = _exponential(_uniform_pairs(stream, m, *lead, _TAG_ARRIVALS)[..., 1])
-    counts = np.zeros(gaps.shape[:-1] + (m + 1,), dtype=int)
-    counts[..., 1:] = np.floor(np.cumsum(gaps, axis=-1))
-    return counts if cols is None else counts[..., cols]
+    return np.floor(_partial_sums(gaps, 1.0, cols)).astype(int)
 
 
 def simulate_li(cfg: SchemeConfig) -> PathGrid:
     """Field-local weighted-sum path on the dyadic grid k/2^n."""
-    return PathGrid(times=_dyadic_times(cfg.n), values=_scheme_values("li", cfg))
+    return _grid_path(_scheme_values("li", cfg))
 
 
 def simulate_lr(cfg: SchemeConfig) -> PathGrid:
@@ -314,7 +313,7 @@ def simulate_lr(cfg: SchemeConfig) -> PathGrid:
     min(j/2^n, 1); a Gamma_k below 1 leaves the value at exactly 0.  Those
     summands have no dyadic address, so nested draws are rejected.
     """
-    return PathGrid(times=_dyadic_times(cfg.n), values=_scheme_values("lr", cfg))
+    return _grid_path(_scheme_values("lr", cfg))
 
 
 def simulate_lc(cfg: SchemeConfig, gamma_value: float | None = None) -> PathGrid:
@@ -329,8 +328,7 @@ def simulate_lc(cfg: SchemeConfig, gamma_value: float | None = None) -> PathGrid
     also inside a batched ensemble, draws its Gamma from its own
     ``generator()``.
     """
-    return PathGrid(times=_dyadic_times(cfg.n),
-                    values=_scheme_values("lc", cfg, gamma_value=gamma_value))
+    return _grid_path(_scheme_values("lc", cfg, gamma_value=gamma_value))
 
 
 def glue_whole_line(af: AlphaFunction, n: int, stream: RandomStream) -> PathGrid:
@@ -344,7 +342,6 @@ def glue_whole_line(af: AlphaFunction, n: int, stream: RandomStream) -> PathGrid
     if t0 != 0.0 or abs(t1 - round(t1)) > 1e-12 or t1 < 1.0:
         raise ParameterError("whole-line gluing needs an exponent domain [0, T], T integer >= 1")
     segments = int(round(t1))
-    m = 2 ** n
     times = [np.zeros(1)]
     values = [np.zeros(1)]
     offset = 0.0
@@ -366,20 +363,12 @@ def simulate_stable_fclt(alpha: float, n_terms: int, stream: RandomStream) -> Pa
     # n^(-1/alpha) enters as a constant integrand over the unit base, where
     # 1^(1/alpha) = 1 exactly; the base 1/n would round differently
     weight = IntegrandFunction.constant(n_terms ** (-1.0 / alpha))
-    values = _weighted_sums(af, n_terms, stream, 1.0, fs=[weight])[0]
-    times = np.arange(n_terms + 1, dtype=float) / n_terms
-    return PathGrid(times=times, values=values)
+    return _grid_path(_weighted_sums(af, n_terms, stream, 1.0, fs=[weight])[0])
 
 
 # ---------------------------------------------------------------------------
 # ensemble drivers (replicate r draws from stream.child(r))
 # ---------------------------------------------------------------------------
-
-def grid_index(n: int, u: float) -> int:
-    """Index of the last dyadic grid point <= u (paths are cadlag steps);
-    u is snapped up by _GRID_SNAP first, as in PathGrid.value_at."""
-    return int(math.floor(math.ldexp(u + _GRID_SNAP, n)))
-
 
 def marginal_ensemble(scheme: str, af: AlphaFunction, n: int, us, ensemble: int,
                       stream: RandomStream, alpha_n: AlphaFunction | None = None,
@@ -411,8 +400,8 @@ def li_window_ensemble(af: AlphaFunction, n: int, k0: int, cell_offsets, ensembl
     _check_level(n)
     _check_ensemble(ensemble)
     m = 2 ** n
-    offs = np.asarray(cell_offsets, dtype=int)
-    if offs.size == 0 or np.any(offs < 1) or k0 < 0 or k0 + int(offs.max()) > m:
+    offs = _check_indices(cell_offsets, 1, m - k0, "cell offsets")
+    if offs.size == 0 or k0 < 0:
         raise ParameterError("cell window must be nonempty and lie inside the dyadic grid")
     return _weighted_sums(af, m, stream, 2.0 ** -n, start=k0, count=int(offs.max()),
                           cols=offs, replicates=ensemble)[:, 0]

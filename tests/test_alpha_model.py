@@ -24,7 +24,7 @@ from mslevy import (
     plateau_identity_alpha,
     quasinorm,
 )
-from mslevy.errors import ParameterError, QuadratureError
+from mslevy.errors import DomainError, ParameterError, QuadratureError
 from mslevy.quadrature import adaptive_simpson
 
 from _oracles import (
@@ -224,6 +224,27 @@ class TestNaiveSchemeExponent:
         got = lf_n_exponent(af, u, theta, n)
         want = lf_exponent_bruteforce(af, u, theta, n)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("af,u,theta,n,bits", [
+        (AF_LINEAR, 0.3, 0.5, 4, "0x1.f3e667f375ecfp-4"),
+        (AF_LINEAR, 1.0, 2.0, 8, "0x1.eec46bd74decap+2"),
+        (AF_STEP, 0.95, 1.0, 6, "0x1.3200000000001p+1"),
+        (AF_STEP, 0.5 - 1e-13, 1.5, 10, "0x1.9fa7fe4e9b76cp-1"),
+        (AF_LINEAR, 0.75 + 1e-13, -0.7, 12, "0x1.c5e2a0699ac7fp+0"),
+        (plateau_identity_alpha(1.8), 0.95, 1.0, 20, "0x1.f0c48613c6deap+0"),
+    ])
+    def test_pinned_bits(self, af, u, theta, n, bits):
+        # the cell count comes from grid_index and the cells from the
+        # shared level-n cell times; neither may move a bit
+        assert lf_n_exponent(af, u, theta, n) == float.fromhex(bits)
+
+    def test_u_past_one_is_rejected(self):
+        # the dyadic cells stop at 1, also for an exponent defined beyond it
+        af = AlphaFunction.linear(1.2, 0.1, domain=(0.0, 2.0))
+        assert lf_n_exponent(af, 1.0, 1.0, 4) == pytest.approx(
+            lf_exponent_bruteforce(af, 1.0, 1.0, 4), rel=1e-12)
+        with pytest.raises(DomainError):
+            lf_n_exponent(af, 1.5, 1.0, 4)
 
     def test_constant_alpha_is_exact(self):
         got = lf_n_exponent(AlphaFunction.constant(1.4), 0.7, 2.0, 6)

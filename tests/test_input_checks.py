@@ -30,7 +30,8 @@ from mslevy.integrals import (
     integrand_convergence,
     strong_localisability_check,
 )
-from mslevy.msl_schemes import PathGrid, SchemeConfig, simulate_lc, simulate_stable_fclt
+from mslevy.msl_schemes import (PathGrid, SchemeConfig, li_window_ensemble, simulate_lc,
+                                simulate_stable_fclt)
 from mslevy.quadrature import gauss_kronrod
 from mslevy.stable_core import (
     poisson_arrivals,
@@ -46,8 +47,10 @@ AF = AlphaFunction.linear(1.2, 0.6)
 CFG = ContinuousStableConfig(1.5, 1.0, levels=4)
 GRID = [0.0, 0.5, 1.0]
 
-# name -> a call with one NaN (or, for mu, infinite) parameter, which must be
-# rejected rather than return a NaN-laden value or fail with an unrelated error
+# name -> a call with one NaN (or, for mu, infinite; for C, negative; for an
+# index list, fractional) parameter, which must be rejected rather than return
+# a NaN-laden value, a failed verdict or a silently cast index, or fail with an
+# unrelated error
 NON_FINITE_CALLS = {
     "sample_symmetric.alpha": lambda: sample_symmetric([NAN, 1.5], STREAM),
     "symmetric_from_uniform_pairs.alpha":
@@ -61,6 +64,12 @@ NON_FINITE_CALLS = {
     "ContinuousStableConfig.d": lambda: ContinuousStableConfig(1.5, NAN),
     "simulate_sn.d": lambda: simulate_sn(3, AF, STREAM, GRID, d=NAN),
     "sn_boundary_ensemble.d": lambda: sn_boundary_ensemble(3, AF, STREAM, [8], 2, d=NAN),
+    "sn_boundary_ensemble.boundary_ks": lambda: sn_boundary_ensemble(3, AF, STREAM, [2, NAN], 2),
+    "sn_boundary_ensemble.boundary_ks_fraction":
+        lambda: sn_boundary_ensemble(3, AF, STREAM, [1.5], 2),
+    "li_window_ensemble.cell_offsets": lambda: li_window_ensemble(AF, 4, 2, [1, NAN], 2, STREAM),
+    "li_window_ensemble.cell_offsets_fraction":
+        lambda: li_window_ensemble(AF, 4, 2, [2.7], 2, STREAM),
     "sample_continuous_stable.grid": lambda: sample_continuous_stable(CFG, [0.0, NAN, 1.0], STREAM),
     "simulate_sn.grid": lambda: simulate_sn(3, AF, STREAM, [0.0, NAN, 1.0]),
     "scale_parameter.t": lambda: scale_parameter(CFG, NAN),
@@ -70,6 +79,12 @@ NON_FINITE_CALLS = {
     "modular_integral.lam": lambda: modular_integral(IntegrandFunction.constant(1.0), AF, NAN),
     "billingsley_bound.lam": lambda: billingsley_bound(lambda t: math.exp(-abs(t)), NAN),
     "hoelder_tail_constant.x": lambda: hoelder_tail_constant(1.0, 1.0, 1.5, NAN),
+    "hoelder_bound_check.C": lambda: hoelder_bound_check(
+        KernelFunction.running_indicator(), AF, 1.0, NAN, 0.2, [(0.5, 0.25)], STREAM, n=4,
+        ensemble=10),
+    "hoelder_bound_check.C_negative": lambda: hoelder_bound_check(
+        KernelFunction.running_indicator(), AF, 1.0, -1.0, 0.2, [(0.5, 0.25)], STREAM, n=4,
+        ensemble=10),
     "strong_localisability_check.radius": lambda: strong_localisability_check(
         KernelFunction.running_indicator(), AF, 0.2, [NAN, 0.1], [(0.1, 0.2), (0.2, 0.4)],
         with_quasinorm=False),

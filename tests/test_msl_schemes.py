@@ -61,9 +61,12 @@ class TestGridIndex:
         assert grid_index(3, 0.49) == 3
         assert grid_index(3, 0.5) == 4
         assert grid_index(3, 1.0) == 8
+        # snapped up by 1e-12: just below k/2^n reads k, further below k - 1
+        assert [grid_index(3, 0.5 + s) for s in (-1e-11, -1e-13, 1e-13, 1e-11)] == [3, 4, 4, 4]
 
     @pytest.mark.parametrize("n", [4, 10, 16])
-    @pytest.mark.parametrize("shift", [-5e-10, -5e-13, 5e-13, 5e-10])
+    @pytest.mark.parametrize("shift", [-5e-10, -1e-11, -5e-13, -1e-13, 1e-13, 5e-13, 1e-11,
+                                       5e-10])
     def test_ensemble_reads_the_same_cell_as_value_at(self, n, shift):
         # one snapping rule: the ensemble's grid_index and PathGrid.value_at
         # pick the same grid point next to every k/2^n
