@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, InfiniteQuasinormError, ParameterError
 from .quadrature import gauss_kronrod, split_points
+from .stable_core import _check_ints
 
 # JSON spelling of each exponent kind: the constructor and the fields it reads
 _SPELLINGS = {
@@ -452,8 +453,7 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
     b = 1.8, u = 0.95, theta = 1 gives 1.94 at n = 20 and passes 1e3 only
     near n = 192.
     """
-    if n < 0:
-        raise ParameterError("level n must be >= 0")
+    n = _check_ints(n, 0, None, "level n")
     _check_interval(af, 0.0, u)
     if u > 1.0 + _EDGE_TOL:
         raise DomainError(f"the field-based scheme lives on [0, 1], got u = {u}")

@@ -60,7 +60,8 @@ from .msl_schemes import (
     simulate_lr,
     simulate_stable_fclt,
 )
-from .stable_core import RandomStream, StableParams, compute_C_alpha, sample_stable
+from .stable_core import (RandomStream, StableParams, _check_ints, compute_C_alpha,
+                          sample_stable)
 from .verify_stats import (
     ecf_report,
     empirical_cf,
@@ -122,10 +123,8 @@ def _check_shared(command: str, resolved: dict) -> None:
     if resolved.get("plot") and not resolved.get("out"):
         raise ParameterError("--plot needs --out to know where the SVG goes")
     if "ensemble" in resolved:
-        low, ens = (1000 if command == "verify" else 1), resolved["ensemble"]
-        if not low <= ens <= 2 ** _MAX_LEVEL:
-            raise ParameterError(f"{command} needs {low} <= --ensemble <= "
-                                 f"2^{_MAX_LEVEL}, got {ens}")
+        _check_ints(resolved["ensemble"], 1000 if command == "verify" else 1,
+                    2 ** _MAX_LEVEL, "--ensemble")
     tol = resolved.get("tolerance")
     if tol is not None and not tol > 0.0:
         raise ParameterError(f"--tolerance must be positive, got {tol}")

@@ -19,9 +19,9 @@ import numpy as np
 
 from .alpha_model import AlphaFunction, _cell_times
 from .errors import DomainError, ParameterError
-from .msl_schemes import PathGrid, _check_ensemble, _check_indices, _check_level, _partial_sums
-from .stable_core import (RandomStream, _check_alphas, _cms, _row_chunks, _uniform_pairs,
-                          sample_symmetric)
+from .msl_schemes import _MAX_LEVEL, PathGrid, _partial_sums
+from .stable_core import (RandomStream, _check_alphas, _check_ints, _cms, _row_chunks,
+                          _uniform_pairs, sample_symmetric)
 
 _TAG_LEVEL = 0x1E7E1
 _TAG_CELL = 0xCE11
@@ -46,8 +46,7 @@ class ContinuousStableConfig:
 
     def __post_init__(self) -> None:
         _check_alphas(self.alpha)
-        if self.levels < 0:
-            raise ParameterError("truncation level must be >= 0")
+        object.__setattr__(self, "levels", _check_ints(self.levels, 0, None, "truncation level"))
         floor = 1.0 / self.alpha
         if self.lp_mode:
             if not self.d >= floor - 1e-12:
@@ -101,12 +100,8 @@ def stable_level_draws(alpha: float, j: int, stream: RandomStream,
     so asking for a shorter prefix (or re-asking at a higher truncation
     level) returns the same leading values.
     """
-    if j < 0:
-        raise ParameterError(f"level must be >= 0, got {j}")
-    if count is None:
-        count = 2 ** j
-    if not (1 <= count <= 2 ** j):
-        raise ParameterError(f"count must lie in [1, 2^{j}], got {count}")
+    j = _check_ints(j, 0, None, "level j")
+    count = _check_ints(2 ** j if count is None else count, 1, 2 ** j, "coefficient count")
     return sample_symmetric(np.full(count, float(alpha)), stream.child(_TAG_LEVEL, j))
 
 
@@ -193,8 +188,8 @@ def max_deviation_probability(alpha: float, c: float, j: int, n_mc: int,
         raise ParameterError(f"the tail rate needs alpha in (0, 2), got {alpha}")
     if not c > 1.0 / alpha:
         raise ParameterError(f"need c > 1/alpha = {1.0 / alpha}, got {c}")
-    if j < 0 or n_mc < 1:
-        raise ParameterError("level must be >= 0 and n_mc >= 1")
+    j = _check_ints(j, 0, None, "level j")
+    n_mc = _check_ints(n_mc, 1, None, "n_mc")
     m = 2 ** j
     threshold = 2.0 ** (j * c)
     block = max(1, 2_000_000 // m)
@@ -258,12 +253,11 @@ def _sigma_tilde_boundary(alphas: np.ndarray, d: float, n: int) -> np.ndarray:
 
 def _sn_cells(n: int, af: AlphaFunction, d: float, levels: int):
     """Validated per-cell set-up shared by :func:`simulate_sn` and
-    :func:`sn_boundary_ensemble`: the exponents alpha(k/2^n), the weights
-    (2^-n)^(1/alpha) and the dilated scales at 2^-n, k = 0..2^n - 1."""
-    _check_level(n)
-    if levels < n:
-        raise ParameterError(
-            f"truncation level {levels} cannot resolve cell width 2^-{n}; need levels >= n")
+    :func:`sn_boundary_ensemble`: the checked integers n and levels, the
+    exponents alpha(k/2^n), the weights (2^-n)^(1/alpha) and the dilated
+    scales at 2^-n, k = 0..2^n - 1."""
+    n = _check_ints(n, 1, _MAX_LEVEL, "dyadic level n")
+    levels = _check_ints(levels, n, None, f"truncation level for cell width 2^-{n}")
     t0, t1 = af.domain
     if t0 != 0.0 or t1 < 1.0:
         raise ParameterError("the exponent function must cover [0, 1]")
@@ -271,7 +265,7 @@ def _sn_cells(n: int, af: AlphaFunction, d: float, levels: int):
     if not d > 1.0 / float(np.min(alphas)):
         raise ParameterError(
             f"continuous regime needs d > 1/alpha on every cell; d = {d} fails")
-    return alphas, (2.0 ** -n) ** (1.0 / alphas), _sigma_tilde_boundary(alphas, d, n)
+    return n, levels, alphas, (2.0 ** -n) ** (1.0 / alphas), _sigma_tilde_boundary(alphas, d, n)
 
 
 def _cell_terms(z: np.ndarray, weights, sig, d: float, n: int) -> np.ndarray:
@@ -293,7 +287,7 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
     truncated series exactly, making each completed-cell summand exactly
     unit-scale stable.
     """
-    alphas, weights, sig = _sn_cells(n, af, d, levels)
+    n, levels, alphas, weights, sig = _sn_cells(n, af, d, levels)
     t = _check_grid(t_grid)
     m = 2 ** n
     cell_of = np.floor(np.ldexp(t, n)).astype(np.int64)
@@ -342,10 +336,10 @@ def sn_boundary_ensemble(n: int, af: AlphaFunction, stream: RandomStream,
     the ensemble touches a short prefix of every cell stream instead of
     evaluating whole paths.
     """
-    _check_ensemble(ensemble)
-    alphas, weights, sig = _sn_cells(n, af, d, levels)
+    ensemble = _check_ints(ensemble, 1, None, "ensemble size")
+    n, _, alphas, weights, sig = _sn_cells(n, af, d, levels)
     m = 2 ** n
-    ks = _check_indices(boundary_ks, 0, m, "boundary indices")
+    ks = _check_ints(boundary_ks, 0, m, "boundary indices")
     out = np.empty((ensemble, ks.size))
     for rows in _row_chunks(ensemble, m * (n + 1)):
         z = _sn_cell_draws(alphas, stream, n + 1, np.arange(m), rows)

@@ -20,9 +20,9 @@ import numpy as np
 from .alpha_model import (AlphaFunction, IntegrandFunction, _cells, _probe_grid,
                           modular_integral, quasinorm)
 from .errors import ParameterError, QuadratureError
-from .msl_schemes import PathGrid, _check_ensemble, _check_level, _grid_path, _weighted_sums
+from .msl_schemes import _MAX_LEVEL, PathGrid, _grid_path, _weighted_sums
 from .quadrature import gauss_kronrod
-from .stable_core import RandomStream
+from .stable_core import RandomStream, _check_ints
 from .verify_stats import _factorization_distance, spearman_corr
 
 _NULL_SET_TOL = 1e-12
@@ -91,7 +91,7 @@ def sample_integral(f: IntegrandFunction, af: AlphaFunction, n: int,
     slices reproduce discrete-scheme path values bit for bit under the same
     stream.
     """
-    _check_level(n)
+    n = _check_ints(n, 1, _MAX_LEVEL, "dyadic level n")
     return float(_weighted_sums(af, 2 ** n, stream, 2.0 ** -n, fs=[f])[0, -1])
 
 
@@ -106,8 +106,8 @@ def joint_integral_ensemble(fs, af: AlphaFunction, n: int, ensemble: int,
     """Matrix (ensemble x len(fs)) of integral draws where every column of a
     row shares the same underlying stable draws — the joint law of several
     integrals against one realisation of the random measure."""
-    _check_level(n)
-    _check_ensemble(ensemble)
+    n = _check_ints(n, 1, _MAX_LEVEL, "dyadic level n")
+    ensemble = _check_ints(ensemble, 1, None, "ensemble size")
     fs = list(fs)
     if not fs:
         raise ParameterError("need at least one integrand")
@@ -120,7 +120,7 @@ def weighted_mslm(w: IntegrandFunction, af: AlphaFunction, n: int,
     """Path of integrals of w over growing windows [0, k/2^n]: the
     weighted multistable motion.  w = 1 reproduces the plain scheme path
     bitwise under the same stream."""
-    _check_level(n)
+    n = _check_ints(n, 1, _MAX_LEVEL, "dyadic level n")
     return _grid_path(_weighted_sums(af, 2 ** n, stream, 2.0 ** -n, fs=[w])[0])
 
 
@@ -271,6 +271,8 @@ def pairwise_independence(fs, af: AlphaFunction) -> PairwiseReport:
 def hoelder_tail_constant(C: float, a: float, b: float, x: float) -> float:
     """The explicit constant C * (x/(a+1) + 2^(b+1)/((b+1) x^b)) from the
     truncation-at-x bound on the increment tail."""
+    if not 0.0 <= C < math.inf:
+        raise ParameterError(f"energy constant C must be finite and >= 0, got {C}")
     if not x > 0.0:
         raise ParameterError(f"the truncation point must be positive, got {x}")
     return C * (x / (a + 1.0) + 2.0 ** (b + 1.0) / ((b + 1.0) * x ** b))
@@ -307,8 +309,7 @@ def hoelder_bound_check(kernel: KernelFunction, af: AlphaFunction, eta: float,
     the Monte-Carlo tail P(|X(t) - X(v)| >= |t-v|^beta) against the explicit
     one-sided bound C_{a,b} |t-v|^(eta - b beta).
     """
-    if not 0.0 <= C < math.inf:
-        raise ParameterError(f"energy constant C must be finite and >= 0, got {C}")
+    hoelder_tail_constant(C, af.a, af.b, 1.0)  # checks C before any quadrature or draw
     if not (0.0 < beta < 1.0 and beta < eta / af.b):
         raise ParameterError(
             f"beta must lie in (0, min(1, eta/b)) = (0, {min(1.0, eta / af.b)})")

@@ -25,8 +25,8 @@ import numpy as np
 
 from .alpha_model import _GRID_SNAP, AlphaFunction, IntegrandFunction, _cell_times, grid_index
 from .errors import ParameterError
-from .stable_core import (RandomStream, _child_ids, _cms, _exponential, _row_chunks,
-                          _uniform_pairs, sample_symmetric)
+from .stable_core import (RandomStream, _check_ints, _child_ids, _cms, _exponential,
+                          _row_chunks, _uniform_pairs, sample_symmetric)
 
 # substream tags (arbitrary fixed constants; see RandomStream.child)
 _TAG_ARRIVALS = 0xA121
@@ -88,7 +88,7 @@ class SchemeConfig:
     nested: bool = False
 
     def __post_init__(self) -> None:
-        _check_level(self.n)
+        object.__setattr__(self, "n", _check_ints(self.n, 1, _MAX_LEVEL, "dyadic level n"))
 
     @property
     def effective_alpha(self) -> AlphaFunction:
@@ -107,24 +107,6 @@ class SchemeConfig:
 
 
 _MAX_LEVEL = 26
-
-
-def _check_level(n: int) -> None:
-    if not (1 <= n <= _MAX_LEVEL):
-        raise ParameterError(f"dyadic level n must lie in [1, {_MAX_LEVEL}], got {n}")
-
-
-def _check_ensemble(ensemble: int) -> None:
-    if not ensemble >= 1:
-        raise ParameterError(f"ensemble size must be >= 1, got {ensemble}")
-
-
-def _check_indices(values, lo: int, hi: int, what: str) -> np.ndarray:
-    """Integer indices in [lo, hi] as int64; NaN and fractions fail, not cast."""
-    v = np.asarray(values, dtype=float)
-    if not np.all((v >= lo) & (v <= hi) & (v == np.floor(v))):
-        raise ParameterError(f"{what} must be integers in [{lo}, {hi}]")
-    return v.astype(np.int64)
 
 
 def _grid_path(values: np.ndarray) -> PathGrid:
@@ -357,8 +339,7 @@ def glue_whole_line(af: AlphaFunction, n: int, stream: RandomStream) -> PathGrid
 def simulate_stable_fclt(alpha: float, n_terms: int, stream: RandomStream) -> PathGrid:
     """Partial-sum path sum_{k <= floor(n u)} n^(-1/alpha) Y_k of i.i.d.
     symmetric alpha-stable draws on the grid u = k/n."""
-    if n_terms < 1 or n_terms != int(n_terms):
-        raise ParameterError(f"n_terms must be an integer >= 1, got {n_terms}")
+    n_terms = _check_ints(n_terms, 1, None, "n_terms")
     af = AlphaFunction.constant(alpha)  # checks alpha before n^(-1/alpha) is formed
     # n^(-1/alpha) enters as a constant integrand over the unit base, where
     # 1^(1/alpha) = 1 exactly; the base 1/n would round differently
@@ -381,11 +362,11 @@ def marginal_ensemble(scheme: str, af: AlphaFunction, n: int, us, ensemble: int,
     """
     if scheme not in ("li", "lr", "lc"):
         raise ParameterError(f"unknown scheme {scheme!r}; expected one of ['lc', 'li', 'lr']")
-    _check_ensemble(ensemble)
+    ensemble = _check_ints(ensemble, 1, None, "ensemble size")
     if any(not 0.0 <= u <= 1.0 for u in us):
         raise ParameterError("evaluation times must lie in [0, 1]")
     cfg = SchemeConfig(n=n, af=af, stream=stream, alpha_n=alpha_n, nested=nested)
-    idx = np.asarray([grid_index(n, u) for u in us], dtype=int)
+    idx = np.asarray([grid_index(cfg.n, u) for u in us], dtype=int)
     return _scheme_values(scheme, cfg, cols=idx, replicates=ensemble)
 
 
@@ -397,12 +378,13 @@ def li_window_ensemble(af: AlphaFunction, n: int, k0: int, cell_offsets, ensembl
     Simulates only the window of cells actually spanned, which keeps large
     levels affordable for increment statistics.
     """
-    _check_level(n)
-    _check_ensemble(ensemble)
+    n = _check_ints(n, 1, _MAX_LEVEL, "dyadic level n")
+    ensemble = _check_ints(ensemble, 1, None, "ensemble size")
     m = 2 ** n
-    offs = _check_indices(cell_offsets, 1, m - k0, "cell offsets")
-    if offs.size == 0 or k0 < 0:
-        raise ParameterError("cell window must be nonempty and lie inside the dyadic grid")
+    k0 = _check_ints(k0, 0, m - 1, "window start k0")
+    offs = _check_ints(cell_offsets, 1, m - k0, "cell offsets")
+    if offs.size == 0:
+        raise ParameterError("cell window must be nonempty")
     return _weighted_sums(af, m, stream, 2.0 ** -n, start=k0, count=int(offs.max()),
                           cols=offs, replicates=ensemble)[:, 0]
 

@@ -38,6 +38,10 @@ _KERNEL_MAX_PAIRS = 32
 # Batched draws hold at most this many pairs per chunk of replicates or cells.
 _CHUNK_PAIRS = 2 ** 16
 
+# Integer arguments are checked as floats: every integer up to here is exact
+# as a float, and no larger one rounds down to it.
+_INT_MAX = 2 ** 53 - 1
+
 # The CMS kernel transforms this many pairs at a time, so that its four
 # block buffers stay in cache.
 _CMS_BLOCK = 2 ** 14
@@ -238,6 +242,25 @@ def _check_alphas(alphas) -> None:
         raise ParameterError(f"the stability index must lie in (0, 2], got {bad}")
 
 
+def _check_ints(values, lo: int, hi: int | None, what: str):
+    """The one check of an integer argument (a level, size or index) or a
+    list of them: whole numbers in [lo, hi], hi at most _INT_MAX (None:
+    _INT_MAX).  Integral floats and numpy integers pass; NaN, infinities,
+    fractions, values out of range and non-numbers (strings, bools, ints
+    too large for int64) raise ParameterError naming ``what`` and the
+    first bad value.  Returns a Python int for a scalar, an int64 array
+    for a list."""
+    hi = _INT_MAX if hi is None else min(hi, _INT_MAX)
+    v = np.asarray(values)
+    f = v.astype(float) if v.dtype.kind in "iuf" else np.full(v.shape, np.nan)
+    ok = (f >= lo) & (f <= hi) & (f == np.floor(f))
+    if not np.all(ok):
+        bad = np.ravel(v)[~np.ravel(ok)][0] if v.ndim else values
+        raise ParameterError(f"{what} must be {'integers' if v.ndim else 'an integer'} "
+                             f"in [{lo}, {hi}], got {bad}")
+    return f.astype(np.int64) if v.ndim else int(f)
+
+
 def _cms_saturated(a, p, w, b0: float, scale0: float) -> np.ndarray:
     """The CMS formula in log space, for draws whose factors leave the float range
     (0 * inf, or a spurious inf or 0): saturated only past the range itself."""
@@ -347,8 +370,7 @@ def sample_stable(params: StableParams, n: int, stream: RandomStream) -> np.ndar
     Uses the dedicated alpha = 1 branch within ALPHA_ONE_TOLERANCE of 1 and
     the skewed CMS branch otherwise; n = 0 returns an empty array.
     """
-    if n < 0:
-        raise ParameterError("sample size must be >= 0")
+    n = _check_ints(n, 0, None, "sample size n")
     a, sigma, beta, mu = params.alpha, params.sigma, params.beta, params.mu
     x = _cms(stream, a, beta, out=np.empty(n))
     x *= sigma
@@ -446,8 +468,7 @@ def poisson_arrivals(rate: float, count: int, stream: RandomStream) -> PoissonAr
     convention as the stable sampler, so shorter requests are prefixes of
     longer ones under the same stream.
     """
-    if count < 0:
-        raise ParameterError("count must be >= 0")
+    count = _check_ints(count, 0, None, "arrival count")
     with np.errstate(divide="ignore"):  # PoissonArrivals rejects a zero rate
         gaps = _exponential(_uniform_pairs(stream, count)[:, 1]) / rate
     return PoissonArrivals(rate=rate, times=np.cumsum(gaps))

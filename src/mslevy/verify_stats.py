@@ -19,8 +19,8 @@ import numpy as np
 
 from .alpha_model import AlphaFunction, exponent_integral
 from .errors import GridResolutionError, ParameterError
-from .msl_schemes import grid_index, li_window_ensemble, marginal_ensemble
-from .stable_core import RandomStream
+from .msl_schemes import _MAX_LEVEL, grid_index, li_window_ensemble, marginal_ensemble
+from .stable_core import RandomStream, _check_ints
 
 _CHUNK_ELEMENTS = 2_000_000
 
@@ -169,8 +169,8 @@ def increment_cf_test(scheme: str, af: AlphaFunction, n: int, intervals,
                       nested: bool = False) -> list[EcfReport]:
     """Per interval (u1, u2): ECF of the path increment L(u2) - L(u1)
     against the limit CF exp(-integral_{u1}^{u2} |theta|^alpha(s) ds)."""
-    if n < 1 or ensemble < 1000:
-        raise ParameterError("need n >= 1 and ensemble >= 1000")
+    n = _check_ints(n, 1, None, "dyadic level n")
+    ensemble = _check_ints(ensemble, 1000, None, "ensemble size")
     th = theta_grid_default()
     incs = _increments(scheme, af, n, intervals, ensemble, stream,
                        alpha_n=alpha_n, nested=nested)
@@ -218,6 +218,7 @@ def localisability_test(af: AlphaFunction, x: float, u: float, r_list, n: int,
         raise ParameterError("window x + r*u must stay inside [0, 1]")
     if not tolerance > 0.0:
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    n = _check_ints(n, 1, _MAX_LEVEL, "dyadic level n")
     smallest_span = rs[-1] * u
     if smallest_span < 2.0 ** (-n + 2):
         need = int(np.ceil(2.0 - np.log2(smallest_span)))

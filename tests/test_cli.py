@@ -77,6 +77,7 @@ class TestUsageErrors:
         (["localize", "--ensemble", "0"], "--ensemble"),
         (["localize", "--ensemble", "-5"], "--ensemble"),
         (["localize", "--ensemble", str(2 ** 26 + 1)], "--ensemble"),
+        (["localize", "--ensemble", "9" * 400], "--ensemble"),
         (["simulate", "--seed", "1", "--ensemble", "0"], "--ensemble"),
         (["localize", "--tolerance", "-1"], "--tolerance"),
         (["localize", "--tolerance", "0"], "--tolerance"),
@@ -84,8 +85,8 @@ class TestUsageErrors:
         (["condition7", "--threshold", "nan"], "threshold"),
         (["condition7", "--threshold", "-1"], "threshold"),
     ], ids=["localize_plot", "example1_plot", "localize_ensemble_0",
-            "localize_ensemble_neg", "localize_ensemble_cap", "simulate_ensemble_0",
-            "localize_tol_neg", "localize_tol_0", "localize_tol_nan",
+            "localize_ensemble_neg", "localize_ensemble_cap", "localize_ensemble_huge",
+            "simulate_ensemble_0", "localize_tol_neg", "localize_tol_0", "localize_tol_nan",
             "condition7_threshold_nan", "condition7_threshold_neg"])
     def test_shared_checks_run_before_any_output(self, argv, flag, capsys):
         assert run(argv) == 2

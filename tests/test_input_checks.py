@@ -1,6 +1,7 @@
-"""Every public entry point rejects a NaN, and an infinity where a finite
-value is needed, with ParameterError or DomainError and without a numpy
-warning; each admissible set is checked in one place."""
+"""Every public entry point rejects a NaN, an infinity where a finite value
+is needed and a fraction where an integer is needed, with ParameterError or
+DomainError and without a numpy warning; each admissible set is checked in
+one place."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import pytest
 
 from mslevy import RandomStream, StableParams
 from mslevy.alpha_model import (AlphaFunction, IntegrandFunction, check_condition7,
-                                modular_integral)
+                                lf_n_exponent, modular_integral)
 from mslevy.continuous_paths import (
     ContinuousStableConfig,
     max_deviation_probability,
@@ -19,6 +20,7 @@ from mslevy.continuous_paths import (
     scale_parameter,
     simulate_sn,
     sn_boundary_ensemble,
+    stable_level_draws,
     truncation_level,
 )
 from mslevy.errors import DomainError, ParameterError
@@ -28,29 +30,36 @@ from mslevy.integrals import (
     hoelder_bound_check,
     hoelder_tail_constant,
     integrand_convergence,
+    joint_integral_ensemble,
+    sample_integral,
     strong_localisability_check,
+    weighted_mslm,
 )
-from mslevy.msl_schemes import (PathGrid, SchemeConfig, li_window_ensemble, simulate_lc,
+from mslevy.msl_schemes import (PathGrid, SchemeConfig, glue_whole_line, li_window_ensemble,
+                                marginal_ensemble, simulate_lc, simulate_li,
                                 simulate_stable_fclt)
 from mslevy.quadrature import gauss_kronrod
 from mslevy.stable_core import (
+    _check_ints,
     poisson_arrivals,
+    sample_stable,
     sample_symmetric,
     symmetric_from_uniform_pairs,
     tail_asymptote,
 )
-from mslevy.verify_stats import localisability_test, tightness_check
+from mslevy.verify_stats import increment_cf_test, localisability_test, tightness_check
 
 NAN = math.nan
 STREAM = RandomStream(1)
 AF = AlphaFunction.linear(1.2, 0.6)
 CFG = ContinuousStableConfig(1.5, 1.0, levels=4)
 GRID = [0.0, 0.5, 1.0]
+ONE = IntegrandFunction.constant(1.0)
 
 # name -> a call with one NaN (or, for mu, infinite; for C, negative; for an
-# index list, fractional) parameter, which must be rejected rather than return
-# a NaN-laden value, a failed verdict or a silently cast index, or fail with an
-# unrelated error
+# integer, fractional) parameter, which must be rejected rather than return
+# a NaN-laden value, a failed verdict, a path on a fractional grid or a
+# silently cast index, or fail with an unrelated error
 NON_FINITE_CALLS = {
     "sample_symmetric.alpha": lambda: sample_symmetric([NAN, 1.5], STREAM),
     "symmetric_from_uniform_pairs.alpha":
@@ -93,6 +102,29 @@ NON_FINITE_CALLS = {
     "localisability_test.x": lambda: localisability_test(AF, NAN, 1.0, [0.25, 0.125], 6, 10,
                                                          STREAM),
     "gauss_kronrod.bound": lambda: gauss_kronrod(lambda x: x, 0.0, NAN),
+    "hoelder_tail_constant.C": lambda: hoelder_tail_constant(NAN, 1.0, 1.5, 0.5),
+    # integer arguments: levels, sizes and indices
+    "SchemeConfig.n": lambda: SchemeConfig(n=3.5, af=AF, stream=STREAM),
+    "sample_integral.n": lambda: sample_integral(ONE, AF, 2.5, STREAM),
+    "weighted_mslm.n": lambda: weighted_mslm(ONE, AF, 2.5, STREAM),
+    "joint_integral_ensemble.ensemble": lambda: joint_integral_ensemble([ONE], AF, 3, 2.5, STREAM),
+    "glue_whole_line.n": lambda: glue_whole_line(AF, 2.5, STREAM),
+    "li_window_ensemble.k0": lambda: li_window_ensemble(AF, 4, 1.5, [1, 2], 2, STREAM),
+    "marginal_ensemble.ensemble": lambda: marginal_ensemble("li", AF, 3, [0.5], 2.5, STREAM),
+    "sn_boundary_ensemble.ensemble": lambda: sn_boundary_ensemble(3, AF, STREAM, [8], 2.5),
+    "ContinuousStableConfig.levels": lambda: ContinuousStableConfig(1.5, 1.0, levels=NAN),
+    "simulate_sn.levels": lambda: simulate_sn(3, AF, STREAM, GRID, levels=NAN),
+    "lf_n_exponent.n": lambda: lf_n_exponent(AF, 0.5, 1.0, NAN),
+    "localisability_test.n": lambda: localisability_test(AF, 0.5, 1.0, [0.25, 0.125], NAN, 10,
+                                                         STREAM),
+    "poisson_arrivals.count": lambda: poisson_arrivals(1.0, 2.5, STREAM),
+    "sample_stable.n": lambda: sample_stable(StableParams(1.5), NAN, STREAM),
+    "simulate_stable_fclt.n_terms": lambda: simulate_stable_fclt(1.5, NAN, STREAM),
+    "stable_level_draws.j": lambda: stable_level_draws(1.5, 1.5, STREAM),
+    "max_deviation_probability.j": lambda: max_deviation_probability(1.5, 1.0, 1.5, 10, STREAM),
+    "max_deviation_probability.n_mc": lambda: max_deviation_probability(1.5, 1.0, 2, 2.5, STREAM),
+    "increment_cf_test.ensemble": lambda: increment_cf_test("li", AF, 3, [(0.0, 0.5)], 1000.5,
+                                                            STREAM),
 }
 
 
@@ -169,3 +201,62 @@ class TestOneCheckPerInput:
         with pytest.raises(ParameterError, match="beta"):
             hoelder_bound_check(KernelFunction.running_indicator(), AF, NAN, 1.0, 0.2,
                                 [(0.5, 0.25)], STREAM, n=4, ensemble=10)
+
+
+def _bits(value):
+    """The bytes of a result: a PathGrid's times and values, or an array."""
+    if isinstance(value, PathGrid):
+        return value.times.tobytes() + value.values.tobytes()
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestOneIntegerCheck:
+    def test_a_scalar_comes_back_as_a_python_int_and_a_list_as_int64(self):
+        for value in (3, 3.0, np.int64(3), np.float32(3.0)):
+            got = _check_ints(value, 1, 26, "n")
+            assert type(got) is int and got == 3
+        got = _check_ints([0, 2.0, np.int64(8)], 0, 8, "ks")
+        assert got.dtype == np.int64 and got.tolist() == [0, 2, 8]
+
+    @pytest.mark.parametrize("value", [NAN, math.inf, -math.inf, 2.5, 0, 27, -1, "3", True,
+                                       2 ** 70])
+    def test_a_scalar_outside_the_integers_in_range_is_named(self, value):
+        with pytest.raises(ParameterError,
+                           match=rf"^level n must be an integer in \[1, 26\], got {value}$"):
+            _check_ints(value, 1, 26, "level n")
+
+    @pytest.mark.parametrize("values, bad", [([1, NAN, 2.5], "nan"), ([1, 2.5, NAN], "2.5"),
+                                             ([3, 9], "9"), ([math.inf], "inf")])
+    def test_a_list_names_its_first_bad_value(self, values, bad):
+        with pytest.raises(ParameterError,
+                           match=rf"^ks must be integers in \[0, 8\], got {bad}$"):
+            _check_ints(values, 0, 8, "ks")
+
+    def test_no_upper_bound_means_the_largest_exact_float(self):
+        assert _check_ints(2 ** 53 - 1, 0, None, "count") == 2 ** 53 - 1
+        # 2^53 + 1 rounds to 2^53 as a float, so it cannot pass as 2^53
+        for value in (2 ** 53, 2 ** 53 + 1, 1e300, math.inf):
+            with pytest.raises(ParameterError, match=r"\[0, 9007199254740991\]"):
+                _check_ints(value, 0, None, "count")
+
+    @pytest.mark.parametrize("call, value", [
+        (lambda n: simulate_li(SchemeConfig(n=n, af=AF, stream=STREAM, nested=True)), 3),
+        (lambda n: marginal_ensemble("li", AF, n, [0.25, 1.0], 4, STREAM, nested=True), 3),
+        (lambda n: sn_boundary_ensemble(n, AF, STREAM, [4, 8], 3, d=3.0, levels=8), 3),
+        (lambda n: lf_n_exponent(AF, 0.7, 1.5, n), 3),
+        (lambda k0: li_window_ensemble(AF, 4, k0, [1, 3], 3, STREAM), 2),
+    ], ids=["SchemeConfig_nested", "marginal_ensemble_nested", "sn_boundary_ensemble",
+            "lf_n_exponent", "li_window_ensemble_k0"])
+    @pytest.mark.parametrize("kind", [float, np.int64])
+    def test_integral_floats_and_numpy_integers_keep_the_bits_of_the_int(self, call, value,
+                                                                         kind):
+        assert _bits(call(kind(value))) == _bits(call(value))
+
+    def test_scheme_config_stores_the_checked_int(self):
+        cfg = SchemeConfig(n=np.int64(3), af=AF, stream=STREAM)
+        assert type(cfg.n) is int and cfg.n == 3
+        assert type(ContinuousStableConfig(1.5, 1.0, levels=4.0).levels) is int
+
+    def test_a_window_start_past_the_grid_is_named(self):
+        with pytest.raises(ParameterError, match=r"k0 must be an integer in \[0, 15\], got 16"):
+            li_window_ensemble(AF, 4, 2 ** 4, [1], 2, STREAM)
