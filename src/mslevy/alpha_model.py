@@ -35,6 +35,9 @@ _EDGE_TOL = 1e-12
 # Grid reads snap a time u up to u + _GRID_SNAP before finding its dyadic
 # cell, so that k/2^n computed with rounding error still reads cell k.
 _GRID_SNAP = 1e-12
+# lf_n_exponent forms its terms this many cells at a time, so that each
+# block's temporaries stay in cache.
+_TERM_BLOCK = 2 ** 14
 
 
 def grid_index(n: int, u: float) -> int:
@@ -50,6 +53,28 @@ def _cell_times(m: int, first: int, count: int) -> np.ndarray:
     xs = np.arange(first, first + count, dtype=float)
     xs /= m
     return np.minimum(xs, 1.0, out=xs)
+
+
+def _cell_alphas(af: AlphaFunction, m: int, first: int, count: int) -> np.ndarray:
+    """af at ``_cell_times(m, first, count)``, with the bits of af(xs).
+
+    The times are sorted, so checking the two ends checks them all, and
+    each affine piece is one slice, found by one searchsorted of the
+    breaks, that gets intercept + slope x in place: no per-cell bisect or
+    gather."""
+    xs = _cell_times(m, first, count)
+    if count:
+        t0, t1 = af.domain
+        if not (xs[0] >= t0 - _EDGE_TOL and xs[-1] <= t1 + _EDGE_TOL):
+            raise DomainError(f"argument outside exponent domain [{t0}, {t1}]")
+        if xs[0] < t0 or xs[-1] > t1:
+            np.clip(xs, t0, t1, out=xs)
+    edges = [0, *np.searchsorted(xs, af.breaks, side="left").tolist(), count]
+    for lo, hi, c, slope in zip(edges, edges[1:], af.intercepts, af.slopes):
+        piece = xs[lo:hi]
+        piece *= slope
+        piece += c
+    return xs
 
 
 @dataclass(frozen=True)
@@ -461,9 +486,17 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
     abs_t = abs(float(theta))
     if count == 0 or abs_t == 0.0:
         return 0.0
-    alphas = np.asarray(af(_cell_times(2 ** n, 1, count)), dtype=float)
-    weights = (2.0 ** -n) ** (alphas / af(u))
-    return float(np.sum(abs_t ** alphas * weights))
+    # every term of a block is formed while its cells sit in cache; one sum
+    # over all terms keeps numpy's pairwise tree, and with it the bits
+    alpha_u, scale = af(u), 2.0 ** -n
+    terms = np.empty(count)
+    for lo in range(0, count, _TERM_BLOCK):
+        alphas = _cell_alphas(af, 2 ** n, 1 + lo, min(_TERM_BLOCK, count - lo))
+        block = terms[lo:lo + alphas.size]
+        np.power(abs_t, alphas, out=block)
+        alphas /= alpha_u
+        block *= np.power(scale, alphas, out=alphas)
+    return float(np.sum(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,8 @@ def _simulate_path(resolved: dict, af: AlphaFunction, stream: RandomStream):
         mesh = resolved["mesh_level"]
         mesh = _at_most(mesh, _MAX_LEVEL, "--mesh-level") if mesh is not None \
             else min(n + 2, 16)
+        if mesh < 0:
+            raise ParameterError(f"--mesh-level must be at least 0, got {mesh}")
         t_grid = np.arange(2 ** mesh + 1, dtype=float) / 2.0 ** mesh
         levels = resolved["levels"]
         levels = _at_most(levels, _MAX_LEVEL, "--levels") if levels is not None \

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_model import AlphaFunction, _cell_times
+from .alpha_model import AlphaFunction, _cell_alphas
 from .errors import DomainError, ParameterError
 from .msl_schemes import _MAX_LEVEL, PathGrid, _partial_sums
 from .stable_core import (RandomStream, _check_alphas, _check_ints, _cms, _row_chunks,
@@ -261,7 +261,7 @@ def _sn_cells(n: int, af: AlphaFunction, d: float, levels: int):
     t0, t1 = af.domain
     if t0 != 0.0 or t1 < 1.0:
         raise ParameterError("the exponent function must cover [0, 1]")
-    alphas = np.asarray(af(_cell_times(2 ** n, 0, 2 ** n)), dtype=float)
+    alphas = _cell_alphas(af, 2 ** n, 0, 2 ** n)
     if not d > 1.0 / float(np.min(alphas)):
         raise ParameterError(
             f"continuous regime needs d > 1/alpha on every cell; d = {d} fails")

@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_model import _GRID_SNAP, AlphaFunction, IntegrandFunction, _cell_times, grid_index
+from .alpha_model import (_GRID_SNAP, AlphaFunction, IntegrandFunction, _cell_alphas,
+                          _cell_times, grid_index)
 from .errors import ParameterError
 from .stable_core import (RandomStream, _check_ints, _child_ids, _cms, _exponential,
-                          _row_chunks, _uniform_pairs, sample_symmetric)
+                          _generators, _row_chunks, _uniform_pairs, sample_symmetric)
 
 # substream tags (arbitrary fixed constants; see RandomStream.child)
 _TAG_ARRIVALS = 0xA121
@@ -211,7 +212,7 @@ def _weighted_sums(af, m: int, stream: RandomStream, base, fs=None, start: int =
     row equals the single-stream run under its child stream.
     """
     count = m if count is None else count
-    alphas = np.asarray(af(_cell_times(m, start + 1, count)), dtype=float)
+    alphas = _cell_alphas(af, m, start + 1, count)
     if replicates is None:
         x = _single_stream_draws(alphas, af, stream, m, start, nested)
         # weights built after the draws, so that sampling, the peak of a
@@ -249,9 +250,8 @@ def _scheme_values(scheme: str, cfg: SchemeConfig, cols=None,
             # numpy's gamma sampler is not counter-addressed: one C
             # generator per arrival stream
             lead = () if replicates is None else (np.arange(replicates),)
-            gammas = np.array([RandomStream(stream.seed, sid).generator().gamma(shape=m)
-                               for sid in _child_ids(stream.stream_id, *lead,
-                                                     _TAG_ARRIVALS).tolist()])
+            ids = _child_ids(stream.stream_id, *lead, _TAG_ARRIVALS)
+            gammas = np.array([gen.gamma(shape=m) for gen in _generators(stream.seed, ids)])
         else:
             gammas = np.array([gamma_value])
         if not np.all(gammas > 0.0):
@@ -307,8 +307,8 @@ def simulate_lc(cfg: SchemeConfig, gamma_value: float | None = None) -> PathGrid
     ``gamma_value`` overrides the draw; with gamma_value = 2^n the path
     coincides exactly with the field-local scheme under the same stream.
     numpy's gamma sampler cannot be addressed by counter, so every path,
-    also inside a batched ensemble, draws its Gamma from its own
-    ``generator()``.
+    also inside a batched ensemble, draws its Gamma as its own
+    ``generator()`` would, from one C generator re-keyed per path.
     """
     return _grid_path(_scheme_values("lc", cfg, gamma_value=gamma_value))
 

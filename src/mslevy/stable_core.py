@@ -216,16 +216,23 @@ def _uniform_pairs(stream: RandomStream, count: int, *path, block: int | None = 
         for lo in range(0, ids.size, step):
             u[lo:lo + step] = _uniforms(stream.seed, ids[lo:lo + step], 2 * count)
     else:
-        # one C generator re-keyed per stream: 3 us a stream, where a fresh
-        # generator takes 18 us (its unused SeedSequence reads os.urandom)
-        bits = np.random.Philox(key=stream._key())
-        gen = np.random.Generator(bits)
-        fresh = bits.state
-        for row, sid in zip(u, ids.tolist()):
-            fresh["state"]["key"] = RandomStream(stream.seed, sid)._key()
-            bits.state = fresh
+        for row, gen in zip(u, _generators(stream.seed, ids)):
             gen.random(out=row)
     return u.reshape(shape + (count, 2))
+
+
+def _generators(seed: int, stream_ids: np.ndarray):
+    """``RandomStream(seed, id).generator()`` for each id in turn, as one C
+    generator re-keyed per stream: 3 us a stream, where a fresh generator
+    takes 18 us (its unused SeedSequence reads os.urandom).  Each yielded
+    generator is the same object, valid until the next one is yielded."""
+    bits = np.random.Philox(key=RandomStream(seed)._key())
+    gen = np.random.Generator(bits)
+    fresh = bits.state
+    for sid in stream_ids.tolist():
+        fresh["state"]["key"] = RandomStream(seed, sid)._key()
+        bits.state = fresh
+        yield gen
 
 
 def _exponential(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

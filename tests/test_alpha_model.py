@@ -24,6 +24,7 @@ from mslevy import (
     plateau_identity_alpha,
     quasinorm,
 )
+from mslevy.alpha_model import _cell_alphas, _cell_times, grid_index
 from mslevy.errors import DomainError, ParameterError, QuadratureError
 from mslevy.quadrature import adaptive_simpson
 
@@ -232,11 +233,25 @@ class TestNaiveSchemeExponent:
         (AF_STEP, 0.5 - 1e-13, 1.5, 10, "0x1.9fa7fe4e9b76cp-1"),
         (AF_LINEAR, 0.75 + 1e-13, -0.7, 12, "0x1.c5e2a0699ac7fp+0"),
         (plateau_identity_alpha(1.8), 0.95, 1.0, 20, "0x1.f0c48613c6deap+0"),
+        # 22937 cells: the terms are formed in blocks of 2^14
+        (AF_TABLE49, 0.7, 1.3, 15, "0x1.d62134810c4acp-2"),
     ])
     def test_pinned_bits(self, af, u, theta, n, bits):
         # the cell count comes from grid_index and the cells from the
         # shared level-n cell times; neither may move a bit
         assert lf_n_exponent(af, u, theta, n) == float.fromhex(bits)
+
+    @pytest.mark.parametrize("af,u,theta,n", [
+        (AF_LINEAR, 1.0, 2.0, 8), (AF_STEP, 0.5 - 1e-13, 1.5, 10),
+        (AF_TABLE49, 0.7, 1.3, 15), (AF_TABLE49, 1.0, 0.4, 16),
+        (plateau_identity_alpha(1.8), 0.95, 3.7, 17),
+    ])
+    def test_same_bits_as_one_pass_sum(self, af, u, theta, n):
+        # the blocked sum against the whole-array form it replaced; it holds
+        # on every SIMD dispatch of np.power, where pinned values need not
+        alphas = af(_cell_times(2 ** n, 1, grid_index(n, u)))
+        want = np.sum(abs(theta) ** alphas * (2.0 ** -n) ** (alphas / af(u)))
+        assert np.float64(lf_n_exponent(af, u, theta, n)).tobytes() == want.tobytes()
 
     def test_u_past_one_is_rejected(self):
         # the dyadic cells stop at 1, also for an exponent defined beyond it
@@ -258,6 +273,40 @@ class TestNaiveSchemeExponent:
 
     def test_zero_theta(self):
         assert lf_n_exponent(AF_LINEAR, 0.5, 0.0, 6) == 0.0
+
+
+class TestCellAlphas:
+    """_cell_alphas reads alpha on the sorted cell times by piece slices,
+    with the bits, the clip and the DomainError of a whole-array call."""
+
+    @pytest.mark.parametrize("af,m,first,count", [
+        (AlphaFunction.constant(1.4), 64, 1, 64),
+        (AF_LINEAR, 2 ** 20, 1, 2 ** 20),
+        (AF_STEP, 8, 0, 8),  # times 4/8 land on the break
+        (AF_TABLE49, 49, 0, 49),  # every time i/49 lands on a break
+        (AF_TABLE49, 2 ** 12, 5, 3000),
+        (AlphaFunction.piecewise_linear((0.25, 0.6), (1.0, 1.4, 0.6), (0.3, -0.2, 0.5)),
+         1000, 0, 1001),
+        (plateau_identity_alpha(1.8), 2 ** 15, 1, 2 ** 15),
+        (AlphaFunction.piecewise((0.5, 1.5), (1.2, 1.8, 0.7), domain=(0.0, 3.0)), 16, 0, 17),
+        (AlphaFunction.piecewise((-0.5, 0.5), (1.2, 1.8, 0.7), domain=(-1.0, 2.0)), 4, 0, 5),
+        (AlphaFunction.linear(1.2, 0.6, domain=(1e-13, 1.0)), 16, 0, 17),  # 0 is clipped
+        (AF_LINEAR, 16, 17, 3),  # times past 1 stay at 1
+        (AF_STEP, 16, 1, 0),
+    ], ids=["constant", "linear", "step_on_break", "table49_on_breaks", "table49_offset",
+            "piecewise_linear", "plateau", "wide_domain", "break_below_zero", "clipped",
+            "past_one", "empty"])
+    def test_same_bits_as_call(self, af, m, first, count):
+        got = _cell_alphas(af, m, first, count)
+        want = af(_cell_times(m, first, count))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_domain_ending_before_one_is_rejected(self):
+        af = AlphaFunction.linear(1.2, 0.6, domain=(0.0, 0.5))
+        with pytest.raises(DomainError, match="outside exponent domain"):
+            af(_cell_times(8, 1, 8))
+        with pytest.raises(DomainError, match="outside exponent domain"):
+            _cell_alphas(af, 8, 1, 8)
 
 
 class TestLimitCharacteristicFunctions:

@@ -84,10 +84,12 @@ class TestUsageErrors:
         (["localize", "--tolerance", "nan"], "--tolerance"),
         (["condition7", "--threshold", "nan"], "threshold"),
         (["condition7", "--threshold", "-1"], "threshold"),
+        (["simulate", "--scheme", "sn", "--n", "3", "--seed", "1", "--mesh-level", "-60"],
+         "--mesh-level"),
     ], ids=["localize_plot", "example1_plot", "localize_ensemble_0",
             "localize_ensemble_neg", "localize_ensemble_cap", "localize_ensemble_huge",
             "simulate_ensemble_0", "localize_tol_neg", "localize_tol_0", "localize_tol_nan",
-            "condition7_threshold_nan", "condition7_threshold_neg"])
+            "condition7_threshold_nan", "condition7_threshold_neg", "simulate_mesh_level_neg"])
     def test_shared_checks_run_before_any_output(self, argv, flag, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
