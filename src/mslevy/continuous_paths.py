@@ -83,10 +83,12 @@ def triangle(t):
 
 def triangle_jk(j: int, k: int, t):
     """Dyadic tent phi(2^j t - k), supported on [k/2^j, (k+1)/2^j]."""
-    if j < 0:
+    if not j >= 0:
         raise DomainError(f"level must be >= 0, got {j}")
+    j = _check_ints(j, 0, None, "level j")
     if not (0 <= k <= 2 ** j - 1):
         raise DomainError(f"shift {k} out of range [0, 2^{j} - 1]")
+    k = _check_ints(k, 0, None, "shift k")
     arr = np.asarray(t, dtype=float)
     out = triangle(np.ldexp(arr, j) - k)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
@@ -149,12 +151,18 @@ def _scale_alpha_series(alpha: float, d: float, t: np.ndarray) -> np.ndarray:
     return total
 
 
-def scale_parameter(cfg: ContinuousStableConfig, t):
-    """Scale of the series marginal at time t (its CF is
-    exp(-scale^alpha |theta|^alpha)); exactly 0 at t = 0 and 1 at t = 1/2."""
+def _check_times(t) -> np.ndarray:
+    """The times of the scale functions as a float array in [0, 1]; NaN fails."""
     arr = np.asarray(t, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise DomainError("scale parameter is defined on [0, 1]")
+    return arr
+
+
+def scale_parameter(cfg: ContinuousStableConfig, t):
+    """Scale of the series marginal at time t (its CF is
+    exp(-scale^alpha |theta|^alpha)); exactly 0 at t = 0 and 1 at t = 1/2."""
+    arr = _check_times(t)
     out = _scale_alpha_series(cfg.alpha, cfg.d, np.atleast_1d(arr)) ** (1.0 / cfg.alpha)
     return float(out[0]) if np.isscalar(t) or arr.ndim == 0 else out.reshape(arr.shape)
 
@@ -172,7 +180,7 @@ def scale_bounds(cfg: ContinuousStableConfig, t):
     gives phi^(1/alpha) <= phi once alpha <= 1, and for alpha > 1 it fails
     near t in {0, 1/2, 1} (by about 8.3e-3 at alpha = 1.5, d = 1).
     """
-    lower = triangle(t)
+    lower = triangle(_check_times(t))
     upper = (1.0 - 2.0 ** (-cfg.alpha * cfg.d)) ** (-1.0 / cfg.alpha)
     return lower, upper
 

@@ -8,12 +8,6 @@ X(k, n); they differ only in the deterministic or arrival-driven weights:
 - the same weights summed to the floor of the floor(2^n u)-th Poisson
   arrival time (summand exponents clamped at the right endpoint),
 - shared-arrival weights (1/Gamma_{2^n})^(1/alpha_n(k/2^n)).
-
-The single-path functions (the three schemes, the weighted motion, the
-integrals, gluing and the stable FCLT sum) compute the shared draws once per
-stream and alpha grid: the kernel holds the most recent single-stream draws
-and serves any later request for at most as many cells from them, with the
-same bits, since draws are prefix-consistent.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ import numpy as np
 
 from .alpha_model import (_GRID_SNAP, AlphaFunction, IntegrandFunction, _cell_alphas,
                           _cell_times, grid_index)
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .stable_core import (RandomStream, _check_ints, _child_ids, _cms, _exponential,
                           _generators, _row_chunks, _uniform_pairs, sample_symmetric)
 
@@ -33,13 +27,6 @@ from .stable_core import (RandomStream, _check_ints, _child_ids, _cms, _exponent
 _TAG_ARRIVALS = 0xA121
 _TAG_SEGMENT = 0x5E6
 _TAG_DYADIC = 0xD1AD
-
-# The symmetric draws of the most recent single-stream weighted sum, as at
-# most one entry (stream, alpha function, m, start, nested) -> read-only X;
-# draws of more than _HELD_MAX_DRAWS cells (16 MB) are never held.  Entries
-# are immutable, so concurrent callers can at worst draw twice.
-_HELD_MAX_DRAWS = 2 ** 21
-_held: dict = {}
 
 
 @dataclass(frozen=True)
@@ -68,6 +55,8 @@ class PathGrid:
     def value_at(self, u: float) -> float:
         """Path value at the last grid time <= u + _GRID_SNAP (paths are
         cadlag steps)."""
+        if np.isnan(u):
+            raise DomainError("a path time must not be NaN")
         i = int(np.searchsorted(self.times, u + _GRID_SNAP, side="right")) - 1
         return float(self.values[max(i, 0)])
 
@@ -143,23 +132,6 @@ def _symmetric_draws(alphas: np.ndarray, stream: RandomStream, m: int, nested: b
     return _cms(u, alphas)
 
 
-def _single_stream_draws(alphas: np.ndarray, af, stream: RandomStream, m: int,
-                         start: int, nested: bool) -> np.ndarray:
-    """``_symmetric_draws`` of one stream, read from the held draws when
-    they cover alphas.size cells of the same key.  A miss drops the held
-    entry before drawing, so a long path never sits beside its successor."""
-    key = (stream, af, m, start, nested)
-    x = _held.get(key)
-    if x is not None and x.size >= alphas.size:
-        return x[:alphas.size]
-    _held.clear()
-    x = _symmetric_draws(alphas, stream, m, nested)
-    if x.size <= _HELD_MAX_DRAWS:
-        x.flags.writeable = False
-        _held[key] = x
-    return x
-
-
 def _weights(alphas: np.ndarray, base, fs, m: int, first: int) -> np.ndarray:
     """base^(1/alpha_k) f(x_k) as (integrands x cells), or (rows x 1 x
     cells) for a column of per-replicate bases, at the cell times x_k of
@@ -199,9 +171,7 @@ def _weighted_sums(af, m: int, stream: RandomStream, base, fs=None, start: int =
     returns the matrix (integrands x columns) of the partial sums S_0 = 0,
     S_j = sum_{k <= j} w_k X_k at the indices ``cols`` (all count + 1 of
     them when None), where X is ``sample_symmetric(alphas, stream)``, or
-    drawn by dyadic address when ``nested`` (m = 2^n, start = 0).  These
-    X are held for the next single-stream call on the same (stream, af, m,
-    start, nested); see ``_single_stream_draws``.
+    drawn by dyadic address when ``nested`` (m = 2^n, start = 0).
 
     With ``replicates`` = R it returns one such matrix per replicate r,
     drawn under stream.child(r), as an (R, integrands, columns) array: the
@@ -214,7 +184,7 @@ def _weighted_sums(af, m: int, stream: RandomStream, base, fs=None, start: int =
     count = m if count is None else count
     alphas = _cell_alphas(af, m, start + 1, count)
     if replicates is None:
-        x = _single_stream_draws(alphas, af, stream, m, start, nested)
+        x = _symmetric_draws(alphas, stream, m, nested)
         # weights built after the draws, so that sampling, the peak of a
         # long path's memory, holds no array beside alphas
         return _partial_sums(x, _weights(alphas, base, fs, m, start + 1), cols)

@@ -10,12 +10,15 @@ alternating pi-panel sum); the two methods agreed to every printed digit at
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 # (u, 1 / I(u)) pairs: the tail-normalizing constant at 50 midpoints of
 # (0.05, 1.95).  Frozen output of the dual high-precision computation.
@@ -547,3 +550,35 @@ def write_svg(fp, series, title: str = "", meta: dict | None = None) -> None:
                          f'{label_style}>{svg_escape(str(label))}</text>')
     parts.append("</svg>")
     fp.write("\n".join(parts) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# values pinned per np.power dispatch
+# ---------------------------------------------------------------------------
+
+# float64 np.power runs numpy's SIMD pow on AVX-512 and libm's pow on AVX2,
+# and the two differ in the last bit of some results.  The probe tells them
+# apart: the first 16 hex digits of sha256 of 2.0 ** linspace(0.5, 2, 256).
+POW_DISPATCHES = {"c19e80f3112b059d": "avx512", "1505f5eda5324633": "avx2"}
+
+
+class PerDispatch(dict):
+    """A value pinned once per np.power dispatch, keyed "avx512" and "avx2"."""
+
+
+@functools.cache
+def pow_probe() -> str:
+    return hashlib.sha256((2.0 ** np.linspace(0.5, 2.0, 256)).tobytes()).hexdigest()[:16]
+
+
+def pinned(value):
+    """``value`` itself, or for a PerDispatch its entry for the np.power
+    dispatch of this process; an unknown dispatch fails, naming the probe."""
+    if not isinstance(value, PerDispatch):
+        return value
+    probe = pow_probe()
+    if probe not in POW_DISPATCHES:
+        pytest.fail(f"no pinned value for this np.power dispatch: probe {probe} "
+                    f"(sha256 of 2.0 ** linspace(0.5, 2, 256)) is none of "
+                    f"{sorted(POW_DISPATCHES)}")
+    return value[POW_DISPATCHES[probe]]

@@ -8,9 +8,6 @@ Loads the Hypothesis profile ``derandomized`` by default: every run of
 the suite draws the same examples, under Hypothesis's default deadline.
 The profile ``ci`` (``--hypothesis-profile=ci``) is derandomized too, with
 no deadline.
-
-Every test starts with no single-stream draws held by the weighted-sum
-kernel, so no test's draws come from an earlier test.
 """
 
 from __future__ import annotations
@@ -26,13 +23,6 @@ settings.load_profile("derandomized")
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)")
 _RESULTS: dict[int, tuple[str, str]] = {}
-
-
-@pytest.fixture(autouse=True)
-def _no_held_draws():
-    from mslevy import msl_schemes
-
-    msl_schemes._held.clear()
 
 
 @pytest.hookimpl(hookwrapper=True)

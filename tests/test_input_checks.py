@@ -17,10 +17,12 @@ from mslevy.continuous_paths import (
     ContinuousStableConfig,
     max_deviation_probability,
     sample_continuous_stable,
+    scale_bounds,
     scale_parameter,
     simulate_sn,
     sn_boundary_ensemble,
     stable_level_draws,
+    triangle_jk,
     truncation_level,
 )
 from mslevy.errors import DomainError, ParameterError
@@ -70,6 +72,7 @@ NON_FINITE_CALLS = {
     "tail_asymptote.lam": lambda: tail_asymptote(StableParams(1.5), NAN),
     "simulate_lc.gamma_value": lambda: simulate_lc(SchemeConfig(3, AF, STREAM), gamma_value=NAN),
     "PathGrid.time": lambda: PathGrid(times=[0.0, NAN, 1.0], values=[0.0, 1.0, 2.0]),
+    "PathGrid.value_at": lambda: PathGrid(times=GRID, values=[0.0, 3.0, 7.0]).value_at(NAN),
     "ContinuousStableConfig.d": lambda: ContinuousStableConfig(1.5, NAN),
     "simulate_sn.d": lambda: simulate_sn(3, AF, STREAM, GRID, d=NAN),
     "sn_boundary_ensemble.d": lambda: sn_boundary_ensemble(3, AF, STREAM, [8], 2, d=NAN),
@@ -82,6 +85,8 @@ NON_FINITE_CALLS = {
     "sample_continuous_stable.grid": lambda: sample_continuous_stable(CFG, [0.0, NAN, 1.0], STREAM),
     "simulate_sn.grid": lambda: simulate_sn(3, AF, STREAM, [0.0, NAN, 1.0]),
     "scale_parameter.t": lambda: scale_parameter(CFG, NAN),
+    "scale_bounds.t": lambda: scale_bounds(CFG, NAN),
+    "scale_bounds.t_past_one": lambda: scale_bounds(CFG, 3.0),
     "max_deviation_probability.c": lambda: max_deviation_probability(1.5, NAN, 2, 10, STREAM),
     "truncation_level.tolerance": lambda: truncation_level(1.5, 1.0, NAN),
     "AlphaFunction.call": lambda: AF(NAN),
@@ -121,6 +126,8 @@ NON_FINITE_CALLS = {
     "sample_stable.n": lambda: sample_stable(StableParams(1.5), NAN, STREAM),
     "simulate_stable_fclt.n_terms": lambda: simulate_stable_fclt(1.5, NAN, STREAM),
     "stable_level_draws.j": lambda: stable_level_draws(1.5, 1.5, STREAM),
+    "triangle_jk.j": lambda: triangle_jk(1.5, 0, 0.3),
+    "triangle_jk.k": lambda: triangle_jk(2, 0.5, 0.3),
     "max_deviation_probability.j": lambda: max_deviation_probability(1.5, 1.0, 1.5, 10, STREAM),
     "max_deviation_probability.n_mc": lambda: max_deviation_probability(1.5, 1.0, 2, 2.5, STREAM),
     "increment_cf_test.ensemble": lambda: increment_cf_test("li", AF, 3, [(0.0, 0.5)], 1000.5,
@@ -178,6 +185,14 @@ class TestOneCheckPerInput:
             sample_continuous_stable(CFG, grid, STREAM)
         with pytest.raises(error):
             simulate_sn(3, AF, STREAM, grid)
+
+    @pytest.mark.parametrize("t", [NAN, -0.5, 3.0, [0.5, 1.5]],
+                             ids=["nan", "below_zero", "past_one", "array_past_one"])
+    def test_both_scale_functions_share_one_time_check(self, t):
+        with pytest.raises(DomainError):
+            scale_parameter(CFG, t)
+        with pytest.raises(DomainError):
+            scale_bounds(CFG, t)
 
     @pytest.mark.parametrize("tolerance", [NAN, 0.0, -1.0])
     def test_localisability_tolerance_must_be_positive(self, tolerance):
