@@ -55,13 +55,23 @@ def _cell_times(m: int, first: int, count: int) -> np.ndarray:
     return np.minimum(xs, 1.0, out=xs)
 
 
+def _piece_edges(af: AlphaFunction, m: int, first: int, count: int) -> list[int]:
+    """Piece j of af holds the cells edges[j] <= i < edges[j + 1] of
+    ``_cell_times(m, first, count)``: the searchsorted of the breaks on the
+    sorted times, one bisection per break over times formed as _cell_times
+    forms them, without building them.  A clip to the domain moves no time
+    across a break."""
+    times = range(first, first + count)
+    cuts = [bisect.bisect_left(times, p, key=lambda j: min(j / m, 1.0)) for p in af.breaks]
+    return [0, *cuts, count]
+
+
 def _cell_alphas(af: AlphaFunction, m: int, first: int, count: int) -> np.ndarray:
     """af at ``_cell_times(m, first, count)``, with the bits of af(xs).
 
     The times are sorted, so checking the two ends checks them all, and
-    each affine piece is one slice, found by one searchsorted of the
-    breaks, that gets intercept + slope x in place: no per-cell bisect or
-    gather."""
+    each affine piece is one slice (``_piece_edges``) that gets
+    intercept + slope x in place: no per-cell bisect or gather."""
     xs = _cell_times(m, first, count)
     if count:
         t0, t1 = af.domain
@@ -69,7 +79,7 @@ def _cell_alphas(af: AlphaFunction, m: int, first: int, count: int) -> np.ndarra
             raise DomainError(f"argument outside exponent domain [{t0}, {t1}]")
         if xs[0] < t0 or xs[-1] > t1:
             np.clip(xs, t0, t1, out=xs)
-    edges = [0, *np.searchsorted(xs, af.breaks, side="left").tolist(), count]
+    edges = _piece_edges(af, m, first, count)
     for lo, hi, c, slope in zip(edges, edges[1:], af.intercepts, af.slopes):
         piece = xs[lo:hi]
         piece *= slope
@@ -316,7 +326,11 @@ class IntegrandFunction:
 
     def __call__(self, x):
         scalar = np.isscalar(x)
-        out = self._fn(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        # min and max pass a NaN on and, unlike isfinite(x), allocate nothing
+        if x.size and not (math.isfinite(x.min()) and math.isfinite(x.max())):
+            raise DomainError("integrand argument must be finite")
+        out = self._fn(x)
         return float(out) if scalar else np.asarray(out, dtype=float)
 
     def __sub__(self, other: "IntegrandFunction") -> "IntegrandFunction":
@@ -486,16 +500,27 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
     abs_t = abs(float(theta))
     if count == 0 or abs_t == 0.0:
         return 0.0
-    # every term of a block is formed while its cells sit in cache; one sum
-    # over all terms keeps numpy's pairwise tree, and with it the bits
     alpha_u, scale = af(u), 2.0 ** -n
-    terms = np.empty(count)
-    for lo in range(0, count, _TERM_BLOCK):
-        alphas = _cell_alphas(af, 2 ** n, 1 + lo, min(_TERM_BLOCK, count - lo))
-        block = terms[lo:lo + alphas.size]
+
+    def form(block, alphas):
         np.power(abs_t, alphas, out=block)
         alphas /= alpha_u
         block *= np.power(scale, alphas, out=alphas)
+
+    # a flat piece shares one alpha, so its term is formed once, by the same
+    # calls on one cell; a sloped piece forms its terms a block at a time,
+    # while the block's cells sit in cache.  One sum over all terms keeps
+    # numpy's pairwise tree, and with it the bits
+    terms = np.empty(count)
+    edges = _piece_edges(af, 2 ** n, 1, count)
+    for lo, hi, c, slope in zip(edges, edges[1:], af.intercepts, af.slopes):
+        if slope != 0.0:
+            for start in range(lo, hi, _TERM_BLOCK):
+                alphas = _cell_alphas(af, 2 ** n, 1 + start, min(_TERM_BLOCK, hi - start))
+                form(terms[start:start + alphas.size], alphas)
+        elif lo < hi:
+            form(terms[lo:lo + 1], np.full(1, c))
+            terms[lo + 1:hi] = terms[lo]
     return float(np.sum(terms))
 
 
@@ -509,14 +534,26 @@ def modular_integral(f: IntegrandFunction, af: AlphaFunction, lam: float = 1.0) 
     by Gauss-Kronrod cells for general integrands (0^alpha = 0 as alpha > 0)."""
     if not lam > 0.0:
         raise ParameterError(f"scale must be positive, got {lam}")
+    return _modular(f, af)(lam)
+
+
+def _modular(f: IntegrandFunction, af: AlphaFunction) -> Callable[[float], float]:
+    """lam -> modular_integral(f, af, lam).  For a step f the lam-free part
+    (the cells, |f| at their midpoints and alpha's c + m s on each) is
+    built once, so a call only scales |f| and sums the cells."""
     breakpoints = (*af.breakpoints, *f.breakpoints)
-    if f.steps:
-        edges, mids = _cells(0.0, 1.0, breakpoints)
-        vs = (np.abs(f(mids)) / lam).tolist()
-        return sum(_power_integral(v, c, m, lo, hi)
-                   for lo, hi, v, c, m in zip(edges, edges[1:], vs, *af._affine(mids)))
-    return gauss_kronrod(lambda x: (np.abs(f(x)) / lam) ** af(x), 0.0, 1.0,
-                         breakpoints=breakpoints)
+    if not f.steps:
+        return lambda lam: gauss_kronrod(lambda x: (np.abs(f(x)) / lam) ** af(x), 0.0, 1.0,
+                                         breakpoints=breakpoints)
+    edges, mids = _cells(0.0, 1.0, breakpoints)
+    abs_f = np.abs(f(mids))
+    cells = list(zip(edges, edges[1:], *af._affine(mids)))
+
+    def step_modular(lam: float) -> float:
+        vs = (abs_f / lam).tolist()
+        return sum(_power_integral(v, c, m, lo, hi) for v, (lo, hi, c, m) in zip(vs, cells))
+
+    return step_modular
 
 
 def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
@@ -533,9 +570,10 @@ def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
     if sup == 0.0:
         return 0.0
 
+    modular = _modular(f, af)
     hi = sup
     for _ in range(200):
-        g_hi = modular_integral(f, af, hi)
+        g_hi = modular(hi)
         if math.isinf(g_hi):
             hi *= 2.0
             if hi > sup * 2.0 ** 200:
@@ -550,7 +588,7 @@ def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
 
     lo = min(sup * 1e-6, 0.5 * hi)
     for _ in range(600):
-        if modular_integral(f, af, lo) >= 1.0:
+        if modular(lo) >= 1.0:
             break
         lo *= 0.25
         if lo < 1e-300:
@@ -560,7 +598,7 @@ def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
 
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        if modular_integral(f, af, mid) >= 1.0:
+        if modular(mid) >= 1.0:
             lo = mid
         else:
             hi = mid

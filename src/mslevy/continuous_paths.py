@@ -75,9 +75,12 @@ def truncation_level(alpha: float, d: float, sup_tol: float) -> int:
 
 
 def triangle(t):
-    """Tent function: 2t on [0, 1/2), 2 - 2t on [1/2, 1], 0 elsewhere."""
+    """Tent function: 2t on [0, 1/2), 2 - 2t on [1/2, 1], 0 elsewhere.
+    Defined on all reals, so only a NaN time is rejected."""
     arr = np.asarray(t, dtype=float)
     out = np.maximum(0.0, 1.0 - np.abs(2.0 * arr - 1.0))
+    if np.isnan(out).any():  # np.maximum passes a NaN time through
+        raise DomainError("tent argument must not be NaN")
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 

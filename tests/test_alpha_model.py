@@ -248,10 +248,20 @@ class TestNaiveSchemeExponent:
         (AF_LINEAR, 1.0, 2.0, 8), (AF_STEP, 0.5 - 1e-13, 1.5, 10),
         (AF_TABLE49, 0.7, 1.3, 15), (AF_TABLE49, 1.0, 0.4, 16),
         (plateau_identity_alpha(1.8), 0.95, 3.7, 17),
+        # sloped, flat, sloped: the flat piece starts inside the second block
+        (AlphaFunction.piecewise_linear((0.3, 0.65), (1.1, 1.6, 0.5), (0.4, 0.0, 1.3)),
+         0.9, 1.7, 16),
+        # two sloped pieces that meet inside the first block
+        (AlphaFunction.piecewise_linear((0.4,), (1.2, 0.9), (0.3, 0.8)), 0.85, 0.6, 15),
+        (AlphaFunction.constant(1.4), 0.9, 2.5, 17),
+        # three sloped cells past the plateau
+        (plateau_identity_alpha(1.8), 0.9 + 3e-6, 1.3, 20),
+        (AF_TABLE49, 0.83, 2.2, 18),
     ])
     def test_same_bits_as_one_pass_sum(self, af, u, theta, n):
-        # the blocked sum against the whole-array form it replaced; it holds
-        # on every SIMD dispatch of np.power, where pinned values need not
+        # the piecewise sum (one term per flat piece, blocks on sloped ones)
+        # against the whole-array form it replaced; it holds on every SIMD
+        # dispatch of np.power, where pinned values need not
         alphas = af(_cell_times(2 ** n, 1, grid_index(n, u)))
         want = np.sum(abs(theta) ** alphas * (2.0 ** -n) ** (alphas / af(u)))
         assert np.float64(lf_n_exponent(af, u, theta, n)).tobytes() == want.tobytes()
@@ -421,6 +431,33 @@ class TestModularAndQuasinorm:
         f = IntegrandFunction.from_table([0.3, 1.2, 2.4, 0.8])
         lam = quasinorm(f, AF_LINEAR)
         assert modular_integral(f, AF_LINEAR, lam=lam) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestStepModularBits:
+    """The step modular and the quasinorm keep their bits: the lam-free cell
+    work is built once per call, and only the scaling of |f| and the cell sum
+    run per lam.  Python-float powers, so one value serves every dispatch."""
+
+    @pytest.mark.parametrize("values,af,bits", [
+        ([0.5, -2.0, 1.5], AF_LINEAR, "0x1.6da6fb5a4dd4ap+0"),
+        ([0.75, 1.25, -0.3, 2.0, 0.0], AF_STEP, "0x1.156948f2126f0p+0"),
+        ([1.0, 2.0, 0.5], AlphaFunction.constant(1.5), "0x1.3f7540f4d7d2ep+0"),
+        ([0.2, 3.0, -1.0, 0.7], plateau_identity_alpha(1.8), "0x1.2df437685bd50p+0"),
+        ([1.5, -0.25, 0.8], AF_TABLE49, "0x1.d989b3ab949d0p-1"),
+    ], ids=["linear", "step", "constant", "plateau", "table49"])
+    def test_quasinorm_pinned_bits(self, values, af, bits):
+        assert quasinorm(IntegrandFunction.from_table(values), af) == float.fromhex(bits)
+
+    @pytest.mark.parametrize("af,lam,bits", [
+        (AF_LINEAR, 0.3, "0x1.72b234bb7c613p+3"),
+        (AF_LINEAR, 1.0, "0x1.be4aea36f1f1ep+0"),
+        (AF_LINEAR, 2.5, "0x1.addb3a40d037ap-2"),
+        (AF_STEP, 0.7, "0x1.9d12c37c2978ap+1"),
+        (AF_TABLE49, 1.9, "0x1.512cfaa3887c1p-1"),
+    ])
+    def test_modular_pinned_bits(self, af, lam, bits):
+        f = IntegrandFunction.from_table([0.5, -2.0, 1.5])
+        assert modular_integral(f, af, lam) == float.fromhex(bits)
 
 
 class TestLocalVariationCheck:

@@ -22,6 +22,7 @@ from mslevy.continuous_paths import (
     simulate_sn,
     sn_boundary_ensemble,
     stable_level_draws,
+    triangle,
     triangle_jk,
     truncation_level,
 )
@@ -90,6 +91,16 @@ NON_FINITE_CALLS = {
     "max_deviation_probability.c": lambda: max_deviation_probability(1.5, NAN, 2, 10, STREAM),
     "truncation_level.tolerance": lambda: truncation_level(1.5, 1.0, NAN),
     "AlphaFunction.call": lambda: AF(NAN),
+    "IntegrandFunction.from_callable.call":
+        lambda: IntegrandFunction.from_callable(lambda x: 2.0 * x)(NAN),
+    "IntegrandFunction.from_table.call": lambda: IntegrandFunction.from_table([1.0, 2.0])(NAN),
+    "IntegrandFunction.from_table.call_inf":
+        lambda: IntegrandFunction.from_table([1.0, 2.0])([0.5, math.inf]),
+    "IntegrandFunction.indicator.call": lambda: IntegrandFunction.indicator(0.0, 0.5)(NAN),
+    "IntegrandFunction.constant.call": lambda: ONE(NAN),
+    "IntegrandFunction.zero.call": lambda: IntegrandFunction.zero()([0.5, NAN]),
+    "triangle.t": lambda: triangle(NAN),
+    "triangle_jk.t": lambda: triangle_jk(2, 1, NAN),
     "modular_integral.lam": lambda: modular_integral(IntegrandFunction.constant(1.0), AF, NAN),
     "billingsley_bound.lam": lambda: billingsley_bound(lambda t: math.exp(-abs(t)), NAN),
     "hoelder_tail_constant.x": lambda: hoelder_tail_constant(1.0, 1.0, 1.5, NAN),
