@@ -46,10 +46,17 @@ def grid_index(n: int, u: float) -> int:
     return int(math.floor(math.ldexp(u + _GRID_SNAP, n)))
 
 
+def _cell_time(j: int, m: int) -> float:
+    """min(j/m, 1), the time of cell j at level m: one rounded division and
+    a min, as ``_cell_times`` forms each of its entries."""
+    return min(j / m, 1.0)
+
+
 def _cell_times(m: int, first: int, count: int) -> np.ndarray:
-    """min((first + i)/m, 1), i < count: a level-m grid (first = 0) or cell
-    times.  Built in place: extra temporaries of 2^20-cell rows fragment
-    glibc's heap, which raised the peak RSS of long-path runs."""
+    """``_cell_time(first + i, m)``, i < count, with the same bits (the
+    tests hold the two to this): a level-m grid (first = 0) or cell times.
+    Built in place: extra temporaries of 2^20-cell rows fragment glibc's
+    heap, which raised the peak RSS of long-path runs."""
     xs = np.arange(first, first + count, dtype=float)
     xs /= m
     return np.minimum(xs, 1.0, out=xs)
@@ -57,12 +64,11 @@ def _cell_times(m: int, first: int, count: int) -> np.ndarray:
 
 def _piece_edges(af: AlphaFunction, m: int, first: int, count: int) -> list[int]:
     """Piece j of af holds the cells edges[j] <= i < edges[j + 1] of
-    ``_cell_times(m, first, count)``: the searchsorted of the breaks on the
-    sorted times, one bisection per break over times formed as _cell_times
-    forms them, without building them.  A clip to the domain moves no time
-    across a break."""
-    times = range(first, first + count)
-    cuts = [bisect.bisect_left(times, p, key=lambda j: min(j / m, 1.0)) for p in af.breaks]
+    ``_cell_times(m, first, count)``: the searchsorted of the breaks on
+    those sorted times, one bisection of ``_cell_time`` per break, without
+    building them.  A clip to the domain moves no time across a break."""
+    cells = range(first, first + count)
+    cuts = [bisect.bisect_left(cells, p, key=lambda j: _cell_time(j, m)) for p in af.breaks]
     return [0, *cuts, count]
 
 
@@ -70,8 +76,9 @@ def _cell_alphas(af: AlphaFunction, m: int, first: int, count: int) -> np.ndarra
     """af at ``_cell_times(m, first, count)``, with the bits of af(xs).
 
     The times are sorted, so checking the two ends checks them all, and
-    each affine piece is one slice (``_piece_edges``) that gets
-    intercept + slope x in place: no per-cell bisect or gather."""
+    each affine piece is one slice, found by one searchsorted of the
+    breaks, that gets intercept + slope x in place: no per-cell bisect or
+    gather."""
     xs = _cell_times(m, first, count)
     if count:
         t0, t1 = af.domain
@@ -79,7 +86,7 @@ def _cell_alphas(af: AlphaFunction, m: int, first: int, count: int) -> np.ndarra
             raise DomainError(f"argument outside exponent domain [{t0}, {t1}]")
         if xs[0] < t0 or xs[-1] > t1:
             np.clip(xs, t0, t1, out=xs)
-    edges = _piece_edges(af, m, first, count)
+    edges = [0, *np.searchsorted(xs, af.breaks, side="left").tolist(), count]
     for lo, hi, c, slope in zip(edges, edges[1:], af.intercepts, af.slopes):
         piece = xs[lo:hi]
         piece *= slope
@@ -330,8 +337,14 @@ class IntegrandFunction:
         # min and max pass a NaN on and, unlike isfinite(x), allocate nothing
         if x.size and not (math.isfinite(x.min()) and math.isfinite(x.max())):
             raise DomainError("integrand argument must be finite")
-        out = self._fn(x)
-        return float(out) if scalar else np.asarray(out, dtype=float)
+        out = self._values(x)
+        return float(out) if scalar else out
+
+    def _values(self, x: np.ndarray) -> np.ndarray:
+        """f at an array of finite points that the caller built itself
+        (cell times, midpoints, quadrature nodes): the call without its
+        argument check, which would rescan every node."""
+        return np.asarray(self._fn(x), dtype=float)
 
     def __sub__(self, other: "IntegrandFunction") -> "IntegrandFunction":
         return IntegrandFunction(lambda x: self._fn(x) - other._fn(x),
@@ -449,7 +462,7 @@ def integral_cf(fs: Sequence[IntegrandFunction], thetas: Sequence[float],
     if not fs:
         return 1.0
     th = [float(t) for t in thetas]
-    g = IntegrandFunction(lambda x: sum(t * f(x) for t, f in zip(th, fs)),
+    g = IntegrandFunction(lambda x: sum(t * f._values(x) for t, f in zip(th, fs)),
                           [p for f in fs for p in f.breakpoints],
                           steps=all(f.steps for f in fs))
     total = modular_integral(g, af)
@@ -543,10 +556,10 @@ def _modular(f: IntegrandFunction, af: AlphaFunction) -> Callable[[float], float
     built once, so a call only scales |f| and sums the cells."""
     breakpoints = (*af.breakpoints, *f.breakpoints)
     if not f.steps:
-        return lambda lam: gauss_kronrod(lambda x: (np.abs(f(x)) / lam) ** af(x), 0.0, 1.0,
+        return lambda lam: gauss_kronrod(lambda x: (np.abs(f._values(x)) / lam) ** af(x), 0.0, 1.0,
                                          breakpoints=breakpoints)
     edges, mids = _cells(0.0, 1.0, breakpoints)
-    abs_f = np.abs(f(mids))
+    abs_f = np.abs(f._values(mids))
     cells = list(zip(edges, edges[1:], *af._affine(mids)))
 
     def step_modular(lam: float) -> float:

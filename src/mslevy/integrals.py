@@ -66,7 +66,7 @@ class KernelFunction:
         def make(t: float) -> IntegrandFunction:
             def fn(x):
                 x = np.asarray(x, dtype=float)
-                return np.asarray(w(x), dtype=float) * (x <= t)
+                return w._values(x) * (x <= t)
 
             return IntegrandFunction(fn, (*w.breakpoints, t),
                                      f"{w.label}*1[0,{t}]", steps=w.steps)

@@ -139,7 +139,7 @@ def _weights(alphas: np.ndarray, base, fs, m: int, first: int) -> np.ndarray:
     weights = (base ** (1.0 / alphas))[..., None, :]
     if fs is not None:
         xs = _cell_times(m, first, alphas.size)
-        weights = weights * np.stack([np.asarray(f(xs), dtype=float) for f in fs])
+        weights = weights * np.stack([f._values(xs) for f in fs])
     return weights
 
 

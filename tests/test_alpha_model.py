@@ -24,7 +24,7 @@ from mslevy import (
     plateau_identity_alpha,
     quasinorm,
 )
-from mslevy.alpha_model import _cell_alphas, _cell_times, grid_index
+from mslevy.alpha_model import _cell_alphas, _cell_time, _cell_times, _piece_edges, grid_index
 from mslevy.errors import DomainError, ParameterError, QuadratureError
 from mslevy.quadrature import adaptive_simpson
 
@@ -288,27 +288,30 @@ class TestNaiveSchemeExponent:
         assert lf_n_exponent(AF_LINEAR, 0.5, 0.0, 6) == 0.0
 
 
+CELL_CASES = pytest.mark.parametrize("af,m,first,count", [
+    (AlphaFunction.constant(1.4), 64, 1, 64),
+    (AF_LINEAR, 2 ** 20, 1, 2 ** 20),
+    (AF_STEP, 8, 0, 8),  # times 4/8 land on the break
+    (AF_TABLE49, 49, 0, 49),  # every time i/49 lands on a break
+    (AF_TABLE49, 2 ** 12, 5, 3000),
+    (AlphaFunction.piecewise_linear((0.25, 0.6), (1.0, 1.4, 0.6), (0.3, -0.2, 0.5)),
+     1000, 0, 1001),
+    (plateau_identity_alpha(1.8), 2 ** 15, 1, 2 ** 15),
+    (AlphaFunction.piecewise((0.5, 1.5), (1.2, 1.8, 0.7), domain=(0.0, 3.0)), 16, 0, 17),
+    (AlphaFunction.piecewise((-0.5, 0.5), (1.2, 1.8, 0.7), domain=(-1.0, 2.0)), 4, 0, 5),
+    (AlphaFunction.linear(1.2, 0.6, domain=(1e-13, 1.0)), 16, 0, 17),  # 0 is clipped
+    (AF_LINEAR, 16, 17, 3),  # times past 1 stay at 1
+    (AF_STEP, 16, 1, 0),
+], ids=["constant", "linear", "step_on_break", "table49_on_breaks", "table49_offset",
+        "piecewise_linear", "plateau", "wide_domain", "break_below_zero", "clipped",
+        "past_one", "empty"])
+
+
 class TestCellAlphas:
     """_cell_alphas reads alpha on the sorted cell times by piece slices,
     with the bits, the clip and the DomainError of a whole-array call."""
 
-    @pytest.mark.parametrize("af,m,first,count", [
-        (AlphaFunction.constant(1.4), 64, 1, 64),
-        (AF_LINEAR, 2 ** 20, 1, 2 ** 20),
-        (AF_STEP, 8, 0, 8),  # times 4/8 land on the break
-        (AF_TABLE49, 49, 0, 49),  # every time i/49 lands on a break
-        (AF_TABLE49, 2 ** 12, 5, 3000),
-        (AlphaFunction.piecewise_linear((0.25, 0.6), (1.0, 1.4, 0.6), (0.3, -0.2, 0.5)),
-         1000, 0, 1001),
-        (plateau_identity_alpha(1.8), 2 ** 15, 1, 2 ** 15),
-        (AlphaFunction.piecewise((0.5, 1.5), (1.2, 1.8, 0.7), domain=(0.0, 3.0)), 16, 0, 17),
-        (AlphaFunction.piecewise((-0.5, 0.5), (1.2, 1.8, 0.7), domain=(-1.0, 2.0)), 4, 0, 5),
-        (AlphaFunction.linear(1.2, 0.6, domain=(1e-13, 1.0)), 16, 0, 17),  # 0 is clipped
-        (AF_LINEAR, 16, 17, 3),  # times past 1 stay at 1
-        (AF_STEP, 16, 1, 0),
-    ], ids=["constant", "linear", "step_on_break", "table49_on_breaks", "table49_offset",
-            "piecewise_linear", "plateau", "wide_domain", "break_below_zero", "clipped",
-            "past_one", "empty"])
+    @CELL_CASES
     def test_same_bits_as_call(self, af, m, first, count):
         got = _cell_alphas(af, m, first, count)
         want = af(_cell_times(m, first, count))
@@ -320,6 +323,21 @@ class TestCellAlphas:
             af(_cell_times(8, 1, 8))
         with pytest.raises(DomainError, match="outside exponent domain"):
             _cell_alphas(af, 8, 1, 8)
+
+    @CELL_CASES
+    def test_piece_edges_are_the_searchsorted_of_the_breaks(self, af, m, first, count):
+        # lf_n_exponent finds its piece slices without building the times
+        want = [0, *np.searchsorted(_cell_times(m, first, count), af.breaks).tolist(), count]
+        assert _piece_edges(af, m, first, count) == want
+
+    @pytest.mark.parametrize("m,first,count", [
+        (64, 1, 64), (49, 0, 49), (1000, 0, 1001), (3, 1, 7), (2 ** 18, 1, 2 ** 18),
+        (2 ** 18 - 1, 5, 2 ** 18)])
+    def test_cell_time_has_the_bits_of_cell_times(self, m, first, count):
+        # _piece_edges bisects _cell_time where the rest read _cell_times:
+        # one formula, which a change to the grid arithmetic must keep
+        got = np.array([_cell_time(j, m) for j in range(first, first + count)])
+        assert got.tobytes() == _cell_times(m, first, count).tobytes()
 
 
 class TestLimitCharacteristicFunctions:
