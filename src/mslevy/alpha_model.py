@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InfiniteQuasinormError, ParameterError
-from .quadrature import gauss_kronrod, split_points
+from .quadrature import gauss_kronrod, gk_nodes, split_points
 from .stable_core import _check_ints
 
 # JSON spelling of each exponent kind: the constructor and the fields it reads
@@ -553,11 +553,26 @@ def modular_integral(f: IntegrandFunction, af: AlphaFunction, lam: float = 1.0) 
 def _modular(f: IntegrandFunction, af: AlphaFunction) -> Callable[[float], float]:
     """lam -> modular_integral(f, af, lam).  For a step f the lam-free part
     (the cells, |f| at their midpoints and alpha's c + m s on each) is
-    built once, so a call only scales |f| and sums the cells."""
+    built once, so a call only scales |f| and sums the cells.  Any other f
+    is integrated by Gauss-Kronrod, whose first round always lies on the
+    panels' nodes: |f| and alpha there are held, and a call forms only their
+    power for its lam; later rounds evaluate on their own nodes, held by none."""
     breakpoints = (*af.breakpoints, *f.breakpoints)
     if not f.steps:
-        return lambda lam: gauss_kronrod(lambda x: (np.abs(f._values(x)) / lam) ** af(x), 0.0, 1.0,
-                                         breakpoints=breakpoints)
+        panels = np.asarray(split_points(0.0, 1.0, breakpoints))
+        x0 = gk_nodes(panels[:-1], panels[1:])[1].ravel()
+        first = (np.abs(f._values(x0)), af(x0))
+
+        def gk_modular(lam: float) -> float:
+            held = [first]  # gauss_kronrod calls its integrand once a round
+
+            def integrand(x):
+                abs_f, alpha = held.pop() if held else (np.abs(f._values(x)), af(x))
+                return (abs_f / lam) ** alpha
+
+            return gauss_kronrod(integrand, 0.0, 1.0, breakpoints=breakpoints)
+
+        return gk_modular
     edges, mids = _cells(0.0, 1.0, breakpoints)
     abs_f = np.abs(f._values(mids))
     cells = list(zip(edges, edges[1:], *af._affine(mids)))

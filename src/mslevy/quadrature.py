@@ -124,13 +124,23 @@ def adaptive_simpson(f: Callable[[float], float], a: float, b: float, *,
     return total
 
 
+def gk_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-widths of the cells [lo, hi] and their 15 Gauss-Kronrod nodes,
+    one row per cell.  Every round of :func:`gauss_kronrod` forms its nodes
+    here, so a caller that evaluates f ahead on the first round's (those of
+    the :func:`split_points` panels) holds the same bytes."""
+    half = 0.5 * (hi - lo)
+    return half, (lo + half)[:, None] + half[:, None] * _NODES
+
+
 def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
                   abs_tol: float = 0.0,
                   breakpoints: Iterable[float] = ()) -> float:
     """Integrate a vectorised f over [a, b] on 15-point Gauss-Kronrod cells.
 
     The cells start as the panels between ``breakpoints``.  Each round calls
-    f once, on a 1-d array of the 15 nodes of every open cell; a cell's
+    f once, on a 1-d array of the 15 nodes of every open cell (from
+    :func:`gk_nodes`), and f may return one value for all of them; a cell's
     estimate is its Kronrod sum and its error |K15 - G7|.  The tolerance is
     max(1e-10 * scale, abs_tol), where ``scale`` is the first round's
     estimate of the integral of |f|, as in :func:`adaptive_simpson`.  A cell
@@ -141,35 +151,41 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
     sqrt(x), whose error ~ h^(3/2) meets its share ~ h only far below 2^-40
     of the panel.  A non-finite estimate gives an infinite result; cells
     still over tolerance after 40 halvings, or a round that would open more
-    than 2^14 cells, raise :class:`QuadratureError`.
+    than 2^14 cells, raise :class:`QuadratureError`; a NaN or negative
+    ``abs_tol`` raises :class:`ParameterError`.
     """
     if not -math.inf < a <= b < math.inf:
         raise ParameterError(f"integration bounds must be finite with a <= b, got [{a}, {b}]")
+    if not abs_tol >= 0.0:
+        raise ParameterError(f"abs_tol must be >= 0, got {abs_tol}")
     if b == a:
         return 0.0
     edges = np.asarray(split_points(a, b, breakpoints))
     lo, hi = edges[:-1], edges[1:]
     width = b - a
     tol = total = spent = 0.0
+    add = np.add.reduce
     for rounds in range(_MAX_ROUNDS + 1):
-        half = 0.5 * (hi - lo)
-        x = (lo + half)[:, None] + half[:, None] * _NODES
-        fx = np.broadcast_to(np.asarray(f(x.ravel()), dtype=float), x.size).reshape(x.shape)
-        kronrod = half * (fx * _KRONROD).sum(axis=1)
+        half, x = gk_nodes(lo, hi)
+        fx = np.asarray(f(x.ravel()), dtype=float)
+        fx = (np.broadcast_to(fx, x.size) if fx.size < x.size else fx).reshape(x.shape)
+        # add.reduce is the ufunc behind ndarray.sum, without its wrapper
+        kronrod = half * add(fx * _KRONROD, axis=1)
         if not np.isfinite(kronrod).all():
             return math.inf
+        estimate = float(add(kronrod))
         if rounds == 0:
-            scale = max(abs(float(kronrod.sum())),
-                        float((half * (np.abs(fx) * _KRONROD).sum(axis=1)).sum()), 1e-300)
+            scale = max(abs(estimate), float(add(half * add(np.abs(fx) * _KRONROD, axis=1))),
+                        1e-300)
             tol = max(_DEFAULT_REL_TOL * scale, abs_tol)
-        err = np.abs(kronrod - half * (fx * _GAUSS).sum(axis=1))
-        if spent + float(err.sum()) <= tol:
-            return total + float(kronrod.sum())
+        err = np.abs(kronrod - half * add(fx * _GAUSS, axis=1))
+        if spent + float(add(err)) <= tol:
+            return total + estimate
         # the share is formed first: tol * (hi - lo) would underflow to 0
         # on cells near 1e-308 wide, never to be met
         kept = err <= tol * ((hi - lo) / width)
-        total += float(kronrod[kept].sum())
-        spent += float(err[kept].sum())
+        total += float(add(kronrod[kept]))
+        spent += float(add(err[kept]))
         lo, hi = lo[~kept], hi[~kept]
         if rounds == _MAX_ROUNDS or lo.size > _MAX_CELLS // 2:
             break

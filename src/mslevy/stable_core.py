@@ -29,11 +29,17 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 
-# Many-stream draws of at most this many pairs per stream go through the
-# counter kernel; longer streams are cheaper on numpy's C generator (about
-# 0.2 us per 4-double block in the kernel, against 3 us to re-key the C
-# generator plus 0.05 us per block; the two meet between 32 and 48 pairs).
+# Many-stream draws of at most _KERNEL_MAX_PAIRS pairs per stream, from at
+# least _KERNEL_MIN_STREAMS streams, go through the counter kernel; the
+# rest are cheaper on numpy's C generator.  Per stream, the kernel costs
+# about 0.2 us per 4-double block, the C generator 3 us to re-key plus 0.05
+# us per block, so the two meet between 32 and 48 pairs.  Per read, the
+# kernel has a fixed cost of about 600 us, the generators about 30 us plus
+# 7 us a stream, so for a read of 4 pairs a stream the two meet near 96
+# streams (1 stream: 609 against 36 us; 64: 658 against 475; 96: 704
+# against 696; 128: 713 against 914; 2-vCPU Xeon, numpy 2.4.6).
 _KERNEL_MAX_PAIRS = 32
+_KERNEL_MIN_STREAMS = 96
 
 # Batched draws hold at most this many pairs per chunk of replicates or cells.
 _CHUNK_PAIRS = 2 ** 16
@@ -193,8 +199,9 @@ def _uniform_pairs(stream: RandomStream, count: int, *path, block: int | None = 
 
     With an index ``path`` (ints or integer arrays that broadcast to a shape
     B), the pairs of every child ``stream.child(*path)``, as a B + (count, 2)
-    array: one counter-kernel call when the streams are short, one C
-    generator per stream otherwise, with the same bits either way.
+    array: one counter-kernel call when the streams are short and there are
+    many of them, one C generator per stream otherwise, with the same bits
+    either way.
 
     Every sampler reads its uniforms through here.  Pairs are interleaved,
     so draws are prefix-consistent: asking a stream for m < n pairs yields
@@ -211,7 +218,7 @@ def _uniform_pairs(stream: RandomStream, count: int, *path, block: int | None = 
     shape = np.broadcast_shapes(*(np.shape(ix) for ix in path))
     ids = _child_ids(stream.stream_id, *path)
     u = np.empty((ids.size, 2 * count))
-    if count <= _KERNEL_MAX_PAIRS:
+    if count <= _KERNEL_MAX_PAIRS and ids.size >= _KERNEL_MIN_STREAMS:
         step = _chunk_rows(count)
         for lo in range(0, ids.size, step):
             u[lo:lo + step] = _uniforms(stream.seed, ids[lo:lo + step], 2 * count)

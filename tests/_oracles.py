@@ -171,6 +171,57 @@ def quasinorm_bisection(values, alphas, lo: float = 0.0,
     return 0.5 * (lo + hi)
 
 
+def modular_fresh_gk(f, af, lam: float, gauss_kronrod) -> float:
+    """The modular integral_0^1 |f(x)/lam|^alpha(x) dx of a callable f as
+    one fresh ``gauss_kronrod`` call (passed in, so that this module still
+    imports nothing of the package) that evaluates f and alpha on the nodes
+    of every round, its first included."""
+    return gauss_kronrod(lambda x: (np.abs(f._values(x)) / lam) ** af(x), 0.0, 1.0,
+                         breakpoints=(*af.breakpoints, *f.breakpoints))
+
+
+def quasinorm_fresh_gk(f, af, gauss_kronrod) -> float:
+    """The quasinorm's bracket expansion and bisection, step for step, with
+    each modular from :func:`modular_fresh_gk`: the value a callable f must
+    keep, bit for bit, whatever the quasinorm holds between its calls."""
+    sup = f.sup_bound()
+    if sup == 0.0:
+        return 0.0
+
+    def modular(lam: float) -> float:
+        return modular_fresh_gk(f, af, lam, gauss_kronrod)
+
+    hi = sup
+    for _ in range(200):
+        g_hi = modular(hi)
+        if math.isinf(g_hi):
+            hi *= 2.0
+            if hi > sup * 2.0 ** 200:
+                raise ArithmeticError("modular integral is non-finite for every scaling")
+            continue
+        if g_hi <= 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise ArithmeticError("modular never drops below 1 under expansion")
+    lo = min(sup * 1e-6, 0.5 * hi)
+    for _ in range(600):
+        if modular(lo) >= 1.0:
+            break
+        lo *= 0.25
+        if lo < 1e-300:
+            return 0.0
+    else:
+        return 0.0
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if modular(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def lf_exponent_bruteforce(alpha_fn, u: float, theta: float, n: int) -> float:
     """Direct double-checkable loop for the naive scheme's CF exponent."""
     m = 2 ** n

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mslevy import (
     AlphaFunction,
     IntegrandFunction,
+    KernelFunction,
     check_condition7,
     exponent_integral,
     integral_cf,
@@ -23,19 +24,22 @@ from mslevy import (
     modular_integral,
     plateau_identity_alpha,
     quasinorm,
+    strong_localisability_check,
 )
 from mslevy.alpha_model import _cell_alphas, _cell_time, _cell_times, _piece_edges, grid_index
 from mslevy.errors import DomainError, ParameterError, QuadratureError
-from mslevy.quadrature import adaptive_simpson
+from mslevy.quadrature import adaptive_simpson, gauss_kronrod, gk_nodes
 
 from _oracles import (
     PerDispatch,
     cf_of_increment_brute,
     exponent_integral_linear,
     lf_exponent_bruteforce,
+    modular_fresh_gk,
     panel_power_sum,
     pinned,
     quasinorm_bisection,
+    quasinorm_fresh_gk,
 )
 
 AF_LINEAR = AlphaFunction.linear(1.2, 0.6)
@@ -476,6 +480,111 @@ class TestStepModularBits:
     def test_modular_pinned_bits(self, af, lam, bits):
         f = IntegrandFunction.from_table([0.5, -2.0, 1.5])
         assert modular_integral(f, af, lam) == float.fromhex(bits)
+
+
+def _strong_increments(w: IntegrandFunction, af: AlphaFunction, x: float, r: float, pairs):
+    """The increments strong_localisability_check takes the quasinorm of,
+    for the weighted-running kernel of w, built the way it builds them."""
+    kernel = KernelFunction.weighted_running(w)
+    scale = r ** (-1.0 / float(af(x)))
+    return [(kernel.slice(x + r * t) - kernel.slice(x + r * v)).scaled(scale) for t, v in pairs]
+
+
+# the numerics benchmark's strong-localisability radius and pairs
+STRONG_PAIRS = ((0.0, 1.0), (0.0, 0.5), (0.0, 0.25), (0.0, 0.125))
+STRONG_RADIUS = 2.0 ** -4
+CUSP = IntegrandFunction.from_callable(lambda s: np.abs(s - 1.0 / 3.0) ** 0.4, (1.0 / 3.0,))
+
+
+def _callable_integrands():
+    flat = IntegrandFunction.from_callable(lambda s: np.full_like(s, 0.93), label="const 0.93")
+    rows = [(f"weighted_running_{i}", f, AF_LINEAR)
+            for i, f in enumerate(_strong_increments(flat, AF_LINEAR, 0.5, STRONG_RADIUS,
+                                                     STRONG_PAIRS))]
+    rows += [("cusp_linear", CUSP, AF_LINEAR), ("cusp_step", CUSP.scaled(2.5), AF_STEP),
+             ("cusp_increment", _strong_increments(CUSP, AF_TABLE49, 0.25, 0.5,
+                                                   [(0.0, 1.0)])[0], AF_TABLE49),
+             ("scalar", IntegrandFunction.from_callable(lambda s: 0.7), AF_LINEAR),
+             ("scalar_step_alpha", IntegrandFunction.from_callable(lambda s: -1.3, (0.2,)),
+              AF_STEP)]
+    return rows
+
+
+CALLABLE_INTEGRANDS = _callable_integrands()
+
+
+class TestCallableModularBits:
+    """The Gauss-Kronrod modular holds |f| and alpha on its first-round
+    nodes between calls; every value keeps the bits of a fresh
+    gauss_kronrod that evaluates f and alpha on every round's nodes
+    (oracle), on whatever np.power dispatch runs."""
+
+    @pytest.mark.parametrize("name,f,af", CALLABLE_INTEGRANDS,
+                             ids=[row[0] for row in CALLABLE_INTEGRANDS])
+    def test_quasinorm_is_the_fresh_bisection(self, name, f, af):
+        assert not f.steps
+        assert quasinorm(f, af) == quasinorm_fresh_gk(f, af, gauss_kronrod)
+
+    @pytest.mark.parametrize("name,f,af", CALLABLE_INTEGRANDS,
+                             ids=[row[0] for row in CALLABLE_INTEGRANDS])
+    @pytest.mark.parametrize("lam", [0.05, 0.37, 1.0, 2.9])
+    def test_modular_is_one_fresh_gauss_kronrod(self, name, f, af, lam):
+        assert modular_integral(f, af, lam) == modular_fresh_gk(f, af, lam, gauss_kronrod)
+
+    def test_cusp_needs_rounds_past_the_first(self):
+        sizes = []
+
+        def probe(x):
+            sizes.append(x.size)
+            return np.abs(x - 1.0 / 3.0) ** 0.4
+
+        modular_integral(IntegrandFunction.from_callable(probe, CUSP.breakpoints), AF_LINEAR)
+        assert sizes[0] == 2 * 15 and len(sizes) > 2
+
+    def test_a_later_round_as_large_as_the_first_evaluates_its_own_nodes(self):
+        sizes = []
+
+        def probe(x):
+            sizes.append(x.size)
+            return np.full_like(x, 0.6)
+
+        # at lam = 6e-7 the power climbs by e^8 across [0.4, 1], which only
+        # that panel's two halves resolve: a second round of 30 nodes
+        f = IntegrandFunction.from_callable(probe, (0.4,))
+        got = modular_integral(f, AF_LINEAR, 6e-7)
+        assert sizes == [30, 30]
+        assert got == modular_fresh_gk(f, AF_LINEAR, 6e-7, gauss_kronrod)
+
+    def test_first_round_is_evaluated_once_per_quasinorm(self):
+        seen = []
+
+        def probe(x):
+            seen.append(x.tobytes())
+            return np.full_like(x, 0.6)
+
+        f = IntegrandFunction.from_callable(probe, (0.4,))
+        first = gk_nodes(np.array([0.0, 0.4]), np.array([0.4, 1.0]))[1].tobytes()
+        q = quasinorm(f, AF_LINEAR)
+        # the sup probe, then the two panels' 30 nodes once for every
+        # bisection step of the call; only steps that need a second round
+        # (lam near 0, where the power is steep) evaluate again
+        assert seen.count(first) == 1 and 1 < len(seen) < 10
+        seen.clear()
+        assert q == quasinorm_fresh_gk(f, AF_LINEAR, gauss_kronrod)
+        assert seen.count(first) > 40
+
+    def test_strong_localisability_quasinorm_eta_is_the_oracle_fit(self):
+        w = IntegrandFunction.from_callable(lambda s: np.full_like(s, 1.07), label="const 1.07")
+        rep = strong_localisability_check(KernelFunction.weighted_running(w), AF_LINEAR, 0.5,
+                                          [STRONG_RADIUS], list(STRONG_PAIRS),
+                                          independent_increments=True, with_quasinorm=True)
+        deltas = _strong_increments(w, AF_LINEAR, 0.5, STRONG_RADIUS, STRONG_PAIRS)
+        gaps = [abs(t - v) for t, v in STRONG_PAIRS]
+        energies = [modular_fresh_gk(d, AF_LINEAR, 1.0, gauss_kronrod) for d in deltas]
+        qnorms = [quasinorm_fresh_gk(d, AF_LINEAR, gauss_kronrod) for d in deltas]
+        q_slope, _ = np.polyfit(np.log(gaps), np.log(qnorms), 1)
+        assert rep.lhs_table == (tuple(energies),)
+        assert rep.quasinorm_eta_by_r == (float(q_slope),)
 
 
 class TestLocalVariationCheck:

@@ -118,6 +118,8 @@ NON_FINITE_CALLS = {
     "localisability_test.x": lambda: localisability_test(AF, NAN, 1.0, [0.25, 0.125], 6, 10,
                                                          STREAM),
     "gauss_kronrod.bound": lambda: gauss_kronrod(lambda x: x, 0.0, NAN),
+    "gauss_kronrod.abs_tol": lambda: gauss_kronrod(np.sqrt, 0.0, 1.0, abs_tol=NAN),
+    "gauss_kronrod.abs_tol_negative": lambda: gauss_kronrod(np.sqrt, 0.0, 1.0, abs_tol=-5.0),
     "hoelder_tail_constant.C": lambda: hoelder_tail_constant(NAN, 1.0, 1.5, 0.5),
     # integer arguments: levels, sizes and indices
     "SchemeConfig.n": lambda: SchemeConfig(n=3.5, af=AF, stream=STREAM),

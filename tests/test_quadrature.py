@@ -130,6 +130,10 @@ class TestGaussKronrod:
 
     def test_constant_returned_as_a_scalar_is_broadcast(self):
         assert gauss_kronrod(lambda x: 2.0, 0.0, 3.0) == 6.0
+        # with the bits of the same constant returned on every node
+        for c, breaks in [(0.1, ()), (-2.7, (0.3, 1.9)), (1e-300, (2.5,))]:
+            assert gauss_kronrod(lambda x: c, 0.0, 3.0, breakpoints=breaks) == gauss_kronrod(
+                lambda x: np.full_like(x, c), 0.0, 3.0, breakpoints=breaks)
 
     def test_end_point_cusp_converges(self):
         # the cell at 0 has error ~ h^(3/2), which meets a share ~ h only

@@ -24,7 +24,8 @@ from mslevy import (
     tail_asymptote,
 )
 from mslevy.errors import DomainError, ParameterError
-from mslevy.stable_core import _child_ids, _uniform_pairs, _uniforms
+from mslevy.stable_core import (_KERNEL_MAX_PAIRS, _KERNEL_MIN_STREAMS, _child_ids,
+                                 _uniform_pairs, _uniforms)
 from mslevy.verify_stats import ecf_report
 
 from _oracles import C_ALPHA_ORACLE, sine_integral_live
@@ -172,14 +173,19 @@ class TestCounterKernel:
         want = [RandomStream(5, sid).child(*ix).stream_id for ix in zip(*path)]
         assert got.tolist() == want
 
-    @pytest.mark.parametrize("count", [3, 100], ids=["kernel", "generators"])
-    def test_many_stream_read_matches_child_streams(self, count):
+    # short reads from at least _KERNEL_MIN_STREAMS streams take the kernel;
+    # long reads, and short reads from fewer streams, take the generators
+    @pytest.mark.parametrize("count,rows,cols,kernel", [
+        (3, np.arange(-12, 12), 4, True), (100, np.array([0, 5, -2]), 4, False),
+        (3, np.array([5]), 1, False),
+    ], ids=["kernel", "generators", "short_one_stream"])
+    def test_many_stream_read_matches_child_streams(self, count, rows, cols, kernel):
+        assert (count <= _KERNEL_MAX_PAIRS and rows.size * cols >= _KERNEL_MIN_STREAMS) == kernel
         stream = RandomStream(2 ** 64 - 7, 2 ** 63 + 3)
-        rows = np.array([0, 5, -2])
-        u = _uniform_pairs(stream, count, rows[:, None], 0xCE11, np.arange(4))
-        assert u.shape == (3, 4, count, 2)
+        u = _uniform_pairs(stream, count, rows[:, None], 0xCE11, np.arange(cols))
+        assert u.shape == (rows.size, cols, count, 2)
         for i, r in enumerate(rows):
-            for k in range(4):
+            for k in range(cols):
                 assert np.array_equal(u[i, k], _uniform_pairs(stream.child(r, 0xCE11, k), count))
 
 
