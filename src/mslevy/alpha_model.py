@@ -591,38 +591,28 @@ def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
 
     located by geometric bracket expansion followed by bisection on the
     strictly decreasing modular, to a relative bracket width of 1e-12.
-    The zero integrand has quasinorm 0; a modular that stays infinite
-    signals a non-normable integrand.
+    hi starts at ``f.sup_bound()`` (1 if not finite) and doubles while the
+    modular exceeds 1; lo starts at min(sup * 1e-6, hi / 2) and quarters
+    while it is below 1, giving 0 under 1e-300 (f vanishes off a null set).
+    Its one error is InfiniteQuasinormError, after 200 doublings of hi.
     """
     sup = f.sup_bound()
     if sup == 0.0:
         return 0.0
 
     modular = _modular(f, af)
-    hi = sup
-    for _ in range(200):
-        g_hi = modular(hi)
-        if math.isinf(g_hi):
-            hi *= 2.0
-            if hi > sup * 2.0 ** 200:
-                raise InfiniteQuasinormError(
-                    "modular integral is non-finite for every scaling")
-            continue
-        if g_hi <= 1.0:
-            break
+    finite = math.isfinite(sup)
+    hi = start = sup if finite else 1.0
+    while not modular(hi) <= 1.0:
         hi *= 2.0
-    else:
-        raise InfiniteQuasinormError("modular never drops below 1 under expansion")
+        if hi >= start * 2.0 ** 200:
+            raise InfiniteQuasinormError(f"modular > 1 or non-finite for every lam < {hi:.3g}")
 
-    lo = min(sup * 1e-6, 0.5 * hi)
-    for _ in range(600):
-        if modular(lo) >= 1.0:
-            break
+    lo = min(sup * 1e-6, 0.5 * hi) if finite else 0.5 * hi
+    while not modular(lo) >= 1.0:
         lo *= 0.25
         if lo < 1e-300:
             return 0.0
-    else:  # pragma: no cover - modular must blow up as lam -> 0 for f != 0
-        return 0.0
 
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)

@@ -136,13 +136,6 @@ def _alpha_of(resolved: dict) -> AlphaFunction:
     return af
 
 
-def _at_most(value, cap: int, flag: str) -> int:
-    """An array-sizing flag, rejected above its cap before anything is allocated."""
-    if value > cap:
-        raise ParameterError(f"{flag} must be at most {cap}, got {value}")
-    return value
-
-
 def _parse_floats(value) -> list[float]:
     if isinstance(value, (list, tuple)):
         return [float(v) for v in value]
@@ -269,15 +262,12 @@ def _simulate_path(resolved: dict, af: AlphaFunction, stream: RandomStream):
                            nested=bool(resolved["nested"]))
         return {"li": simulate_li, "lr": simulate_lr, "lc": simulate_lc}[scheme](cfg)
     if scheme == "sn":
-        mesh = resolved["mesh_level"]
-        mesh = _at_most(mesh, _MAX_LEVEL, "--mesh-level") if mesh is not None \
-            else min(n + 2, 16)
-        if mesh < 0:
-            raise ParameterError(f"--mesh-level must be at least 0, got {mesh}")
+        mesh, levels = resolved["mesh_level"], resolved["levels"]
+        mesh = _check_ints(min(n + 2, 16) if mesh is None else mesh, 0, _MAX_LEVEL,
+                           "--mesh-level")
+        levels = _check_ints(max(16, n) if levels is None else levels, 0, _MAX_LEVEL,
+                             "--levels")
         t_grid = np.arange(2 ** mesh + 1, dtype=float) / 2.0 ** mesh
-        levels = resolved["levels"]
-        levels = _at_most(levels, _MAX_LEVEL, "--levels") if levels is not None \
-            else max(16, n)
         return simulate_sn(n, af, stream, t_grid, d=resolved["d"],
                            levels=levels)
     if scheme == "stable":
@@ -286,8 +276,8 @@ def _simulate_path(resolved: dict, af: AlphaFunction, stream: RandomStream):
                 'the stable scheme needs a constant exponent, e.g. '
                 '--alpha \'{"kind":"constant","value":1.5}\'')
         n_terms = resolved["n_terms"]
-        n_terms = _at_most(n_terms if n_terms is not None else 2 ** n,
-                           2 ** _MAX_LEVEL, "--n-terms (default 2^n)")
+        n_terms = _check_ints(2 ** n if n_terms is None else n_terms, 1, 2 ** _MAX_LEVEL,
+                              "--n-terms (default 2^n)")
         return simulate_stable_fclt(af.a, n_terms, stream)
     w = IntegrandFunction.from_table(_parse_floats(resolved["weight"]))  # weighted
     return weighted_mslm(w, af, n, stream)
@@ -544,8 +534,8 @@ def _cmd_condition7(resolved: dict) -> int:
     lags = _parse_floats(resolved["lags"])
     resolved["lags"] = lags
     t0, t1 = af.domain
-    xs = np.linspace(t0, t1, _at_most(resolved["x_points"], 2 ** _MAX_LEVEL,
-                                      "--x-points"))
+    xs = np.linspace(t0, t1, _check_ints(resolved["x_points"], 1, 2 ** _MAX_LEVEL,
+                                         "--x-points"))
     # A jump at p only registers for lag t when some probe lies in
     # [p - t, p), so straddle every breakpoint at every lag explicitly.
     straddles = [p - lag / 2.0 for p in af.breakpoints for lag in lags]
@@ -558,10 +548,8 @@ def _cmd_condition7(resolved: dict) -> int:
 
 
 def _cmd_example1(resolved: dict) -> int:
-    n_min = resolved["n_min"]
-    n_max = _at_most(resolved["n_max"], _MAX_LEVEL, "--n-max")
-    if not 0 <= n_min <= n_max:
-        raise ParameterError(f"need 0 <= n_min <= n_max, got {n_min}..{n_max}")
+    n_max = _check_ints(resolved["n_max"], 0, _MAX_LEVEL, "--n-max")
+    n_min = _check_ints(resolved["n_min"], 0, n_max, "--n-min")
     af = plateau_identity_alpha(resolved["b"])
     u, theta = resolved["u"], resolved["theta"]
     rows = [(n, lf_n_exponent(af, u, theta, n)) for n in range(n_min, n_max + 1)]

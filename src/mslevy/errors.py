@@ -11,8 +11,8 @@ class DomainError(ValueError):
 
 
 class InfiniteQuasinormError(ArithmeticError):
-    """The variable-exponent modular integral is non-finite for every
-    positive scaling, so the function has no finite quasinorm."""
+    """The variable-exponent modular stays above 1, or is not finite, at
+    every scaling up to 2^200 times the first, so no finite quasinorm."""
 
 
 class QuadratureError(ArithmeticError):

@@ -144,9 +144,7 @@ def integrand_convergence(f_seq, f: IntegrandFunction, af: AlphaFunction,
     if not threshold > 0.0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
     norms = [quasinorm(fj - f, af) for fj in f_seq]
-    if any(not math.isfinite(v) for v in norms):
-        verdict = False
-    elif norms[-1] == 0.0:
+    if norms[-1] == 0.0:
         verdict = True
     elif len(norms) == 1:
         verdict = norms[-1] < threshold
@@ -420,7 +418,7 @@ def strong_localisability_check(kernel: KernelFunction, af: AlphaFunction,
             slope, intercept = np.polyfit(np.log(gaps), np.log(energies), 1)
             eta_by_r.append(float(slope))
             const_by_r.append(float(np.exp(intercept)))
-            if with_quasinorm and len(qnorms) == len(gaps):
+            if with_quasinorm:
                 q_slope, _ = np.polyfit(np.log(gaps), np.log(qnorms), 1)
                 q_eta_by_r.append(float(q_slope))
         else:

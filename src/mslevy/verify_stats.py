@@ -122,6 +122,8 @@ def spearman_corr(xs, ys) -> float:
     y = np.asarray(ys, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ParameterError("need two equally long vectors of length >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ParameterError("Spearman correlation needs finite values")
     rx, ry = _average_ranks(x), _average_ranks(y)
     rx -= rx.mean()
     ry -= ry.mean()
@@ -132,16 +134,10 @@ def spearman_corr(xs, ys) -> float:
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=float)
-    i = 0
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of v, ties sharing the mean of their ranks: a run of c
+    equal values ending at sorted position k (1-based) ranks k - (c - 1)/2."""
+    _, group, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,21 @@ def quasinorm_fresh_gk(f, af, gauss_kronrod) -> float:
     return 0.5 * (lo + hi)
 
 
+def average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of v with ties sharing their mean rank, by a walk over
+    the stably sorted values: the reference for the package's vectorised ranks."""
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=float)
+    i = 0
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def lf_exponent_bruteforce(alpha_fn, u: float, theta: float, n: int) -> float:
     """Direct double-checkable loop for the naive scheme's CF exponent."""
     m = 2 ** n

@@ -27,7 +27,7 @@ from mslevy import (
     strong_localisability_check,
 )
 from mslevy.alpha_model import _cell_alphas, _cell_time, _cell_times, _piece_edges, grid_index
-from mslevy.errors import DomainError, ParameterError, QuadratureError
+from mslevy.errors import DomainError, InfiniteQuasinormError, ParameterError, QuadratureError
 from mslevy.quadrature import adaptive_simpson, gauss_kronrod, gk_nodes
 
 from _oracles import (
@@ -585,6 +585,45 @@ class TestCallableModularBits:
         q_slope, _ = np.polyfit(np.log(gaps), np.log(qnorms), 1)
         assert rep.lhs_table == (tuple(energies),)
         assert rep.quasinorm_eta_by_r == (float(q_slope),)
+
+
+def _pole(p: float) -> IntegrandFunction:
+    """|s - 1/3|^p with its pole declared: sup_bound probes the pole and
+    reads inf."""
+    def f(s):
+        with np.errstate(divide="ignore"):
+            return np.abs(s - 1.0 / 3.0) ** p
+    return IntegrandFunction.from_callable(f, (1.0 / 3.0,))
+
+
+class TestQuasinormExits:
+    """quasinorm returns a finite value or raises: an infinite sup starts
+    the bracket at 1, a modular infinite at every scaling raises, and only
+    an integrand vanishing off a null set gives 0."""
+
+    @pytest.mark.parametrize("p", [-0.2, -0.1])
+    def test_pole_at_a_breakpoint_gets_its_norm(self, p):
+        # under alpha = 1 the quasinorm is the integral of |f|
+        exact = ((1.0 / 3.0) ** (1.0 + p) + (2.0 / 3.0) ** (1.0 + p)) / (1.0 + p)
+        assert _pole(p).sup_bound() == math.inf
+        got = quasinorm(_pole(p), AlphaFunction.constant(1.0))
+        assert got == pytest.approx(exact, rel=1e-9)
+
+    def test_pole_beyond_gauss_kronrod_raises(self):
+        with pytest.raises(QuadratureError):
+            quasinorm(_pole(-0.4), AlphaFunction.constant(1.0))
+
+    def test_modular_infinite_at_every_scaling_raises(self):
+        # 0.5 is the centre Kronrod node of the one panel [0, 1]
+        f = IntegrandFunction.from_callable(lambda s: np.where(s == 0.5, np.inf, 1.0))
+        with pytest.raises(InfiniteQuasinormError, match="non-finite for every lam"):
+            quasinorm(f, AF_LINEAR)
+
+    def test_null_set_support_is_zero(self):
+        # 0.25 is on the sup probe grid but is no first-round Kronrod node
+        f = IntegrandFunction.from_callable(lambda s: np.where(s == 0.25, 1.0, 0.0))
+        assert f.sup_bound() == 1.0
+        assert quasinorm(f, AF_LINEAR) == 0.0
 
 
 class TestLocalVariationCheck:

@@ -48,23 +48,26 @@ class TestUsageErrors:
     def test_unknown_suite(self):
         assert run(["verify", "--suite", "bogus", "--seed", "1"]) == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["example1", "--n-max", "27"],
-        ["simulate", "--scheme", "sn", "--n", "3", "--seed", "1", "--mesh-level", "27"],
-        ["simulate", "--scheme", "sn", "--n", "3", "--seed", "1", "--levels", "27"],
-        ["simulate", "--scheme", "stable", "--alpha", CONST_ALPHA, "--seed", "1",
-         "--n-terms", str(2 ** 26 + 1)],
-        ["simulate", "--scheme", "stable", "--alpha", CONST_ALPHA, "--seed", "1",
-         "--n", "27"],
-        ["condition7", "--x-points", str(2 ** 26 + 1)],
-        ["simulate", "--seed", "1", "--n", "10", "--ensemble", str(2 ** 16 + 1)],
+    @pytest.mark.parametrize("argv, message", [
+        (["example1", "--n-max", "27"], "--n-max must be an integer in ["),
+        (["simulate", "--scheme", "sn", "--n", "3", "--seed", "1", "--mesh-level", "27"],
+         "--mesh-level must be an integer in ["),
+        (["simulate", "--scheme", "sn", "--n", "3", "--seed", "1", "--levels", "27"],
+         "--levels must be an integer in ["),
+        (["simulate", "--scheme", "stable", "--alpha", CONST_ALPHA, "--seed", "1",
+          "--n-terms", str(2 ** 26 + 1)], "--n-terms (default 2^n) must be an integer in ["),
+        (["simulate", "--scheme", "stable", "--alpha", CONST_ALPHA, "--seed", "1",
+          "--n", "27"], "must be at most"),
+        (["condition7", "--x-points", str(2 ** 26 + 1)], "--x-points must be an integer in ["),
+        (["simulate", "--seed", "1", "--n", "10", "--ensemble", str(2 ** 16 + 1)],
+         "must be at most"),
     ], ids=["n_max", "mesh_level", "levels", "n_terms", "n_terms_default", "x_points",
             "ensemble_cells"])
-    def test_oversized_array_flags_rejected(self, argv, capsys):
+    def test_oversized_array_flags_rejected(self, argv, message, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be at most" in captured.err
+        assert message in captured.err
 
     def test_plot_requires_out(self, capsys):
         assert run(["simulate", "--n", "4", "--seed", "1", "--plot"]) == 2
@@ -87,10 +90,13 @@ class TestUsageErrors:
         (["condition7", "--threshold", "-1"], "threshold"),
         (["simulate", "--scheme", "sn", "--n", "3", "--seed", "1", "--mesh-level", "-60"],
          "--mesh-level"),
+        (["example1", "--n-min", "5", "--n-max", "4"], "--n-min"),
+        (["condition7", "--x-points", "0"], "--x-points"),
     ], ids=["localize_plot", "example1_plot", "localize_ensemble_0",
             "localize_ensemble_neg", "localize_ensemble_cap", "localize_ensemble_huge",
             "simulate_ensemble_0", "localize_tol_neg", "localize_tol_0", "localize_tol_nan",
-            "condition7_threshold_nan", "condition7_threshold_neg", "simulate_mesh_level_neg"])
+            "condition7_threshold_nan", "condition7_threshold_neg", "simulate_mesh_level_neg",
+            "example1_n_min_above_n_max", "condition7_x_points_0"])
     def test_shared_checks_run_before_any_output(self, argv, flag, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()

@@ -50,7 +50,8 @@ from mslevy.stable_core import (
     symmetric_from_uniform_pairs,
     tail_asymptote,
 )
-from mslevy.verify_stats import increment_cf_test, localisability_test, tightness_check
+from mslevy.verify_stats import (increment_cf_test, localisability_test, spearman_corr,
+                                  tightness_check)
 
 NAN = math.nan
 STREAM = RandomStream(1)
@@ -117,6 +118,7 @@ NON_FINITE_CALLS = {
                                                      STREAM),
     "localisability_test.x": lambda: localisability_test(AF, NAN, 1.0, [0.25, 0.125], 6, 10,
                                                          STREAM),
+    "spearman_corr.x": lambda: spearman_corr([NAN, 1.0], [0.0, 1.0]),
     "gauss_kronrod.bound": lambda: gauss_kronrod(lambda x: x, 0.0, NAN),
     "gauss_kronrod.abs_tol": lambda: gauss_kronrod(np.sqrt, 0.0, 1.0, abs_tol=NAN),
     "gauss_kronrod.abs_tol_negative": lambda: gauss_kronrod(np.sqrt, 0.0, 1.0, abs_tol=-5.0),

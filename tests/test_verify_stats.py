@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslevy import (
     AlphaFunction,
@@ -24,6 +26,9 @@ from mslevy import (
     tightness_check,
 )
 from mslevy.errors import GridResolutionError, ParameterError
+from mslevy.verify_stats import _average_ranks
+
+from _oracles import average_ranks
 
 AF_LINEAR = AlphaFunction.linear(1.2, 0.6)
 
@@ -81,6 +86,13 @@ class TestSpearman:
         ys = np.array([2.0, 1.0, 4.0, 3.0])
         # ranks: xs -> 3 1 2 4, ys -> 2 1 4 3; sum d^2 = 6, rho = 1 - 36/60
         assert spearman_corr(xs, ys) == pytest.approx(0.4)
+
+    @given(st.lists(st.sampled_from([-2.5, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-4.0, 4.0),
+                    min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_average_ranks_are_the_loop_ranks(self, values):
+        v = np.asarray(values, dtype=float)
+        assert _average_ranks(v).tobytes() == average_ranks(v).tobytes()
 
 
 class TestIncrementCfTest:
