@@ -29,8 +29,6 @@ from .continuous_paths import (
     sn_boundary_ensemble,
     stable_level_draws,
     triangle,
-    triangle_jk,
-    truncation_level,
 )
 from .errors import (
     DomainError,
@@ -40,7 +38,6 @@ from .errors import (
     QuadratureError,
 )
 from .integrals import (
-    ConvergenceReport,
     HoelderReport,
     IndependenceReport,
     KernelFunction,
@@ -52,7 +49,6 @@ from .integrals import (
     hoelder_tail_constant,
     independence_test,
     integral_ensemble,
-    integrand_convergence,
     joint_integral_ensemble,
     overlap_measure,
     pairwise_independence,
@@ -79,14 +75,12 @@ from .stable_core import (
     PoissonArrivals,
     RandomStream,
     StableParams,
-    TailAsymptote,
     compute_C_alpha,
     poisson_arrivals,
     sample_stable,
     sample_symmetric,
     stable_cf,
     symmetric_from_uniform_pairs,
-    tail_asymptote,
 )
 from .verify_stats import (
     EcfReport,

@@ -218,12 +218,6 @@ class AlphaFunction:
         edges, mids = _cells(u1, u2, self.breaks)
         return list(zip(edges, edges[1:], *self._affine(mids)))
 
-    def max_jump(self) -> float:
-        """Largest discontinuity across interior breakpoints (0 if continuous)."""
-        cells = self.pieces(*self.domain)
-        return max((abs((c1 + m1 * x) - (c2 + m2 * x))
-                    for (_, x, c1, m1), (_, _, c2, m2) in zip(cells, cells[1:])), default=0.0)
-
     def segment(self, k: int) -> "AlphaFunction":
         """Exponent x -> alpha(x + k) restricted to the unit interval: the
         cells over (k, k + 1), shifted left by k, for every kind exactly.

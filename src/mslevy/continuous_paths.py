@@ -12,7 +12,6 @@ its tests rely on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,44 +33,19 @@ class ContinuousStableConfig:
     """Triangle-series process parameters: stability index, basis decay
     exponent and inclusive truncation level.
 
-    The uniform-convergence regime needs d > 1/alpha; the boundary case
-    d = 1/alpha only gives moment (L^p) convergence and must be requested
-    explicitly via ``lp_mode``.
+    The uniform-convergence regime needs d > 1/alpha.
     """
 
     alpha: float
     d: float
     levels: int = 16
-    lp_mode: bool = False
 
     def __post_init__(self) -> None:
         _check_alphas(self.alpha)
         object.__setattr__(self, "levels", _check_ints(self.levels, 0, None, "truncation level"))
-        floor = 1.0 / self.alpha
-        if self.lp_mode:
-            if not self.d >= floor - 1e-12:
-                raise ParameterError(
-                    f"moment mode needs d >= 1/alpha = {floor}, got d = {self.d}")
-        elif not self.d > floor:
+        if not self.d > 1.0 / self.alpha:
             raise ParameterError(
-                f"continuous regime needs d > 1/alpha = {floor}, got d = {self.d}"
-                " (pass lp_mode=True to allow the boundary case)")
-
-
-def truncation_level(alpha: float, d: float, sup_tol: float) -> int:
-    """Truncation level whose deterministic tail bound is below ``sup_tol``.
-
-    Level j contributes at most 2^(-jd) * max_k |Z_jk|, and the level max
-    grows like 2^(jc) for any c > 1/alpha; with c midway between 1/alpha
-    and d the tail sum_{j>J} 2^(j(c-d)) is geometric.
-    """
-    ContinuousStableConfig(alpha, d)  # alpha in (0, 2] and d > 1/alpha
-    if not 0.0 < sup_tol < math.inf:
-        raise ParameterError(f"tolerance must be positive and finite, got {sup_tol}")
-    c = 0.5 * (1.0 / alpha + d)
-    q = 2.0 ** (c - d)
-    j = math.ceil(math.log(sup_tol * (1.0 - q)) / math.log(q)) - 1
-    return max(int(j), 0)
+                f"continuous regime needs d > 1/alpha = {1.0 / self.alpha}, got d = {self.d}")
 
 
 def triangle(t):
@@ -81,19 +55,6 @@ def triangle(t):
     out = np.maximum(0.0, 1.0 - np.abs(2.0 * arr - 1.0))
     if np.isnan(out).any():  # np.maximum passes a NaN time through
         raise DomainError("tent argument must not be NaN")
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-
-def triangle_jk(j: int, k: int, t):
-    """Dyadic tent phi(2^j t - k), supported on [k/2^j, (k+1)/2^j]."""
-    if not j >= 0:
-        raise DomainError(f"level must be >= 0, got {j}")
-    j = _check_ints(j, 0, None, "level j")
-    if not (0 <= k <= 2 ** j - 1):
-        raise DomainError(f"shift {k} out of range [0, 2^{j} - 1]")
-    k = _check_ints(k, 0, None, "shift k")
-    arr = np.asarray(t, dtype=float)
-    out = triangle(np.ldexp(arr, j) - k)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 

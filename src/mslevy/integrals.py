@@ -1,7 +1,6 @@
 """Integrals against the multistable random measure: weighted-sum sampling,
-integrand convergence in quasinorm, independence diagnostics, stochastic
-Hoelder bounds, weighted multistable paths, and strong-localisability
-checks for kernel families.
+independence diagnostics, stochastic Hoelder bounds, weighted multistable
+paths, and strong-localisability checks for kernel families.
 
 The sampling rule mirrors the dyadic scheme: one draw of the integral of f
 is sum_{k=1..2^n} (2^-n)^(1/alpha(k/2^n)) f(k/2^n) X(k,n), which makes
@@ -23,7 +22,7 @@ from .errors import ParameterError, QuadratureError
 from .msl_schemes import _MAX_LEVEL, PathGrid, _grid_path, _weighted_sums
 from .quadrature import gauss_kronrod
 from .stable_core import RandomStream, _check_ints
-from .verify_stats import _factorization_distance, spearman_corr
+from .verify_stats import _factorization_distance
 
 _NULL_SET_TOL = 1e-12
 _SCAN_PANELS = 4096
@@ -73,11 +72,6 @@ class KernelFunction:
 
         return cls(make, label=f"weighted({w.label})")
 
-    @classmethod
-    def constant_in_t(cls, g: IntegrandFunction) -> "KernelFunction":
-        """f(t, x) = g(x) for every t (all increments vanish)."""
-        return cls(lambda t: g, label=f"constant({g.label})")
-
 
 # ---------------------------------------------------------------------------
 # sampling
@@ -122,37 +116,6 @@ def weighted_mslm(w: IntegrandFunction, af: AlphaFunction, n: int,
     bitwise under the same stream."""
     n = _check_ints(n, 1, _MAX_LEVEL, "dyadic level n")
     return _grid_path(_weighted_sums(af, 2 ** n, stream, 2.0 ** -n, fs=[w])[0])
-
-
-# ---------------------------------------------------------------------------
-# integrand convergence
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Quasinorm distances of an integrand sequence to its target."""
-
-    norms: tuple
-    threshold: float
-    converges: bool
-
-
-def integrand_convergence(f_seq, f: IntegrandFunction, af: AlphaFunction,
-                          threshold: float = 1e-2) -> ConvergenceReport:
-    """Quasinorm of f_j - f per j with a monotone-trend verdict: the
-    integral draws converge in probability iff these distances tend to 0."""
-    if not threshold > 0.0:
-        raise ParameterError(f"threshold must be positive, got {threshold}")
-    norms = [quasinorm(fj - f, af) for fj in f_seq]
-    if norms[-1] == 0.0:
-        verdict = True
-    elif len(norms) == 1:
-        verdict = norms[-1] < threshold
-    else:
-        trend = spearman_corr(norms, range(len(norms)))
-        verdict = trend < 0.0 and norms[-1] < threshold
-    return ConvergenceReport(norms=tuple(norms), threshold=float(threshold),
-                             converges=bool(verdict))
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +274,11 @@ def hoelder_bound_check(kernel: KernelFunction, af: AlphaFunction, eta: float,
     if not (0.0 < beta < 1.0 and beta < eta / af.b):
         raise ParameterError(
             f"beta must lie in (0, min(1, eta/b)) = (0, {min(1.0, eta / af.b)})")
+    pairs = [(float(t), float(v)) for t, v in pairs]
+    if not pairs:
+        raise ParameterError("pairs must hold at least one (t, v) pair")
     results = []
     for i, (t, v) in enumerate(pairs):
-        t, v = float(t), float(v)
         delta = kernel.slice(t) - kernel.slice(v)
         gap = abs(t - v)
         energy = modular_integral(delta, af)
@@ -384,11 +349,12 @@ def strong_localisability_check(kernel: KernelFunction, af: AlphaFunction,
     quasinorm variant of the same increments is fitted alongside.
     """
     rs = [float(r) for r in r_list]
-    if not all(r > 0.0 for r in rs):
-        raise ParameterError("radii must be positive")
+    if not (rs and all(r > 0.0 for r in rs)):
+        raise ParameterError("r_list must hold at least one radius, and radii must be positive")
     ts = [float(t) for pair in pairs for t in pair]
-    if not all(t >= 0.0 for t in ts):
-        raise ParameterError("pair times must be nonnegative")
+    if not (ts and all(t >= 0.0 for t in ts)):
+        raise ParameterError("pairs must hold at least one pair, and pair times must be "
+                             "nonnegative")
     if not (0.0 <= x <= 1.0 and x + max(rs) * max(ts) <= 1.0 + 1e-12):
         raise ParameterError("window x + r*t must stay inside [0, 1]")
     alpha_x = float(af(x))

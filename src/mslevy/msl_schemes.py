@@ -4,10 +4,10 @@ dyadic grid, whole-line gluing, and the classical stable FCLT sum.
 All three unit-interval schemes share the same symmetric stable draws
 X(k, n); they differ only in the deterministic or arrival-driven weights:
 
-- field-local weights (2^-n)^(1/alpha_n(k/2^n)) summed to floor(2^n u),
+- field-local weights (2^-n)^(1/alpha(k/2^n)) summed to floor(2^n u),
 - the same weights summed to the floor of the floor(2^n u)-th Poisson
   arrival time (summand exponents clamped at the right endpoint),
-- shared-arrival weights (1/Gamma_{2^n})^(1/alpha_n(k/2^n)).
+- shared-arrival weights (1/Gamma_{2^n})^(1/alpha(k/2^n)).
 """
 
 from __future__ import annotations
@@ -65,35 +65,18 @@ class PathGrid:
 class SchemeConfig:
     """Configuration of one dyadic-level simulation run.
 
-    ``alpha_n`` optionally substitutes the exponent actually used at this
-    level (a uniform approximation of ``af``); ``nested`` switches the
-    fresh-draw convention to draw reuse by dyadic address, so refining n
-    keeps the draws already attached to coarser grid points.
+    ``nested`` switches the fresh-draw convention to draw reuse by dyadic
+    address, so refining n keeps the draws already attached to coarser grid
+    points.
     """
 
     n: int
     af: AlphaFunction
     stream: RandomStream
-    alpha_n: AlphaFunction | None = None
     nested: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_ints(self.n, 1, _MAX_LEVEL, "dyadic level n"))
-
-    @property
-    def effective_alpha(self) -> AlphaFunction:
-        return self.alpha_n if self.alpha_n is not None else self.af
-
-    def alpha_sup_distance(self, probes: int = 1025) -> float:
-        """sup |alpha_n - alpha| over a probe grid (0 when alpha_n is None)."""
-        if self.alpha_n is None:
-            return 0.0
-        t0, t1 = self.af.domain
-        xs = np.linspace(t0, t1, probes)
-        xs = np.concatenate([xs, np.asarray(self.af.breakpoints, dtype=float),
-                             np.asarray(self.alpha_n.breakpoints, dtype=float)])
-        xs = np.clip(xs, t0, t1)
-        return float(np.max(np.abs(self.af(xs) - self.alpha_n(xs))))
 
 
 _MAX_LEVEL = 26
@@ -210,8 +193,7 @@ def _scheme_values(scheme: str, cfg: SchemeConfig, cols=None,
     """Values of one scheme's path at the grid indices ``cols`` (all when
     None): one path under cfg.stream, or with ``replicates`` = R an
     (R, columns) matrix, replicate r under cfg.stream.child(r)."""
-    n, m, stream = cfg.n, 2 ** cfg.n, cfg.stream
-    af = cfg.effective_alpha
+    n, m, stream, af = cfg.n, 2 ** cfg.n, cfg.stream, cfg.af
     if scheme == "li":
         return _weighted_sums(af, m, stream, 2.0 ** -n, cols=cols, nested=cfg.nested,
                               replicates=replicates)[..., 0, :]
@@ -270,7 +252,7 @@ def simulate_lr(cfg: SchemeConfig) -> PathGrid:
 
 def simulate_lc(cfg: SchemeConfig, gamma_value: float | None = None) -> PathGrid:
     """Shared-arrival variant: every summand is weighted by
-    (1/Gamma)^(1/alpha_n(k/2^n)) with one Gamma for the whole path (the
+    (1/Gamma)^(1/alpha(k/2^n)) with one Gamma for the whole path (the
     2^n-th unit-rate arrival time, drawn as a Gamma(2^n, 1) variate from the
     dedicated arrival substream).
 
@@ -322,8 +304,7 @@ def simulate_stable_fclt(alpha: float, n_terms: int, stream: RandomStream) -> Pa
 # ---------------------------------------------------------------------------
 
 def marginal_ensemble(scheme: str, af: AlphaFunction, n: int, us, ensemble: int,
-                      stream: RandomStream, alpha_n: AlphaFunction | None = None,
-                      nested: bool = False) -> np.ndarray:
+                      stream: RandomStream, nested: bool = False) -> np.ndarray:
     """Matrix (ensemble x len(us)) of scheme path values at the times ``us``.
 
     Replicate r runs the scheme under stream.child(r), so the row equals the
@@ -333,9 +314,11 @@ def marginal_ensemble(scheme: str, af: AlphaFunction, n: int, us, ensemble: int,
     if scheme not in ("li", "lr", "lc"):
         raise ParameterError(f"unknown scheme {scheme!r}; expected one of ['lc', 'li', 'lr']")
     ensemble = _check_ints(ensemble, 1, None, "ensemble size")
+    if len(us) == 0:
+        raise ParameterError("need at least one evaluation time")
     if any(not 0.0 <= u <= 1.0 for u in us):
         raise ParameterError("evaluation times must lie in [0, 1]")
-    cfg = SchemeConfig(n=n, af=af, stream=stream, alpha_n=alpha_n, nested=nested)
+    cfg = SchemeConfig(n=n, af=af, stream=stream, nested=nested)
     idx = np.asarray([grid_index(cfg.n, u) for u in us], dtype=int)
     return _scheme_values(scheme, cfg, cols=idx, replicates=ensemble)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -431,29 +430,6 @@ def compute_C_alpha(u: float) -> float:
     if abs(u - 1.0) < 1e-12:
         return 2.0 / math.pi
     return (1.0 - u) / (math.gamma(2.0 - u) * math.cos(0.5 * math.pi * u))
-
-
-class TailAsymptote(NamedTuple):
-    upper: float
-    lower: float
-
-
-def tail_asymptote(params: StableParams, lam: float) -> TailAsymptote:
-    """Asymptotic tail values for a stable law with alpha < 2.
-
-    Returns (upper, lower) where P(Z > lam) ~ upper and P(Z < -lam) ~ lower
-    as lam -> infinity:
-
-        upper = C_alpha (1 + beta)/2 sigma^alpha lam^-alpha
-        lower = C_alpha (1 - beta)/2 sigma^alpha lam^-alpha
-    """
-    if params.alpha >= 2.0:
-        raise DomainError("power tails require alpha < 2 (the Gaussian tail decays faster)")
-    if not lam > 0.0:
-        raise DomainError(f"lam must be positive, got {lam}")
-    base = compute_C_alpha(params.alpha) * params.sigma ** params.alpha * lam ** -params.alpha
-    return TailAsymptote(upper=0.5 * (1.0 + params.beta) * base,
-                         lower=0.5 * (1.0 - params.beta) * base)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,8 @@ def ecf_report(samples, theoretical, theta_grid=None, label: str = "") -> EcfRep
     """Compare samples against a theoretical CF (callable on theta or an
     array of values aligned with the grid)."""
     th = theta_grid_default() if theta_grid is None else np.ascontiguousarray(theta_grid, dtype=float)
+    if th.size == 0:
+        raise ParameterError("theta grid must hold at least one frequency")
     emp = empirical_cf(samples, th)
     theo = np.asarray([theoretical(t) for t in th], dtype=complex) if callable(theoretical) \
         else np.ascontiguousarray(theoretical, dtype=complex)
@@ -145,8 +147,7 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _increments(scheme: str, af: AlphaFunction, n: int, intervals, ensemble: int,
-                stream: RandomStream, alpha_n: AlphaFunction | None = None,
-                nested: bool = False) -> np.ndarray:
+                stream: RandomStream) -> np.ndarray:
     """Matrix (ensemble x len(intervals)) of path increments L(u2) - L(u1),
     one column per interval (u1, u2), all read from one marginal ensemble."""
     ivs = [(float(a), float(b)) for a, b in intervals]
@@ -154,22 +155,18 @@ def _increments(scheme: str, af: AlphaFunction, n: int, intervals, ensemble: int
         raise ParameterError("need at least one interval (u1, u2), 0 <= u1 <= u2 <= 1")
     us = sorted({v for iv in ivs for v in iv})
     col = {v: i for i, v in enumerate(us)}
-    values = marginal_ensemble(scheme, af, n, us, ensemble, stream,
-                               alpha_n=alpha_n, nested=nested)
+    values = marginal_ensemble(scheme, af, n, us, ensemble, stream)
     return np.column_stack([values[:, col[b]] - values[:, col[a]] for a, b in ivs])
 
 
 def increment_cf_test(scheme: str, af: AlphaFunction, n: int, intervals,
-                      ensemble: int, stream: RandomStream,
-                      alpha_n: AlphaFunction | None = None,
-                      nested: bool = False) -> list[EcfReport]:
+                      ensemble: int, stream: RandomStream) -> list[EcfReport]:
     """Per interval (u1, u2): ECF of the path increment L(u2) - L(u1)
     against the limit CF exp(-integral_{u1}^{u2} |theta|^alpha(s) ds)."""
     n = _check_ints(n, 1, None, "dyadic level n")
     ensemble = _check_ints(ensemble, 1000, None, "ensemble size")
     th = theta_grid_default()
-    incs = _increments(scheme, af, n, intervals, ensemble, stream,
-                       alpha_n=alpha_n, nested=nested)
+    incs = _increments(scheme, af, n, intervals, ensemble, stream)
     reports = []
     for i, (u1, u2) in enumerate(intervals):
         theo = np.asarray([np.exp(-exponent_integral(af, t, u1, u2)) for t in th],
@@ -208,8 +205,8 @@ def localisability_test(af: AlphaFunction, x: float, u: float, r_list, n: int,
     and the final deviation to beat the tolerance.
     """
     rs = [float(r) for r in r_list]
-    if not (rs and all(r1 > r2 for r1, r2 in zip(rs, rs[1:])) and rs[-1] > 0.0):
-        raise ParameterError("radii must be nonempty, strictly decreasing and positive")
+    if not (len(rs) >= 2 and all(r1 > r2 for r1, r2 in zip(rs, rs[1:])) and rs[-1] > 0.0):
+        raise ParameterError("radii must be at least two, strictly decreasing and positive")
     if not (u > 0.0 and x >= 0.0 and x + rs[0] * u <= 1.0):
         raise ParameterError("window x + r*u must stay inside [0, 1]")
     if not tolerance > 0.0:
@@ -271,8 +268,8 @@ def tightness_check(scheme: str, af: AlphaFunction, triple, lambdas, n: int,
                     ensemble: int, stream: RandomStream) -> TightnessReport:
     u1, u, u2 = (float(v) for v in triple)
     lams = [float(l) for l in lambdas]
-    if not all(l > 0.0 for l in lams):
-        raise ParameterError("exceedance levels must be positive")
+    if not (lams and all(l > 0.0 for l in lams)):
+        raise ParameterError("lambdas must hold at least one exceedance level, each positive")
     zero_width = (u2 - u1) < 2.0 ** -n
     left, right = np.abs(_increments(scheme, af, n, [(u1, u), (u, u2)], ensemble, stream)).T
     empirical, bounds, gammas = [], [], []

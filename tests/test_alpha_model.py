@@ -61,8 +61,6 @@ class TestAlphaFunction:
     def test_piecewise_is_right_continuous(self):
         assert AF_STEP(0.5) == 1.8
         assert AF_STEP(0.5 - 1e-12) == 1.2
-        assert AF_STEP.max_jump() == pytest.approx(0.6)
-        assert AlphaFunction.from_table([1.0] + [1.5] * 48).max_jump() == 0.5
         assert all(m == 0.0 for *_, m in AF_STEP.pieces(0.0, 1.0))
         assert all(m != 0.0 for *_, m in AF_LINEAR.pieces(0.0, 1.0))
 

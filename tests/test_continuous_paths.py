@@ -19,8 +19,6 @@ from mslevy import (
     stable_level_draws,
     symmetric_from_uniform_pairs,
     triangle,
-    triangle_jk,
-    truncation_level,
 )
 from mslevy.errors import DomainError, ParameterError
 from mslevy import continuous_paths
@@ -47,47 +45,29 @@ class TestTriangleBasis:
         assert np.all(out >= 0.0) and np.max(out) == 1.0
 
     def test_dyadic_tent_support_and_peak(self):
-        assert triangle_jk(2, 1, 0.375) == 1.0
-        assert triangle_jk(2, 1, 0.25) == 0.0
-        assert triangle_jk(2, 1, 0.5) == 0.0
-        assert triangle_jk(2, 1, 0.24) == 0.0
-        assert triangle_jk(0, 0, 0.5) == 1.0
-
-    def test_shift_bounds(self):
-        with pytest.raises(DomainError):
-            triangle_jk(-1, 0, 0.5)
-        with pytest.raises(DomainError):
-            triangle_jk(2, 4, 0.5)
+        # the series evaluates phi_jk(t) as triangle(2^j t - k): peak 1 at the
+        # middle of [k/2^j, (k+1)/2^j], zero at both ends and outside
+        def tent(j, k, t):
+            return triangle(np.ldexp(t, j) - k)
+        assert tent(2, 1, 0.375) == 1.0
+        assert tent(2, 1, 0.25) == 0.0
+        assert tent(2, 1, 0.5) == 0.0
+        assert tent(2, 1, 0.24) == 0.0
+        assert tent(0, 0, 0.5) == 1.0
 
 
 class TestConfigValidation:
     def test_uniform_regime_needs_d_above_one_over_alpha(self):
         with pytest.raises(ParameterError):
             ContinuousStableConfig(alpha=1.0, d=1.0, levels=8)
-        ContinuousStableConfig(alpha=1.0, d=1.0, levels=8, lp_mode=True)
         with pytest.raises(ParameterError):
-            ContinuousStableConfig(alpha=1.0, d=0.9, levels=8, lp_mode=True)
+            ContinuousStableConfig(alpha=1.0, d=0.9, levels=8)
 
     def test_alpha_and_level_bounds(self):
         with pytest.raises(ParameterError):
             ContinuousStableConfig(alpha=2.3, d=1.0)
         with pytest.raises(ParameterError):
             ContinuousStableConfig(alpha=1.5, d=1.0, levels=-1)
-
-
-class TestTruncationLevel:
-    def test_monotone_in_tolerance_and_sound(self):
-        alpha, d = 1.5, 1.0
-        levels = [truncation_level(alpha, d, tol) for tol in (1e-1, 1e-3, 1e-6)]
-        assert levels == sorted(levels)
-        c = 0.5 * (1.0 / alpha + d)
-        q = 2.0 ** (c - d)
-        for tol, j in zip((1e-1, 1e-3, 1e-6), levels):
-            assert q ** (j + 1) / (1.0 - q) <= tol
-
-    def test_boundary_rejected(self):
-        with pytest.raises(ParameterError):
-            truncation_level(1.0, 1.0, 1e-3)
 
 
 class TestLevelDraws:
@@ -113,6 +93,14 @@ class TestTriangleSeriesProcess:
         b = sample_continuous_stable(cfg, grid, RandomStream(3))
         assert np.array_equal(a.values, b.values)
         assert a.values[0] == 0.0
+
+    def test_last_tent_closes_the_path_at_one(self):
+        # t = 1 falls in the last cell k = 2^j - 1 of every level, where the
+        # tent is zero, so no coefficient past the level's end is read
+        cfg = ContinuousStableConfig(alpha=1.5, d=1.0, levels=8)
+        path = sample_continuous_stable(cfg, np.linspace(0.0, 1.0, 129), RandomStream(3))
+        assert path.values[-1] == 0.0
+        assert np.count_nonzero(path.values[1:-1]) == 127
 
     def test_truncation_refines_instead_of_replacing(self):
         # adding one level only adds that level's tents: the difference on
@@ -147,6 +135,14 @@ class TestScaleParameter:
         want = (0.5 ** alpha + 2.0 ** (-d * alpha)) ** (1.0 / alpha)
         assert scale_parameter(cfg, 0.25) == pytest.approx(want, abs=1e-14)
 
+    @pytest.mark.parametrize("alpha,d", [(1.5, 1.0), (0.8, 2.0)])
+    def test_series_truncation_is_sound(self, alpha, d):
+        # at t = 1/3 every level's tent reads 2/3, so no level is zero and the
+        # whole geometric series sum_j (2^(-jd) 2/3)^alpha is the target
+        cfg = ContinuousStableConfig(alpha=alpha, d=d)
+        want = ((2.0 / 3.0) ** alpha / (1.0 - 2.0 ** (-alpha * d))) ** (1.0 / alpha)
+        assert scale_parameter(cfg, 1.0 / 3.0) == pytest.approx(want, rel=1e-13)
+
     def test_domain_and_shape(self):
         cfg = ContinuousStableConfig(alpha=1.5, d=1.0)
         with pytest.raises(DomainError):
@@ -158,7 +154,7 @@ class TestScaleParameter:
     def test_provable_envelope(self, alpha, d):
         # scale^alpha >= phi(t)^alpha from the level-0 term alone, and the
         # geometric per-level maxima cap it from above
-        cfg = ContinuousStableConfig(alpha=alpha, d=d, lp_mode=True)
+        cfg = ContinuousStableConfig(alpha=alpha, d=d)
         ts = np.linspace(0.0, 1.0, 1001)
         sigma = scale_parameter(cfg, ts)
         lower, upper = scale_bounds(cfg, ts)

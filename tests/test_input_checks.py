@@ -23,8 +23,6 @@ from mslevy.continuous_paths import (
     sn_boundary_ensemble,
     stable_level_draws,
     triangle,
-    triangle_jk,
-    truncation_level,
 )
 from mslevy.errors import DomainError, ParameterError
 from mslevy.integrals import (
@@ -32,7 +30,6 @@ from mslevy.integrals import (
     billingsley_bound,
     hoelder_bound_check,
     hoelder_tail_constant,
-    integrand_convergence,
     joint_integral_ensemble,
     sample_integral,
     strong_localisability_check,
@@ -48,10 +45,9 @@ from mslevy.stable_core import (
     sample_stable,
     sample_symmetric,
     symmetric_from_uniform_pairs,
-    tail_asymptote,
 )
-from mslevy.verify_stats import (increment_cf_test, localisability_test, spearman_corr,
-                                  tightness_check)
+from mslevy.verify_stats import (ecf_report, increment_cf_test, localisability_test,
+                                  spearman_corr, tightness_check)
 
 NAN = math.nan
 STREAM = RandomStream(1)
@@ -71,7 +67,6 @@ NON_FINITE_CALLS = {
     "StableParams.sigma": lambda: StableParams(1.5, sigma=NAN),
     "StableParams.mu_inf": lambda: StableParams(1.5, mu=math.inf),
     "poisson_arrivals.rate": lambda: poisson_arrivals(NAN, 3, STREAM),
-    "tail_asymptote.lam": lambda: tail_asymptote(StableParams(1.5), NAN),
     "simulate_lc.gamma_value": lambda: simulate_lc(SchemeConfig(3, AF, STREAM), gamma_value=NAN),
     "PathGrid.time": lambda: PathGrid(times=[0.0, NAN, 1.0], values=[0.0, 1.0, 2.0]),
     "PathGrid.value_at": lambda: PathGrid(times=GRID, values=[0.0, 3.0, 7.0]).value_at(NAN),
@@ -90,7 +85,6 @@ NON_FINITE_CALLS = {
     "scale_bounds.t": lambda: scale_bounds(CFG, NAN),
     "scale_bounds.t_past_one": lambda: scale_bounds(CFG, 3.0),
     "max_deviation_probability.c": lambda: max_deviation_probability(1.5, NAN, 2, 10, STREAM),
-    "truncation_level.tolerance": lambda: truncation_level(1.5, 1.0, NAN),
     "AlphaFunction.call": lambda: AF(NAN),
     "IntegrandFunction.from_callable.call":
         lambda: IntegrandFunction.from_callable(lambda x: 2.0 * x)(NAN),
@@ -101,7 +95,6 @@ NON_FINITE_CALLS = {
     "IntegrandFunction.constant.call": lambda: ONE(NAN),
     "IntegrandFunction.zero.call": lambda: IntegrandFunction.zero()([0.5, NAN]),
     "triangle.t": lambda: triangle(NAN),
-    "triangle_jk.t": lambda: triangle_jk(2, 1, NAN),
     "modular_integral.lam": lambda: modular_integral(IntegrandFunction.constant(1.0), AF, NAN),
     "billingsley_bound.lam": lambda: billingsley_bound(lambda t: math.exp(-abs(t)), NAN),
     "hoelder_tail_constant.x": lambda: hoelder_tail_constant(1.0, 1.0, 1.5, NAN),
@@ -141,12 +134,30 @@ NON_FINITE_CALLS = {
     "sample_stable.n": lambda: sample_stable(StableParams(1.5), NAN, STREAM),
     "simulate_stable_fclt.n_terms": lambda: simulate_stable_fclt(1.5, NAN, STREAM),
     "stable_level_draws.j": lambda: stable_level_draws(1.5, 1.5, STREAM),
-    "triangle_jk.j": lambda: triangle_jk(1.5, 0, 0.3),
-    "triangle_jk.k": lambda: triangle_jk(2, 0.5, 0.3),
     "max_deviation_probability.j": lambda: max_deviation_probability(1.5, 1.0, 1.5, 10, STREAM),
     "max_deviation_probability.n_mc": lambda: max_deviation_probability(1.5, 1.0, 2, 2.5, STREAM),
     "increment_cf_test.ensemble": lambda: increment_cf_test("li", AF, 3, [(0.0, 0.5)], 1000.5,
                                                             STREAM),
+}
+
+
+# name -> (the argument the message must name, a call with that argument
+# empty or too short), which must be rejected before any draw rather than
+# pass a verdict with nothing checked or fail inside a helper
+EMPTY_CALLS = {
+    "strong_localisability_check.r_list": ("r_list", lambda: strong_localisability_check(
+        KernelFunction.running_indicator(), AF, 0.5, [], [(0.1, 0.2), (0.2, 0.4)])),
+    "strong_localisability_check.pairs": ("pairs", lambda: strong_localisability_check(
+        KernelFunction.running_indicator(), AF, 0.5, [0.25, 0.125], [])),
+    "tightness_check.lambdas": ("lambdas", lambda: tightness_check(
+        "li", AF, (0.2, 0.5, 0.8), [], 4, 10, STREAM)),
+    "hoelder_bound_check.pairs": ("pairs", lambda: hoelder_bound_check(
+        KernelFunction.running_indicator(), AF, 1.0, 1.0, 0.2, [], STREAM, n=4, ensemble=10)),
+    "localisability_test.one_radius": ("at least two", lambda: localisability_test(
+        AF, 0.5, 1.0, [0.25], 6, 10, STREAM)),
+    "ecf_report.theta_grid": ("theta grid", lambda: ecf_report([0.1, 0.2], [], [])),
+    "marginal_ensemble.us": ("evaluation time", lambda: marginal_ensemble(
+        "li", AF, 3, [], 2, STREAM)),
 }
 
 
@@ -155,6 +166,13 @@ NON_FINITE_CALLS = {
 def test_non_finite_input_is_rejected(name):
     with pytest.raises((ParameterError, DomainError)):
         NON_FINITE_CALLS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_CALLS))
+def test_empty_input_is_named(name):
+    named, call = EMPTY_CALLS[name]
+    with pytest.raises(ParameterError, match=named):
+        call()
 
 
 class TestOneCheckPerInput:
@@ -185,11 +203,6 @@ class TestOneCheckPerInput:
     def test_the_alpha_message_names_the_bad_value(self, make, alpha):
         with pytest.raises(ParameterError, match=rf"\(0, 2\], got {alpha}"):
             make(alpha)
-
-    def test_truncation_level_checks_alpha_and_d_as_the_config_does(self):
-        for alpha, d in ((0.0, 1.0), (2.5, 1.0), (1.5, 0.5), (1.5, NAN)):
-            with pytest.raises(ParameterError):
-                truncation_level(alpha, d, 1e-3)
 
     @pytest.mark.parametrize("grid, error", [
         ([0.1, 0.5], ParameterError), ([0.0, 0.5, 0.5], ParameterError),
@@ -223,9 +236,6 @@ class TestOneCheckPerInput:
     def test_verdict_thresholds_must_be_positive(self, threshold):
         with pytest.raises(ParameterError, match="threshold"):
             check_condition7(AF, np.linspace(0.0, 1.0, 9), [0.25, 0.125], threshold)
-        with pytest.raises(ParameterError, match="threshold"):
-            integrand_convergence([IntegrandFunction.constant(0.5)],
-                                  IntegrandFunction.zero(), AF, threshold)
 
     def test_hoelder_check_rejects_a_nan_eta(self):
         with pytest.raises(ParameterError, match="beta"):

@@ -19,11 +19,11 @@ from mslevy import (
     independence_test,
     integral_cf,
     integral_ensemble,
-    integrand_convergence,
     joint_integral_ensemble,
     modular_integral,
     overlap_measure,
     pairwise_independence,
+    quasinorm,
     sample_integral,
     strong_localisability_check,
     weight_sup_constant,
@@ -187,19 +187,34 @@ class TestWeightedMotion:
         assert got == pytest.approx(2.0 ** 1.8, rel=1e-9)
 
 
-class TestConvergenceReport:
+class TestIntegrandConvergence:
+    """The integrals of f_k converge to that of f iff ||f_k - f|| -> 0."""
+
     def test_converging_sequence(self):
+        # ||1_[1/2, 1/2 + h)|| -> h^(1/alpha(1/2)) as the cell shrinks
         target = half_open_indicator(0.0, 0.5)
-        seq = [half_open_indicator(0.0, 0.5 + 2.0 ** -k) for k in range(2, 7)]
-        rep = integrand_convergence(seq, target, AF_LINEAR, threshold=0.25)
-        assert rep.converges
-        assert all(a >= b for a, b in zip(rep.norms, rep.norms[1:]))
+        hs = [2.0 ** -k for k in range(2, 7)]
+        norms = [quasinorm(half_open_indicator(0.0, 0.5 + h) - target, AF_LINEAR) for h in hs]
+        assert all(a > b for a, b in zip(norms, norms[1:]))
+        assert norms[-1] == pytest.approx(hs[-1] ** (1.0 / AF_LINEAR(0.5)), rel=0.02)
+
+    def test_limit_cfs_follow_the_quasinorm(self):
+        # the limit CF of the integral of f_k approaches that of f as the
+        # extra cell [1/2, 1/2 + 2^-k) shrinks
+        target = half_open_indicator(0.0, 0.5)
+        theta = 1.5
+        want = integral_cf([target], [theta], AF_LINEAR)
+        gaps = [abs(integral_cf([half_open_indicator(0.0, 0.5 + 2.0 ** -k)], [theta], AF_LINEAR)
+                    - want) for k in range(2, 7)]
+        assert all(a > b > 0.0 for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 0.02
 
     def test_non_converging_sequence(self):
+        # the difference is +-1 on all of [0, 1), whose quasinorm is 1 under
+        # every exponent
         target = half_open_indicator(0.0, 0.5)
-        seq = [half_open_indicator(0.5, 1.0)] * 3
-        rep = integrand_convergence(seq, target, AF_LINEAR, threshold=0.25)
-        assert not rep.converges
+        far = quasinorm(half_open_indicator(0.5, 1.0) - target, AF_LINEAR)
+        assert far == pytest.approx(1.0, abs=1e-9)
 
 
 class TestHoelderBound:
@@ -229,7 +244,8 @@ class TestHoelderBound:
 
 class TestStrongLocalisability:
     def test_constant_kernel_has_zero_increments(self):
-        kernel = KernelFunction.constant_in_t(half_open_indicator(0.0, 0.5))
+        g = half_open_indicator(0.0, 0.5)
+        kernel = KernelFunction(lambda t: g)
         rep = strong_localisability_check(kernel, AF_LINEAR, x=0.5,
                                           r_list=[2.0 ** -4, 2.0 ** -5],
                                           pairs=[(1.0, 0.5), (0.75, 0.25)])

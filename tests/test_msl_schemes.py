@@ -85,12 +85,6 @@ class TestSchemeConfig:
         with pytest.raises(ParameterError):
             SchemeConfig(n=n, af=AF_LINEAR, stream=RandomStream(1))
 
-    def test_alpha_sup_distance(self):
-        cfg = SchemeConfig(n=4, af=AF_CONST, stream=RandomStream(1),
-                           alpha_n=AlphaFunction.constant(1.6))
-        assert cfg.alpha_sup_distance() == pytest.approx(0.1)
-        assert SchemeConfig(n=4, af=AF_CONST, stream=RandomStream(1)).alpha_sup_distance() == 0.0
-
 
 class TestFieldLocalScheme:
     def test_shape_and_determinism(self):

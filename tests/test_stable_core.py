@@ -21,7 +21,6 @@ from mslevy import (
     sample_symmetric,
     stable_cf,
     symmetric_from_uniform_pairs,
-    tail_asymptote,
 )
 from mslevy.errors import DomainError, ParameterError
 from mslevy.stable_core import (_KERNEL_MAX_PAIRS, _KERNEL_MIN_STREAMS, _child_ids,
@@ -211,27 +210,28 @@ class TestPoissonArrivals:
 
 
 class TestTailAsymptote:
-    def test_symmetric_closed_form_from_frozen_constant(self):
-        # alpha chosen from the frozen oracle grid so the constant is independent
-        alpha, c_alpha = 1.475, 0.41404117823877373
-        lam, sigma = 7.0, 1.3
-        asym = tail_asymptote(StableParams(alpha, sigma), lam)
-        expected = 0.5 * c_alpha * sigma ** alpha * lam ** -alpha
-        assert asym.upper == pytest.approx(expected, rel=1e-10)
-        assert asym.lower == pytest.approx(expected, rel=1e-10)
-
-    def test_skewness_splits_the_tails(self):
-        asym = tail_asymptote(StableParams(1.5, 1.0, beta=0.4), 5.0)
-        sym = tail_asymptote(StableParams(1.5, 1.0), 5.0)
-        assert asym.upper == pytest.approx(1.4 * sym.upper, rel=1e-12)
-        assert asym.lower == pytest.approx(0.6 * sym.lower, rel=1e-12)
-
     def test_empirical_tail_agrees(self):
+        # P(Z > lam) ~ (C_alpha / 2) lam^-alpha for a standard symmetric law
         alpha, lam = 1.2, 15.0
         x = sample_stable(StableParams(alpha), 200_000, RandomStream(23))
         empirical = np.mean(x > lam)
-        predicted = tail_asymptote(StableParams(alpha), lam).upper
+        predicted = 0.5 * compute_C_alpha(alpha) * lam ** -alpha
         assert empirical == pytest.approx(predicted, rel=0.25)
+
+    def test_scale_enters_the_tail_as_sigma_to_the_alpha(self):
+        alpha, sigma, lam = 1.2, 1.3, 15.0
+        x = sample_stable(StableParams(alpha, sigma), 200_000, RandomStream(29))
+        predicted = 0.5 * compute_C_alpha(alpha) * sigma ** alpha * lam ** -alpha
+        assert np.mean(x > lam) == pytest.approx(predicted, rel=0.25)
+        assert np.mean(x < -lam) == pytest.approx(predicted, rel=0.25)
+
+    def test_skewness_splits_the_tails(self):
+        # P(X > lam) ~ (1 + beta) C_alpha/2 lam^-alpha, P(X < -lam) with 1 - beta
+        alpha, lam = 1.5, 15.0
+        x = sample_stable(StableParams(alpha, 1.0, beta=0.4), 200_000, RandomStream(23))
+        symmetric = 0.5 * compute_C_alpha(alpha) * lam ** -alpha
+        assert np.mean(x > lam) == pytest.approx(1.4 * symmetric, rel=0.25)
+        assert np.mean(x < -lam) == pytest.approx(0.6 * symmetric, rel=0.25)
 
 
 def test_sample_symmetric_respects_varying_alpha():

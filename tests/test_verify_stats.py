@@ -114,11 +114,6 @@ class TestIncrementCfTest:
             want = math.exp(-exponent_integral(AF_LINEAR, float(theta), u1, u2))
             assert rep.theoretical[mid + 7] == pytest.approx(want, rel=1e-12)
 
-    def test_uniform_alpha_substitution_changes_the_law(self):
-        reports = increment_cf_test("li", AF_LINEAR, 8, [(0.0, 1.0)], 1000, RandomStream(5),
-                                    alpha_n=AlphaFunction.constant(1.5))
-        assert len(reports) == 1
-
 
 class TestFactorization:
     def test_disjoint_interval_increments_factorize(self):
@@ -169,7 +164,7 @@ class TestTightness:
 class TestLocalisability:
     def test_grid_resolution_guard(self):
         with pytest.raises(GridResolutionError):
-            localisability_test(AF_LINEAR, 0.5, 1.0, [2.0 ** -8], n=8, ensemble=1000,
+            localisability_test(AF_LINEAR, 0.5, 1.0, [2.0 ** -4, 2.0 ** -8], n=8, ensemble=1000,
                                 stream=RandomStream(1))
 
     def test_smooth_exponent_passes(self):

@@ -238,13 +238,6 @@ def test_indicator_integrals_are_li_values():
         assert sample_integral(IntegrandFunction.indicator(0.0, k / M), af, N, stream) == li[k]
 
 
-def test_substituted_exponent_draws_as_that_exponent():
-    af, sub, stream = ALPHAS["linear"], ALPHAS["piecewise"], RandomStream(6)
-    got = simulate_li(SchemeConfig(n=N, af=af, stream=stream, alpha_n=sub)).values
-    assert np.array_equal(got, li_values(sub, stream))
-    assert not np.array_equal(got, li_values(af, stream))
-
-
 AF = ALPHAS["linear"]
 
 
