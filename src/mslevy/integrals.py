@@ -210,6 +210,8 @@ def pairwise_independence(fs, af: AlphaFunction) -> PairwiseReport:
     """Joint independence holds iff every pair has null-set overlap; the
     family criterion reduces to the pairwise one."""
     fs = list(fs)
+    if len(fs) < 2:
+        raise ParameterError(f"need at least two integrands to compare, got {len(fs)}")
     overlaps, offending = [], []
     applicable = True
     for i in range(len(fs)):

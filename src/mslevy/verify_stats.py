@@ -309,6 +309,9 @@ class FactorizationReport:
 def factorization_test(scheme: str, af: AlphaFunction, intervals, n: int,
                        ensemble: int, stream: RandomStream) -> FactorizationReport:
     ivs = [(float(a), float(b)) for a, b in intervals]
+    if len(ivs) < 2:
+        # one column factorises exactly, so its distance 0 would check nothing
+        raise ParameterError(f"need at least two intervals to compare, got {len(ivs)}")
     ordered = sorted(ivs)
     for (_, b1), (a2, _) in zip(ordered, ordered[1:]):
         if a2 < b1 - 1e-15:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -670,3 +671,99 @@ class TestWriteSvg:
     def test_no_finite_point_is_rejected(self):
         with pytest.raises(ParameterError):
             svg_text(write_svg, [([0.0, float("nan")], [float("inf"), 1.0], "")])
+
+
+# artifact run -> the files it writes in the working directory
+OVERWRITE_RUNS = {
+    "simulate_csv": (["simulate", "--n", "6", "--seed", "5", "--out", "a.csv"], ("a.csv",)),
+    "verify_json": (["verify", "--suite", "stable", "--seed", "5", "--ensemble", "1000",
+                     "--out", "r.json"], ("r.json",)),
+    "simulate_plot_svg": (["simulate", "--scheme", "lr", "--n", "4", "--ensemble", "2",
+                           "--seed", "5", "--plot", "--out", "p.csv"], ("p.csv", "p.svg")),
+}
+
+
+class TestArtifactWriter:
+    """Artifacts are rewritten in place, without O_TRUNC, and cut to length."""
+
+    @pytest.mark.parametrize("name", sorted(OVERWRITE_RUNS))
+    def test_overwriting_a_longer_file_gives_the_fresh_bytes(self, name, tmp_path,
+                                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv, files = OVERWRITE_RUNS[name]
+        assert run(argv) == 0
+        fresh = {f: (tmp_path / f).read_bytes() for f in files}
+        for f in files:
+            (tmp_path / f).write_bytes(b"stale\n" * (len(fresh[f]) // 3 + 1000))
+        assert run(argv) == 0
+        assert {f: (tmp_path / f).read_bytes() for f in files} == fresh
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "4", "--seed", "4"],
+        ["verify", "--suite", "stable", "--seed", "1", "--ensemble", "1000"],
+    ], ids=["simulate", "verify"])
+    def test_dev_null_is_a_valid_out(self, argv, capsys):
+        assert run(argv + ["--out", "/dev/null"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+
+    def test_a_fifo_out_receives_the_artifact(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        # a reader must be open before the writer's open returns; one small
+        # CSV fits in the pipe buffer, so no second thread is needed
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run(["simulate", "--n", "4", "--seed", "4", "--out", str(fifo)]) == 0
+            got = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert run(["simulate", "--n", "4", "--seed", "4"]) == 0
+        assert got.splitlines()[1:] == capsys.readouterr().out.splitlines()[1:]
+        assert json.loads(got.splitlines()[0][2:])["out"] == str(fifo)
+
+    def test_a_symlinked_out_writes_its_target(self, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"stale\n" * 1000)
+        link.symlink_to(target)
+        argv = ["simulate", "--n", "4", "--seed", "4", "--out", str(link)]
+        assert run(argv) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        got = target.read_bytes()
+        link.unlink()
+        assert run(argv) == 0  # a fresh file at the same --out
+        assert got == link.read_bytes()
+        capsys.readouterr()
+
+    def test_an_error_leaves_what_was_written_and_no_stale_tail(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text("x" * 1000)
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with cli._artifact(str(path)) as fh:
+                fh.write("partial")
+                raise RuntimeError("mid-write")
+        assert path.read_text() == "partial"
+
+    def test_no_artifact_is_opened_with_o_trunc(self, tmp_path, monkeypatch, capsys):
+        """Truncating to zero on open makes an overwrite wait for the old
+        blocks to be freed; every artifact goes through os.open without it."""
+        monkeypatch.chdir(tmp_path)
+        opened = []
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        files = set()
+        for argv, written in OVERWRITE_RUNS.values():
+            for _ in range(2):  # the second run overwrites
+                assert run(argv) == 0
+            files.update(written)
+        artifact_opens = [(p, flags) for p, flags in opened if p in files]
+        assert {p for p, _ in artifact_opens} == files
+        assert len(artifact_opens) == 2 * len(files)
+        assert not any(flags & os.O_TRUNC for _, flags in artifact_opens)
+        capsys.readouterr()

@@ -28,9 +28,11 @@ from mslevy.errors import DomainError, ParameterError
 from mslevy.integrals import (
     KernelFunction,
     billingsley_bound,
+    half_open_indicator,
     hoelder_bound_check,
     hoelder_tail_constant,
     joint_integral_ensemble,
+    pairwise_independence,
     sample_integral,
     strong_localisability_check,
     weighted_mslm,
@@ -46,8 +48,8 @@ from mslevy.stable_core import (
     sample_symmetric,
     symmetric_from_uniform_pairs,
 )
-from mslevy.verify_stats import (ecf_report, increment_cf_test, localisability_test,
-                                  spearman_corr, tightness_check)
+from mslevy.verify_stats import (ecf_report, factorization_test, increment_cf_test,
+                                  localisability_test, spearman_corr, tightness_check)
 
 NAN = math.nan
 STREAM = RandomStream(1)
@@ -158,6 +160,14 @@ EMPTY_CALLS = {
     "ecf_report.theta_grid": ("theta grid", lambda: ecf_report([0.1, 0.2], [], [])),
     "marginal_ensemble.us": ("evaluation time", lambda: marginal_ensemble(
         "li", AF, 3, [], 2, STREAM)),
+    "factorization_test.no_intervals": ("intervals", lambda: factorization_test(
+        "li", AF, [], 4, 10, STREAM)),
+    "factorization_test.one_interval": ("intervals", lambda: factorization_test(
+        "li", AF, [(0.25, 0.75)], 4, 10, STREAM)),
+    "pairwise_independence.no_integrands": ("integrands", lambda: pairwise_independence(
+        [], AF)),
+    "pairwise_independence.one_integrand": ("integrands", lambda: pairwise_independence(
+        [half_open_indicator(0.0, 0.5)], AF)),
 }
 
 

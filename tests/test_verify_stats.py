@@ -26,7 +26,7 @@ from mslevy import (
     tightness_check,
 )
 from mslevy.errors import GridResolutionError, ParameterError
-from mslevy.verify_stats import _average_ranks
+from mslevy.verify_stats import _average_ranks, _factorization_distance, _increments
 
 from _oracles import average_ranks
 
@@ -124,9 +124,13 @@ class TestFactorization:
         assert rep.ensemble == 4000
 
     def test_single_interval_distance_is_exactly_zero(self):
-        rep = factorization_test("li", AF_LINEAR, [(0.25, 0.75)], 8, 1000, RandomStream(57))
-        assert rep.distance == 0.0
-        assert rep.passed
+        incs = _increments("li", AF_LINEAR, 8, [(0.25, 0.75)], 1000, RandomStream(57))
+        assert _factorization_distance(incs) == 0.0
+
+    def test_single_interval_is_rejected(self):
+        # the zero distance of one column would pass without checking anything
+        with pytest.raises(ParameterError, match="intervals"):
+            factorization_test("li", AF_LINEAR, [(0.25, 0.75)], 8, 1000, RandomStream(57))
 
     def test_overlapping_intervals_are_rejected_up_front(self):
         with pytest.raises(ParameterError):
