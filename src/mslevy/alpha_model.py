@@ -41,8 +41,8 @@ _TERM_BLOCK = 2 ** 14
 
 
 def grid_index(n: int, u: float) -> int:
-    """Index of the last dyadic grid point <= u (paths are cadlag steps);
-    u is snapped up by _GRID_SNAP first, as in PathGrid.value_at."""
+    """Index of the last dyadic grid point <= u + _GRID_SNAP: the one read
+    of a cadlag step path at time u."""
     return int(math.floor(math.ldexp(u + _GRID_SNAP, n)))
 
 
@@ -201,11 +201,6 @@ class AlphaFunction:
 
     # -- structure --------------------------------------------------------
 
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        """Interior points where the exponent may jump or kink."""
-        return self.breaks
-
     def _affine(self, s: np.ndarray) -> tuple[list[float], list[float]]:
         """Intercepts c and slopes m with alpha(x) = c + m x on the piece
         that holds each point of ``s`` (read away from any break)."""
@@ -288,7 +283,7 @@ class IntegrandFunction:
         return cls(lambda x: np.asarray(fn(x), dtype=float), breakpoints, label)
 
     @classmethod
-    def from_table(cls, values, label="table") -> "IntegrandFunction":
+    def from_table(cls, values) -> "IntegrandFunction":
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ParameterError("table integrand needs a non-empty 1-d value array")
@@ -300,7 +295,7 @@ class IntegrandFunction:
             idx = np.clip(np.floor(np.asarray(x, dtype=float) * m).astype(int), 0, m - 1)
             return vals[idx]
 
-        return cls(fn, [i / m for i in range(1, m)], label, steps=True)
+        return cls(fn, [i / m for i in range(1, m)], "table", steps=True)
 
     @classmethod
     def indicator(cls, lo: float, hi: float) -> "IntegrandFunction":
@@ -318,10 +313,6 @@ class IntegrandFunction:
         c = float(c)
         return cls(lambda x: np.full_like(np.asarray(x, dtype=float), c), (), f"const({c})",
                    steps=True)
-
-    @classmethod
-    def zero(cls) -> "IntegrandFunction":
-        return cls.constant(0.0)
 
     # -- evaluation and algebra -------------------------------------------
 
@@ -551,7 +542,7 @@ def _modular(f: IntegrandFunction, af: AlphaFunction) -> Callable[[float], float
     is integrated by Gauss-Kronrod, whose first round always lies on the
     panels' nodes: |f| and alpha there are held, and a call forms only their
     power for its lam; later rounds evaluate on their own nodes, held by none."""
-    breakpoints = (*af.breakpoints, *f.breakpoints)
+    breakpoints = (*af.breaks, *f.breakpoints)
     if not f.steps:
         panels = np.asarray(split_points(0.0, 1.0, breakpoints))
         x0 = gk_nodes(panels[:-1], panels[1:])[1].ravel()

@@ -121,8 +121,12 @@ def _resolve(argv) -> tuple[argparse.Namespace, dict]:
 def _check_shared(command: str, resolved: dict) -> None:
     """The checks several commands share, made before any command starts,
     so that a bad value exits 2 with nothing written."""
-    if resolved.get("plot") and not resolved.get("out"):
-        raise ParameterError("--plot needs --out to know where the SVG goes")
+    if resolved.get("plot"):
+        if not resolved.get("out"):
+            raise ParameterError("--plot needs --out to know where the SVG goes")
+        if os.path.realpath(_svg_path(resolved)) == os.path.realpath(resolved["out"]):
+            raise ParameterError("--plot would write its SVG over --out; give --out "
+                                 "another extension")
     if "ensemble" in resolved:
         _check_ints(resolved["ensemble"], 1000 if command == "verify" else 1,
                     2 ** _MAX_LEVEL, "--ensemble")
@@ -176,10 +180,15 @@ def _emit_json(payload: dict, out: str | None) -> None:
         fh.write(text)
 
 
+def _svg_path(resolved: dict) -> str:
+    """Where --plot writes its SVG: --out with its extension made .svg."""
+    return os.path.splitext(resolved["out"])[0] + ".svg"
+
+
 def _plot(resolved: dict, series, title: str, meta: dict) -> None:
     """With --plot, write ``series`` as an SVG next to --out."""
     if resolved["plot"]:
-        with _artifact(os.path.splitext(resolved["out"])[0] + ".svg") as fh:
+        with _artifact(_svg_path(resolved)) as fh:
             write_svg(fh, series, title=title, meta=meta)
 
 
@@ -421,9 +430,7 @@ def _suite_continuous(resolved: dict, af: AlphaFunction,
 
     n_sn = min(resolved["n"], 6)
     draws = sn_boundary_ensemble(n_sn, af, stream.child(1), [2 ** n_sn], ens)
-    theo = [np.exp(-exponent_integral(af, t, 0.0, 1.0))
-            for t in theta_grid_default()]
-    rep = ecf_report(draws[:, 0], np.asarray(theo, dtype=complex),
+    rep = ecf_report(draws[:, 0], lambda t: np.exp(-exponent_integral(af, t, 0.0, 1.0)),
                      label="sn boundary")
     items.append(_item("continuous.boundary_marginal_cf", rep.sup_deviation,
                        rep._limit(tol), rep.passes(tol)))
@@ -552,7 +559,7 @@ def _cmd_condition7(resolved: dict) -> int:
                                          "--x-points"))
     # A jump at p only registers for lag t when some probe lies in
     # [p - t, p), so straddle every breakpoint at every lag explicitly.
-    straddles = [p - lag / 2.0 for p in af.breakpoints for lag in lags]
+    straddles = [p - lag / 2.0 for p in af.breaks for lag in lags]
     if straddles:
         xs = np.union1d(xs, np.clip(straddles, t0, t1))
     rep = check_condition7(af, xs, lags, resolved["threshold"])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .alpha_model import (AlphaFunction, IntegrandFunction, _cells, _probe_grid,
                           modular_integral, quasinorm)
-from .errors import ParameterError, QuadratureError
+from .errors import DomainError, ParameterError, QuadratureError
 from .msl_schemes import _MAX_LEVEL, PathGrid, _grid_path, _weighted_sums
 from .quadrature import gauss_kronrod
 from .stable_core import RandomStream, _check_ints
@@ -43,20 +43,20 @@ def half_open_indicator(lo: float, hi: float) -> IntegrandFunction:
 
 @dataclass(frozen=True)
 class KernelFunction:
-    """Two-argument kernel f(t, x) presented as a family of x-slices."""
+    """Two-argument kernel f(t, x), t in [0, 1], as a family of x-slices."""
 
     slice_fn: Callable[[float], IntegrandFunction]
-    label: str = "kernel"
 
     def slice(self, t: float) -> IntegrandFunction:
-        return self.slice_fn(float(t))
+        t = float(t)
+        if not 0.0 <= t <= 1.0:
+            raise DomainError(f"a kernel slice time must lie in [0, 1], got {t}")
+        return self.slice_fn(t)
 
     @classmethod
     def running_indicator(cls) -> "KernelFunction":
         """f(t, x) = 1 on [0, t]: the kernel whose integrals are the path."""
-        return cls(lambda t: IntegrandFunction.indicator(0.0, t)
-                   if t > 0.0 else IntegrandFunction.zero(),
-                   label="running-indicator")
+        return cls.weighted_running(IntegrandFunction.constant(1.0))
 
     @classmethod
     def weighted_running(cls, w: IntegrandFunction) -> "KernelFunction":
@@ -70,7 +70,7 @@ class KernelFunction:
             return IntegrandFunction(fn, (*w.breakpoints, t),
                                      f"{w.label}*1[0,{t}]", steps=w.steps)
 
-        return cls(make, label=f"weighted({w.label})")
+        return cls(make)
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +141,15 @@ def overlap_measure(f1: IntegrandFunction, f2: IntegrandFunction) -> float:
     return total
 
 
-def _sign_condition_holds(f1: IntegrandFunction, f2: IntegrandFunction) -> bool:
+def _hypothesis(f1: IntegrandFunction, f2: IntegrandFunction, af: AlphaFunction) -> str:
+    """The hypothesis under which disjoint supports of f1 and f2 are
+    equivalent to independence of their integrals, or "none"."""
+    if af.b < 2.0 - 1e-12:
+        return "exponent-below-2"
     xs = _probe_grid((*f1.breakpoints, *f2.breakpoints))
-    prod = np.asarray(f1(xs)) * np.asarray(f2(xs))
-    return bool(np.min(prod) >= -1e-12)
+    if np.min(np.asarray(f1(xs)) * np.asarray(f2(xs))) >= -1e-12:
+        return "nonnegative-product"
+    return "none"
 
 
 @dataclass(frozen=True)
@@ -175,11 +180,8 @@ def independence_test(f1: IntegrandFunction, f2: IntegrandFunction,
     ensemble is reported as the empirical witness.
     """
     overlap = overlap_measure(f1, f2)
-    if af.b < 2.0 - 1e-12:
-        hypothesis = "exponent-below-2"
-    elif _sign_condition_holds(f1, f2):
-        hypothesis = "nonnegative-product"
-    else:
+    hypothesis = _hypothesis(f1, f2, af)
+    if hypothesis == "none":
         return IndependenceReport(applicable=False, hypothesis="none",
                                   overlap=overlap, analytic_independent=None,
                                   distance=None, threshold=None,
@@ -216,7 +218,7 @@ def pairwise_independence(fs, af: AlphaFunction) -> PairwiseReport:
     applicable = True
     for i in range(len(fs)):
         for k in range(i + 1, len(fs)):
-            if af.b >= 2.0 - 1e-12 and not _sign_condition_holds(fs[i], fs[k]):
+            if _hypothesis(fs[i], fs[k], af) == "none":
                 applicable = False
             ov = overlap_measure(fs[i], fs[k])
             overlaps.append((i, k, ov))
@@ -279,9 +281,9 @@ def hoelder_bound_check(kernel: KernelFunction, af: AlphaFunction, eta: float,
     pairs = [(float(t), float(v)) for t, v in pairs]
     if not pairs:
         raise ParameterError("pairs must hold at least one (t, v) pair")
+    deltas = [kernel.slice(t) - kernel.slice(v) for t, v in pairs]  # times checked before any draw
     results = []
-    for i, (t, v) in enumerate(pairs):
-        delta = kernel.slice(t) - kernel.slice(v)
+    for i, ((t, v), delta) in enumerate(zip(pairs, deltas)):
         gap = abs(t - v)
         energy = modular_integral(delta, af)
         energy_bound = C * gap ** eta
@@ -306,7 +308,7 @@ def hoelder_bound_check(kernel: KernelFunction, af: AlphaFunction, eta: float,
 def weight_sup_constant(w: IntegrandFunction, af: AlphaFunction) -> float:
     """sup over [0,1] of |w(x)|^alpha(x) — the constant governing the
     weighted kernel's energy bound."""
-    xs = _probe_grid((*w.breakpoints, *af.breakpoints))
+    xs = _probe_grid((*w.breakpoints, *af.breaks))
     vals = np.abs(np.asarray(w(xs), dtype=float)) ** np.asarray(af(np.clip(xs, *af.domain)))
     out = float(np.max(vals))
     if not math.isfinite(out):

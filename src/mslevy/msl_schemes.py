@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_model import (_GRID_SNAP, AlphaFunction, IntegrandFunction, _cell_alphas,
-                          _cell_times, grid_index)
-from .errors import DomainError, ParameterError
+from .alpha_model import (AlphaFunction, IntegrandFunction, _cell_alphas, _cell_times,
+                          grid_index)
+from .errors import ParameterError
 from .stable_core import (RandomStream, _check_ints, _child_ids, _cms, _exponential,
                           _generators, _row_chunks, _uniform_pairs, sample_symmetric)
 
@@ -51,14 +51,6 @@ class PathGrid:
 
     def __len__(self) -> int:
         return int(self.times.size)
-
-    def value_at(self, u: float) -> float:
-        """Path value at the last grid time <= u + _GRID_SNAP (paths are
-        cadlag steps)."""
-        if np.isnan(u):
-            raise DomainError("a path time must not be NaN")
-        i = int(np.searchsorted(self.times, u + _GRID_SNAP, side="right")) - 1
-        return float(self.values[max(i, 0)])
 
 
 @dataclass(frozen=True)

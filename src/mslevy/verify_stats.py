@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_model import AlphaFunction, exponent_integral
+from .alpha_model import AlphaFunction, exponent_integral, grid_index
 from .errors import GridResolutionError, ParameterError
-from .msl_schemes import _MAX_LEVEL, grid_index, li_window_ensemble, marginal_ensemble
+from .msl_schemes import _MAX_LEVEL, li_window_ensemble, marginal_ensemble
 from .stable_core import RandomStream, _check_ints
 
 _CHUNK_ELEMENTS = 2_000_000
@@ -165,14 +165,10 @@ def increment_cf_test(scheme: str, af: AlphaFunction, n: int, intervals,
     against the limit CF exp(-integral_{u1}^{u2} |theta|^alpha(s) ds)."""
     n = _check_ints(n, 1, None, "dyadic level n")
     ensemble = _check_ints(ensemble, 1000, None, "ensemble size")
-    th = theta_grid_default()
     incs = _increments(scheme, af, n, intervals, ensemble, stream)
-    reports = []
-    for i, (u1, u2) in enumerate(intervals):
-        theo = np.asarray([np.exp(-exponent_integral(af, t, u1, u2)) for t in th],
-                          dtype=complex)
-        reports.append(ecf_report(incs[:, i], theo, th, label=f"{scheme}[{u1},{u2}]"))
-    return reports
+    return [ecf_report(incs[:, i], lambda t: np.exp(-exponent_integral(af, t, u1, u2)),
+                       label=f"{scheme}[{u1},{u2}]")
+            for i, (u1, u2) in enumerate(intervals)]
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def modular_fresh_gk(f, af, lam: float, gauss_kronrod) -> float:
     imports nothing of the package) that evaluates f and alpha on the nodes
     of every round, its first included."""
     return gauss_kronrod(lambda x: (np.abs(f._values(x)) / lam) ** af(x), 0.0, 1.0,
-                         breakpoints=(*af.breakpoints, *f.breakpoints))
+                         breakpoints=(*af.breaks, *f.breakpoints))
 
 
 def quasinorm_fresh_gk(f, af, gauss_kronrod) -> float:

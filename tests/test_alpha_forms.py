@@ -61,7 +61,7 @@ class TestSameBitsAsPerKindForm:
     @pytest.mark.parametrize("case", sorted(_specs(1.0)))
     def test_evaluation(self, case, domain):
         new, old = _pair(case, domain)
-        mended = new.breakpoints if case.startswith("table") else ()
+        mended = new.breaks if case.startswith("table") else ()
         for xs in _grids(*domain):
             _assert_same_bits_off_breaks(new, old, xs, mended)
         for x in _grids(*domain)[0]:
@@ -101,7 +101,7 @@ class TestSameBitsAsPerKindForm:
 class TestMendedReads:
     def test_table_read_at_each_break_gives_the_right_cell(self):
         af = AlphaFunction.from_table(TABLE49_VALUES)
-        breaks = np.asarray(af.breakpoints)
+        breaks = np.asarray(af.breaks)
         assert breaks.size == 48
         assert np.array_equal(af(breaks), TABLE49_VALUES[1:])
         assert [af(float(p)) for p in breaks] == TABLE49_VALUES[1:]

@@ -69,8 +69,8 @@ class TestAlphaFunction:
         assert (AF_STEP.a, AF_STEP.b) == (1.2, 1.8)
 
     def test_breakpoints(self):
-        assert AF_STEP.breakpoints == (0.5,)
-        assert AF_LINEAR.breakpoints == ()
+        assert AF_STEP.breaks == (0.5,)
+        assert AF_LINEAR.breaks == ()
 
     def test_values_must_stay_admissible(self):
         with pytest.raises(ParameterError):
@@ -104,7 +104,7 @@ class TestAlphaFunction:
 class TestPlateauIdentityExponent:
     def test_shape(self):
         af = plateau_identity_alpha(1.8)
-        assert af.breakpoints == (0.9,)
+        assert af.breaks == (0.9,)
         assert af(0.0) == pytest.approx(0.9)
         assert af(0.45) == pytest.approx(0.9)
         assert af(0.95) == pytest.approx(0.95)
@@ -192,7 +192,7 @@ class TestClosedFormMatchesSimpson:
         u1, u2 = sorted(ends)
         got = exponent_integral(af, sign * abs_theta, u1, u2)
         want = adaptive_simpson(lambda s: abs_theta ** af(s), u1, u2,
-                                breakpoints=af.breakpoints)
+                                breakpoints=af.breaks)
         assert got == pytest.approx(want, rel=1e-9)
 
     @given(values=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 5.0), st.floats(-5.0, -0.05)),
@@ -427,7 +427,7 @@ class TestModularAndQuasinorm:
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_zero_function(self):
-        assert quasinorm(IntegrandFunction.zero(), AF_LINEAR) == 0.0
+        assert quasinorm(IntegrandFunction.constant(0.0), AF_LINEAR) == 0.0
 
     @given(
         values=st.lists(st.floats(0.01, 10.0), min_size=2, max_size=12),

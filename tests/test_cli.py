@@ -76,6 +76,19 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--n", "3", "--seed", "1"],
+        ["example1", "--n-max", "6"],
+        ["localize", "--ensemble", "1000", "--seed", "2"],
+    ], ids=["simulate", "example1", "localize"])
+    def test_plot_may_not_write_over_out(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--out", "x.svg", "--plot"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--plot" in captured.err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("argv, flag", [
         (["localize", "--ensemble", "1000", "--seed", "2", "--plot"], "--plot"),
         (["example1", "--n-max", "6", "--plot"], "--plot"),

@@ -58,6 +58,16 @@ CFG = ContinuousStableConfig(1.5, 1.0, levels=4)
 GRID = [0.0, 0.5, 1.0]
 ONE = IntegrandFunction.constant(1.0)
 
+
+class _NoDraws:
+    """A stream that fails the test on the first draw asked of it."""
+
+    def child(self, i):
+        raise AssertionError("drew before checking the input")
+
+
+NO_DRAWS = _NoDraws()
+
 # name -> a call with one NaN (or, for mu, infinite; for C, negative; for an
 # integer, fractional) parameter, which must be rejected rather than return
 # a NaN-laden value, a failed verdict, a path on a fractional grid or a
@@ -71,7 +81,6 @@ NON_FINITE_CALLS = {
     "poisson_arrivals.rate": lambda: poisson_arrivals(NAN, 3, STREAM),
     "simulate_lc.gamma_value": lambda: simulate_lc(SchemeConfig(3, AF, STREAM), gamma_value=NAN),
     "PathGrid.time": lambda: PathGrid(times=[0.0, NAN, 1.0], values=[0.0, 1.0, 2.0]),
-    "PathGrid.value_at": lambda: PathGrid(times=GRID, values=[0.0, 3.0, 7.0]).value_at(NAN),
     "ContinuousStableConfig.d": lambda: ContinuousStableConfig(1.5, NAN),
     "simulate_sn.d": lambda: simulate_sn(3, AF, STREAM, GRID, d=NAN),
     "sn_boundary_ensemble.d": lambda: sn_boundary_ensemble(3, AF, STREAM, [8], 2, d=NAN),
@@ -95,7 +104,8 @@ NON_FINITE_CALLS = {
         lambda: IntegrandFunction.from_table([1.0, 2.0])([0.5, math.inf]),
     "IntegrandFunction.indicator.call": lambda: IntegrandFunction.indicator(0.0, 0.5)(NAN),
     "IntegrandFunction.constant.call": lambda: ONE(NAN),
-    "IntegrandFunction.zero.call": lambda: IntegrandFunction.zero()([0.5, NAN]),
+    "IntegrandFunction.constant.array_call":
+        lambda: IntegrandFunction.constant(0.0)([0.5, NAN]),
     "triangle.t": lambda: triangle(NAN),
     "modular_integral.lam": lambda: modular_integral(IntegrandFunction.constant(1.0), AF, NAN),
     "billingsley_bound.lam": lambda: billingsley_bound(lambda t: math.exp(-abs(t)), NAN),
@@ -106,6 +116,14 @@ NON_FINITE_CALLS = {
     "hoelder_bound_check.C_negative": lambda: hoelder_bound_check(
         KernelFunction.running_indicator(), AF, 1.0, -1.0, 0.2, [(0.5, 0.25)], STREAM, n=4,
         ensemble=10),
+    "KernelFunction.slice.t": lambda: KernelFunction.running_indicator().slice(NAN),
+    # slice times outside [0, 1], the second pair's too, raise before any draw
+    "hoelder_bound_check.t_below_zero": lambda: hoelder_bound_check(
+        KernelFunction.running_indicator(), AF, 1.0, 2.0, 0.4, [(-0.5, 0.25)], NO_DRAWS, n=4,
+        ensemble=200),
+    "hoelder_bound_check.t_past_one": lambda: hoelder_bound_check(
+        KernelFunction.weighted_running(ONE), AF, 1.0, 2.0, 0.4, [(0.5, 0.25), (1.5, 0.25)],
+        NO_DRAWS, n=4, ensemble=200),
     "strong_localisability_check.radius": lambda: strong_localisability_check(
         KernelFunction.running_indicator(), AF, 0.2, [NAN, 0.1], [(0.1, 0.2), (0.2, 0.4)],
         with_quasinorm=False),

@@ -53,7 +53,7 @@ class TestIntegrands:
         f = half_open_indicator(0.0, 0.5).scaled(3.0)
         assert f(0.25) == 3.0
         assert f.sup_bound() == 3.0
-        assert IntegrandFunction.zero().sup_bound() == 0.0
+        assert IntegrandFunction.constant(0.0).sup_bound() == 0.0
 
     def test_difference_of_slices(self):
         running = KernelFunction.running_indicator()
@@ -61,6 +61,41 @@ class TestIntegrands:
         assert d(0.6) == 1.0
         assert d(0.4) == 0.0
         assert d(0.8) == 0.0
+
+
+class TestRunningKernelKeepsTheBits:
+    """The running kernel is the weighted one with w = 1.  Its slice
+    differences keep the bits of differences of closed indicators [0, t],
+    with the zero integrand at t = 0, in every draw, modular and quasinorm:
+    the two differ only at x = 0 for t = 0, a point no path reads."""
+
+    PAIRS = [(1.0 / 3.0, 0.0), (0.0, 1.0 / 3.0), (1.0, 1.0 / 3.0), (0.5, 1.0 / 3.0),
+             (1.0, 0.0), (0.75, 0.5)]
+    ALPHAS = [AF_LINEAR, AlphaFunction.piecewise([1.0 / 3.0], [1.8, 1.1])]
+
+    @staticmethod
+    def _closed(t):
+        return IntegrandFunction.indicator(0.0, t) if t > 0.0 else IntegrandFunction.constant(0.0)
+
+    def _deltas(self):
+        running = KernelFunction.running_indicator()
+        return ([running.slice(t) - running.slice(v) for t, v in self.PAIRS],
+                [self._closed(t) - self._closed(v) for t, v in self.PAIRS])
+
+    @pytest.mark.parametrize("n", [6, 10])
+    @pytest.mark.parametrize("af", ALPHAS, ids=["linear", "step"])
+    def test_joint_draws(self, n, af):
+        new, old = self._deltas()
+        got = joint_integral_ensemble(new, af, n, 64, RandomStream(9))
+        want = joint_integral_ensemble(old, af, n, 64, RandomStream(9))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("af", ALPHAS, ids=["linear", "step"])
+    def test_modular_and_quasinorm(self, af):
+        for f, g in zip(*self._deltas()):
+            assert f.breakpoints == g.breakpoints and f.steps and g.steps
+            assert modular_integral(f, af) == modular_integral(g, af)
+            assert quasinorm(f, af) == quasinorm(g, af)
 
 
 class TestOverlapMeasure:

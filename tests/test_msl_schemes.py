@@ -45,13 +45,8 @@ class TestPathGrid:
         with pytest.raises(ParameterError):
             PathGrid(times=np.array([0.0, 0.5, 0.5]), values=np.zeros(3))
 
-    def test_value_at_is_a_right_continuous_step_lookup(self):
+    def test_len_counts_the_grid_points(self):
         path = PathGrid(times=np.array([0.0, 0.5, 1.0]), values=np.array([0.0, 3.0, 7.0]))
-        assert path.value_at(0.0) == 0.0
-        assert path.value_at(0.49) == 0.0
-        assert path.value_at(0.5) == 3.0
-        assert path.value_at(0.75) == 3.0
-        assert path.value_at(1.0) == 7.0
         assert len(path) == 3
 
 
@@ -67,14 +62,14 @@ class TestGridIndex:
     @pytest.mark.parametrize("n", [4, 10, 16])
     @pytest.mark.parametrize("shift", [-5e-10, -1e-11, -5e-13, -1e-13, 1e-13, 5e-13, 1e-11,
                                        5e-10])
-    def test_ensemble_reads_the_same_cell_as_value_at(self, n, shift):
-        # one snapping rule: the ensemble's grid_index and PathGrid.value_at
-        # pick the same grid point next to every k/2^n
+    def test_ensemble_reads_the_path_at_grid_index(self, n, shift):
+        # one snapping rule: the ensemble reads a single path's grid_index
+        # cell next to every k/2^n
         stream = RandomStream(3)
         path = simulate_li(SchemeConfig(n=n, af=AF_LINEAR, stream=stream.child(0)))
         us = [k / 2 ** n + shift for k in (1, 2 ** (n - 1), 2 ** n - 1)]
         row = marginal_ensemble("li", AF_LINEAR, n, us, 1, stream)[0]
-        assert list(row) == [path.value_at(u) for u in us]
+        assert list(row) == [path.values[grid_index(n, u)] for u in us]
         assert [grid_index(n, u) for u in us] == [
             int(np.searchsorted(path.times, u + 1e-12, side="right")) - 1 for u in us]
 
