@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InfiniteQuasinormError, ParameterError
+from .errors import DomainError, InfiniteQuasinormError, ParameterError, QuadratureError
 from .quadrature import gauss_kronrod, gk_nodes, split_points
 from .stable_core import _check_ints
 
@@ -339,6 +339,8 @@ class IntegrandFunction:
 
     def scaled(self, c: float) -> "IntegrandFunction":
         c = float(c)
+        if not math.isfinite(c):
+            raise ParameterError(f"scale factor must be finite, got {c}")
         return IntegrandFunction(lambda x: c * self._fn(x), self.breakpoints,
                                  f"{c}*{self.label}", steps=self.steps)
 
@@ -404,9 +406,11 @@ def exponent_integral(af: AlphaFunction, theta: float, u1: float, u2: float) -> 
     """integral_{u1}^{u2} |theta|^alpha(s) ds, exact: a closed-form sum over
     the affine pieces of alpha.  |theta| = 1 short-circuits to u2 - u1."""
     _check_interval(af, u1, u2)
+    abs_t = abs(float(theta))
+    if math.isnan(abs_t):
+        raise ParameterError("theta must not be NaN")
     if u2 <= u1:
         return 0.0
-    abs_t = abs(float(theta))
     if abs_t == 1.0:
         return u2 - u1
     return sum(_power_integral(abs_t, c, m, lo, hi) for lo, hi, c, m in af.pieces(u1, u2))
@@ -496,6 +500,8 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
         raise DomainError(f"the field-based scheme lives on [0, 1], got u = {u}")
     count = grid_index(n, u)
     abs_t = abs(float(theta))
+    if math.isnan(abs_t):
+        raise ParameterError("theta must not be NaN")
     if count == 0 or abs_t == 0.0:
         return 0.0
     alpha_u, scale = af(u), 2.0 ** -n
@@ -557,6 +563,7 @@ def _modular(f: IntegrandFunction, af: AlphaFunction) -> Callable[[float], float
 
             return gauss_kronrod(integrand, 0.0, 1.0, breakpoints=breakpoints)
 
+        gk_modular.margin = 1e-8  # 100 times gauss_kronrod's relative tolerance
         return gk_modular
     edges, mids = _cells(0.0, 1.0, breakpoints)
     abs_f = np.abs(f._values(mids))
@@ -566,7 +573,38 @@ def _modular(f: IntegrandFunction, af: AlphaFunction) -> Callable[[float], float
         vs = (abs_f / lam).tolist()
         return sum(_power_integral(v, c, m, lo, hi) for v, (lo, hi, c, m) in zip(vs, cells))
 
+    step_modular.margin = 1e-12  # exact up to rounding
     return step_modular
+
+
+def _certified(modular, lo: float, g_lo: float, hi: float, g_hi: float) -> tuple[float, float]:
+    """lo <= a <= b <= hi with the computed modular >= 1 at lam <= a and < 1 at
+    lam >= b: <= 12 Illinois steps on (log lam, log modular), each aimed 4
+    margins past 1 on the side the last one missed (4 times further after a
+    value in 1 -+ margin), until a value is not in (0, inf) or both ends are
+    within 16 margins of 1."""
+    margin, a, b = modular.margin, lo, hi
+    if not 0.0 < g_hi < g_lo < math.inf:
+        return a, b
+    xa, ya, xb, yb = math.log(lo), math.log(g_lo), math.log(hi), math.log(g_hi)
+    wa, wb, aim, last = ya, yb, 4.0 * margin, 0
+    for _ in range(12):
+        if ya <= 16.0 * margin and -yb <= 16.0 * margin:
+            break
+        x = xa + ((-aim if last > 0 else aim) - wa) * (xb - xa) / (wb - wa)
+        x = x if xa < x < xb else 0.5 * (xa + xb)
+        g = modular(lam := math.exp(x))
+        if not 0.0 < g < math.inf:
+            break
+        if g >= 1.0 + margin:
+            a, xa, ya = max(a, lam), x, math.log(g)
+            wa, wb, last = ya, 0.5 * wb if last > 0 else wb, 1
+        elif g <= 1.0 - margin:
+            b, xb, yb = min(b, lam), x, math.log(g)
+            wa, wb, last = 0.5 * wa if last < 0 else wa, yb, -1
+        else:
+            aim *= 4.0
+    return a, b
 
 
 def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
@@ -580,6 +618,15 @@ def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
     modular exceeds 1; lo starts at min(sup * 1e-6, hi / 2) and quarters
     while it is below 1, giving 0 under 1e-300 (f vanishes off a null set).
     Its one error is InfiniteQuasinormError, after 200 doublings of hi.
+
+    The bisection evaluates only the midpoints inside the a < b that
+    :func:`_certified` places around the root; one at or below a moves lo,
+    one at or above b moves hi.  The exact modular decreases in lam, so if
+    the computed one is within eps <= margin/2 of it, a value >= 1 + margin
+    at a keeps every computed value at a smaller lam >= 1, and likewise < 1
+    past b: each verdict, and so the result's bits, hold.  The margin is
+    1e-12 for a step f (its cell sum is exact up to rounding), 1e-8 for
+    Gauss-Kronrod (100 x its tolerance); a QuadratureError there voids a, b.
     """
     sup = f.sup_bound()
     if sup == 0.0:
@@ -588,20 +635,24 @@ def quasinorm(f: IntegrandFunction, af: AlphaFunction) -> float:
     modular = _modular(f, af)
     finite = math.isfinite(sup)
     hi = start = sup if finite else 1.0
-    while not modular(hi) <= 1.0:
+    while not (g_hi := modular(hi)) <= 1.0:
         hi *= 2.0
         if hi >= start * 2.0 ** 200:
             raise InfiniteQuasinormError(f"modular > 1 or non-finite for every lam < {hi:.3g}")
 
     lo = min(sup * 1e-6, 0.5 * hi) if finite else 0.5 * hi
-    while not modular(lo) >= 1.0:
+    while not (g_lo := modular(lo)) >= 1.0:
         lo *= 0.25
         if lo < 1e-300:
             return 0.0
 
+    try:
+        a, b = _certified(modular, lo, g_lo, hi, g_hi)
+    except QuadratureError:
+        a, b = lo, hi
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        if modular(mid) >= 1.0:
+        if mid <= a or (mid < b and modular(mid) >= 1.0):
             lo = mid
         else:
             hi = mid
@@ -638,6 +689,8 @@ def check_condition7(af: AlphaFunction, x_grid, t_grid,
     """
     xs = np.asarray(x_grid, dtype=float)
     ts = np.asarray(t_grid, dtype=float)
+    if np.isnan(xs).any():
+        raise DomainError("probe points must not be NaN")
     if not (ts.size and np.all((ts > 0.0) & (ts < 1.0))):
         raise DomainError("lags must lie in (0, 1)")
     if not np.all(np.diff(ts) < 0.0):

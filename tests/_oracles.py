@@ -222,6 +222,33 @@ def quasinorm_fresh_gk(f, af, gauss_kronrod) -> float:
     return 0.5 * (lo + hi)
 
 
+def quasinorm_plain(modular, f) -> float:
+    """The quasinorm's bracket loops and bisection as they stood before
+    certified points: every midpoint evaluated, over the modular closure
+    passed in (the package's own ``_modular``, or a synthetic one)."""
+    sup = f.sup_bound()
+    if sup == 0.0:
+        return 0.0
+    finite = math.isfinite(sup)
+    hi = start = sup if finite else 1.0
+    while not modular(hi) <= 1.0:
+        hi *= 2.0
+        if hi >= start * 2.0 ** 200:
+            raise ArithmeticError(f"modular > 1 or non-finite for every lam < {hi:.3g}")
+    lo = min(sup * 1e-6, 0.5 * hi) if finite else 0.5 * hi
+    while not modular(lo) >= 1.0:
+        lo *= 0.25
+        if lo < 1e-300:
+            return 0.0
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if modular(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks of v with ties sharing their mean rank, by a walk over
     the stably sorted values: the reference for the package's vectorised ranks."""

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from mslevy import (
     quasinorm,
     strong_localisability_check,
 )
-from mslevy.alpha_model import _cell_alphas, _cell_time, _cell_times, _piece_edges, grid_index
+from mslevy import alpha_model
+from mslevy.alpha_model import (_cell_alphas, _cell_time, _cell_times, _certified, _modular,
+                                _piece_edges, grid_index)
 from mslevy.errors import DomainError, InfiniteQuasinormError, ParameterError, QuadratureError
 from mslevy.quadrature import adaptive_simpson, gauss_kronrod, gk_nodes
 
@@ -40,6 +43,7 @@ from _oracles import (
     pinned,
     quasinorm_bisection,
     quasinorm_fresh_gk,
+    quasinorm_plain,
 )
 
 AF_LINEAR = AlphaFunction.linear(1.2, 0.6)
@@ -622,6 +626,206 @@ class TestQuasinormExits:
         f = IntegrandFunction.from_callable(lambda s: np.where(s == 0.25, 1.0, 0.0))
         assert f.sup_bound() == 1.0
         assert quasinorm(f, AF_LINEAR) == 0.0
+
+
+def _random_alpha(rng, kind: int) -> AlphaFunction:
+    """Constant, linear, step, table or plateau alpha, by kind 0 to 4."""
+    if kind == 0:
+        return AlphaFunction.constant(float(rng.uniform(0.2, 2.0)))
+    if kind == 1:
+        return AlphaFunction.linear(float(rng.uniform(0.3, 1.2)), float(rng.uniform(-0.2, 0.8)))
+    if kind == 2:
+        return AlphaFunction.piecewise(breaks=(float(rng.uniform(0.2, 0.8)),),
+                                       values=tuple(rng.uniform(0.2, 2.0, 2).tolist()))
+    if kind == 3:
+        return AlphaFunction.from_table(rng.uniform(0.2, 2.0, int(rng.integers(1, 20))).tolist())
+    return plateau_identity_alpha(float(rng.uniform(0.3, 1.9)))
+
+
+def _random_step_case(rng, i: int):
+    """A table of 1 to 40 signed values, some 0, at magnitudes 1e-6 to 1e6,
+    under the alpha of kind i mod 5."""
+    size = int(rng.integers(1, 41))
+    values = (10.0 ** rng.uniform(-6, 6) * rng.uniform(-1, 1, size)
+              * 10.0 ** rng.uniform(-3, 0, size))
+    if rng.random() < 0.2:
+        values[rng.integers(size)] = 0.0
+    return IntegrandFunction.from_table(values.tolist()), _random_alpha(rng, i % 5)
+
+
+def _random_cusp(rng, i: int):
+    """s |x - c|^p with its cusp declared, p in (-0.3, 1), s in 1e-3 to 1e3."""
+    c, p = float(rng.uniform(0.05, 0.95)), float(rng.uniform(-0.3, 1.0))
+    s = 10.0 ** rng.uniform(-3, 3)
+
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return s * np.abs(x - c) ** p
+    return IntegrandFunction.from_callable(f, (c,)), _random_alpha(rng, i % 3)
+
+
+def _outcome(call):
+    """call()'s value, or the type of what it raised."""
+    try:
+        return call()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _bench_shapes(seed: int):
+    """The numerics benchmark's 15 quasinorm calls, at its input ranges:
+    tables of 4 (linear alpha), 8 (step alpha) and 2 to 8 (constant alpha)
+    values, the strong-localisability increments and the CLI's 3 values."""
+    rng = np.random.default_rng(seed)
+
+    def signed(size):
+        return (rng.uniform(0.25, 2.0, size) * rng.choice([-1.0, 1.0], size)).tolist()
+
+    lin = AlphaFunction.linear(float(rng.uniform(1.1, 1.3)), float(rng.uniform(0.4, 0.6)))
+    step = AlphaFunction.piecewise(breaks=(float(rng.uniform(0.3, 0.7)),),
+                                   values=tuple(rng.uniform(0.6, 1.9, 2).tolist()))
+    const = AlphaFunction.constant(float(rng.uniform(0.5, 1.9)))
+    flat = float(rng.uniform(0.75, 1.25))
+    w = IntegrandFunction.from_callable(lambda s: np.full_like(s, flat))
+    steps = [(IntegrandFunction.from_table(signed(4)), lin) for _ in range(2)]
+    steps += [(IntegrandFunction.from_table(signed(8)), step) for _ in range(3)]
+    steps += [(IntegrandFunction.from_table(signed(int(rng.integers(2, 9)))), const)
+              for _ in range(5)]
+    steps.append((IntegrandFunction.from_table(signed(3)), lin))
+    gk = [(d, lin) for d in _strong_increments(w, lin, 0.5, STRONG_RADIUS, STRONG_PAIRS)]
+    return steps, gk
+
+
+class _Synthetic:
+    """A strictly decreasing modular sum_i c_i (s/lam)^p_i plus a noise of
+    at most eps that is a fixed function of lam, carrying ``margin``."""
+
+    def __init__(self, rng, margin: float, eps: float):
+        self.margin, self.eps = margin, eps
+        self.s = 10.0 ** rng.uniform(-4, 4)
+        self.c = rng.uniform(0.1, 1.0, 3) * rng.uniform(0.3, 3.0)
+        self.p = rng.uniform(0.2, 2.0, 3)
+
+    def __call__(self, lam: float) -> float:
+        exact = float(np.sum(self.c * (self.s / lam) ** self.p))
+        return exact + random.Random(lam).uniform(-self.eps, self.eps)
+
+
+class _Fault:
+    """The modular passed in, except that its call number ``at`` returns
+    ``value`` or, when ``value`` is None, raises QuadratureError."""
+
+    def __init__(self, modular, at: int, value=None):
+        self.modular, self.at, self.value, self.calls = modular, at, value, 0
+        self.margin = modular.margin
+
+    def __call__(self, lam: float) -> float:
+        self.calls += 1
+        if self.calls != self.at:
+            return self.modular(lam)
+        if self.value is None:
+            raise QuadratureError("injected")
+        return self.value
+
+
+def _counter(modular):
+    """modular, counting its calls in .calls."""
+    return _Fault(modular, at=0)
+
+
+class TestCertifiedBisection:
+    """quasinorm evaluates the modular only at the bisection midpoints
+    between two points certified by Illinois steps; every verdict, and so
+    every value, is the one the plain bisection over the same modular
+    reaches (oracle: quasinorm_plain)."""
+
+    def test_step_cases_are_the_plain_bisection(self):
+        rng = np.random.default_rng(2025)
+        for i in range(2000):
+            f, af = _random_step_case(rng, i)
+            assert quasinorm(f, af) == quasinorm_plain(_modular(f, af), f), i
+
+    def test_callables_and_random_cusps_are_the_plain_bisection(self):
+        rng = np.random.default_rng(2026)
+        cases = [row[1:] for row in CALLABLE_INTEGRANDS]
+        cases += [_random_cusp(rng, i) for i in range(60)]
+        outcomes = set()
+        for i, (f, af) in enumerate(cases):
+            got = _outcome(lambda: quasinorm(f, af))
+            assert got == _outcome(lambda: quasinorm_plain(_modular(f, af), f)), i
+            outcomes.add(isinstance(got, float))
+        assert outcomes == {True, False}  # some cusps are beyond Gauss-Kronrod
+
+    @pytest.mark.parametrize("margin", [1e-12, 1e-8])
+    @pytest.mark.parametrize("share", [0.0, 0.25, 0.5])
+    def test_noise_inside_half_the_margin_keeps_every_verdict(self, monkeypatch, margin, share):
+        rng = np.random.default_rng([7, int(share * 4), int(-math.log10(margin))])
+        for i in range(150):
+            modular = _Synthetic(rng, margin, share * margin)
+            f = IntegrandFunction.from_table([modular.s])
+            monkeypatch.setattr(alpha_model, "_modular", lambda f, af: modular)
+            assert quasinorm(f, AF_LINEAR) == quasinorm_plain(modular, f), i
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None],
+                             ids=["nan", "inf", "quadrature_error"])
+    @pytest.mark.parametrize("at", [1, 2, 3])
+    def test_a_failed_step_certifies_nothing_after_it(self, monkeypatch, value, at):
+        rng, tested = np.random.default_rng(11), 0
+        for i in range(100):
+            f, af = _random_step_case(rng, 5 * i + 1)
+            modular, sup = _modular(f, af), f.sup_bound()
+            g_hi, g_lo = modular(sup), modular(sup * 1e-6)
+            steps = _counter(modular)
+            _certified(steps, sup * 1e-6, g_lo, sup, g_hi)
+            if not (g_hi <= 1.0 <= g_lo and at <= steps.calls):
+                continue  # the bracket takes more than hi = sup and lo, or the steps end sooner
+            want = quasinorm_plain(_counter(modular), f)
+            fault = _Fault(modular, at=2 + at, value=value)
+            monkeypatch.setattr(alpha_model, "_modular", lambda f, af: fault)
+            assert quasinorm(f, af) == want, i
+            plain = _counter(modular)
+            quasinorm_plain(plain, f)
+            # the error does not propagate, and every midpoint is evaluated
+            assert (fault.calls == plain.calls + at) if value is None else (
+                fault.calls <= plain.calls + at), i
+            tested += 1
+        assert tested >= 50
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None],
+                             ids=["nan", "inf", "quadrature_error"])
+    def test_the_steps_stop_at_a_failed_value(self, value):
+        f = IntegrandFunction.from_table([0.5, -2.0, 1.5])
+        modular = _modular(f, AF_LINEAR)
+        hi, lo = f.sup_bound(), f.sup_bound() * 1e-6
+        clean = _counter(modular)
+        assert _certified(clean, lo, modular(lo), hi, modular(hi)) != (lo, hi)
+        assert clean.calls > 3
+        fault = _Fault(modular, at=3, value=value)
+        call = lambda: _certified(fault, lo, modular(lo), hi, modular(hi))  # noqa: E731
+        if value is None:
+            with pytest.raises(QuadratureError):
+                call()
+        else:
+            first_two = _certified(_Fault(modular, at=3, value=math.nan), lo, modular(lo),
+                                   hi, modular(hi))
+            assert call() == first_two
+        assert fault.calls == 3
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_the_benchmark_shapes_take_few_evaluations(self, monkeypatch, seed):
+        steps, gk = _bench_shapes(seed)
+        counted = []
+
+        def counting(f, af):
+            counted.append(_counter(_modular(f, af)))
+            return counted[-1]
+
+        monkeypatch.setattr(alpha_model, "_modular", counting)
+        for cases, most in ((steps, 20), (gk, 30)):
+            for f, af in cases:
+                plain = _counter(_modular(f, af))
+                assert quasinorm(f, af) == quasinorm_plain(plain, f)
+                assert counted[-1].calls <= most < 40 <= plain.calls
 
 
 class TestLocalVariationCheck:

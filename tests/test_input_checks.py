@@ -12,7 +12,7 @@ import pytest
 
 from mslevy import RandomStream, StableParams
 from mslevy.alpha_model import (AlphaFunction, IntegrandFunction, check_condition7,
-                                lf_n_exponent, modular_integral)
+                                exponent_integral, lf_n_exponent, li_cf, modular_integral)
 from mslevy.continuous_paths import (
     ContinuousStableConfig,
     max_deviation_probability,
@@ -108,6 +108,13 @@ NON_FINITE_CALLS = {
         lambda: IntegrandFunction.constant(0.0)([0.5, NAN]),
     "triangle.t": lambda: triangle(NAN),
     "modular_integral.lam": lambda: modular_integral(IntegrandFunction.constant(1.0), AF, NAN),
+    "IntegrandFunction.scaled.nan": lambda: IntegrandFunction.from_table([1.0, 2.0]).scaled(NAN),
+    "IntegrandFunction.scaled.inf":
+        lambda: IntegrandFunction.from_table([1.0, 2.0]).scaled(math.inf),
+    "exponent_integral.theta": lambda: exponent_integral(AF, NAN, 0.0, 1.0),
+    "li_cf.thetas": lambda: li_cf(AF, [0.5], [NAN]),
+    "lf_n_exponent.theta": lambda: lf_n_exponent(AF, 0.5, NAN, 4),
+    "check_condition7.x": lambda: check_condition7(AF, [0.1, NAN, 0.5], [0.25]),
     "billingsley_bound.lam": lambda: billingsley_bound(lambda t: math.exp(-abs(t)), NAN),
     "hoelder_tail_constant.x": lambda: hoelder_tail_constant(1.0, 1.0, 1.5, NAN),
     "hoelder_bound_check.C": lambda: hoelder_bound_check(
