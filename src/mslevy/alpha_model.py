@@ -209,9 +209,15 @@ class AlphaFunction:
 
     def pieces(self, u1: float, u2: float) -> list[tuple[float, float, float, float]]:
         """(lo, hi, c, m) cells covering [u1, u2] between breakpoints, on each
-        of which alpha(s) = c + m s; each cell is read at its midpoint."""
-        edges, mids = _cells(u1, u2, self.breaks)
-        return list(zip(edges, edges[1:], *self._affine(mids)))
+        of which alpha(s) = c + m s; each cell is read at its midpoint.  In
+        Python floats: numpy arrays of a few edges would cost more than the
+        rest of an exponent integral."""
+        edges = split_points(u1, u2, self.breaks)
+        cells = []
+        for lo, hi in zip(edges, edges[1:]):
+            i = bisect.bisect_right(self.breaks, 0.5 * (lo + hi))
+            cells.append((lo, hi, self.intercepts[i], self.slopes[i]))
+        return cells
 
     def segment(self, k: int) -> "AlphaFunction":
         """Exponent x -> alpha(x + k) restricted to the unit interval: the
@@ -434,6 +440,9 @@ def li_cf(af: AlphaFunction, times: Sequence[float], thetas: Sequence[float]) ->
     if not np.all((ts >= 0.0) & (ts <= t_end + _EDGE_TOL)):
         raise DomainError(f"evaluation times must lie in [0, {t_end}]")
     th = np.asarray(thetas, dtype=float)
+    # checked here, as a theta at time 0 reaches no cell's exponent integral
+    if np.isnan(th).any():
+        raise ParameterError("theta must not be NaN")
     edges = sorted(set(ts.tolist()) | {0.0})
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):
@@ -451,6 +460,8 @@ def integral_cf(fs: Sequence[IntegrandFunction], thetas: Sequence[float],
     if not fs:
         return 1.0
     th = [float(t) for t in thetas]
+    if any(map(math.isnan, th)):
+        raise ParameterError("theta must not be NaN")
     g = IntegrandFunction(lambda x: sum(t * f._values(x) for t, f in zip(th, fs)),
                           [p for f in fs for p in f.breakpoints],
                           steps=all(f.steps for f in fs))
@@ -504,12 +515,17 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
         raise ParameterError("theta must not be NaN")
     if count == 0 or abs_t == 0.0:
         return 0.0
-    alpha_u, scale = af(u), 2.0 ** -n
+    alpha_u = af(u)
+    # the bases |theta| and 2^-n as arrays, sliced to each block: numpy's
+    # AVX-512 power loop reads a broadcast scalar operand by gather, about
+    # twice the cost of a contiguous one, and both forms give the same bits
+    bases = np.full((2, min(count, _TERM_BLOCK)), [[abs_t], [2.0 ** -n]])
 
     def form(block, alphas):
-        np.power(abs_t, alphas, out=block)
+        size = alphas.size
+        np.power(bases[0, :size], alphas, out=block)
         alphas /= alpha_u
-        block *= np.power(scale, alphas, out=alphas)
+        block *= np.power(bases[1, :size], alphas, out=alphas)
 
     # a flat piece shares one alpha, so its term is formed once, by the same
     # calls on one cell; a sloped piece forms its terms a block at a time,

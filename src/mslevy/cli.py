@@ -96,7 +96,8 @@ def _resolve(argv) -> tuple[argparse.Namespace, dict]:
     explicit flags.  The file's values become the subcommand's defaults and
     the line is parsed again: a typed flag's value as its string, which
     argparse converts as it would the flag's text (null only if the default is)."""
-    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser(argv)
     args = parser.parse_args(argv)
     sub = commands[args.command]
     known = set(vars(sub.parse_args([]))) - {"func", "config"}
@@ -590,38 +591,27 @@ def _cmd_example1(resolved: dict) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers by name; every flag carries its
-    built-in default here and nowhere else."""
-    parser = argparse.ArgumentParser(
-        prog="mslevy",
-        description="Simulate multistable Levy motions and verify their "
-                    "distributional properties.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _shared_flags(p: argparse.ArgumentParser, *, seed: bool, alpha: bool,
+                  plot: bool) -> None:
+    """--config and --out, then whichever of --seed, --alpha and --plot the
+    command takes, in that order."""
+    p.add_argument("--config", help="JSON file whose values replace the "
+                                    "built-in defaults; explicit flags "
+                                    "override its values")
+    p.add_argument("--out", help="artifact path (default: stdout)")
+    if seed:
+        p.add_argument("--seed", type=int, help=f"RNG seed (default: ${_ENV_SEED} or 0)")
+    if alpha:
+        p.add_argument("--alpha", default={"kind": "linear", "intercept": 1.2, "slope": 0.6},
+                       help="stability-exponent function as JSON (kind "
+                            "constant/linear/piecewise/piecewise_linear/table)")
+    if plot:
+        p.add_argument("--plot", action="store_true",
+                       help="also write an SVG chart next to --out")
 
-    # parents share their action objects, so they are built anew per parser
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file whose values replace the "
-                                         "built-in defaults; explicit flags "
-                                         "override its values")
-    common.add_argument("--out", help="artifact path (default: stdout)")
 
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int,
-                        help=f"RNG seed (default: ${_ENV_SEED} or 0)")
-
-    alpha_arg = argparse.ArgumentParser(add_help=False)
-    alpha_arg.add_argument("--alpha",
-                           default={"kind": "linear", "intercept": 1.2, "slope": 0.6},
-                           help="stability-exponent function as JSON (kind "
-                                "constant/linear/piecewise/piecewise_linear/table)")
-
-    plotted = argparse.ArgumentParser(add_help=False)
-    plotted.add_argument("--plot", action="store_true",
-                         help="also write an SVG chart next to --out")
-
-    p = sub.add_parser("simulate", parents=[common, seeded, alpha_arg, plotted],
-                       help="draw paths and write them as CSV")
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    _shared_flags(p, seed=True, alpha=True, plot=True)
     p.add_argument("--scheme", choices=_SCHEMES, default="li")
     p.add_argument("--n", type=int, default=10, help="dyadic refinement level")
     p.add_argument("--ensemble", type=int, default=1,
@@ -638,8 +628,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="summand count for the stable scheme (default 2^n)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("verify", parents=[common, seeded, alpha_arg],
-                       help="run a verification suite, write a JSON report")
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
+    _shared_flags(p, seed=True, alpha=True, plot=False)
     p.add_argument("--suite", choices=("all", *_SUITES), default="all")
     p.add_argument("--n", type=int, default=10, help="dyadic refinement level")
     p.add_argument("--ensemble", type=int, default=2000,
@@ -652,14 +643,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         "independence and tightness limits stay fixed")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("norm", parents=[common, alpha_arg],
-                       help="quasinorm of a tabulated function")
+
+def _norm_flags(p: argparse.ArgumentParser) -> None:
+    _shared_flags(p, seed=False, alpha=True, plot=False)
     p.add_argument("--table", help="comma-separated function values on a "
                                    "uniform grid")
     p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("localize", parents=[common, seeded, alpha_arg, plotted],
-                       help="rescaled-increment convergence diagnostic")
+
+def _localize_flags(p: argparse.ArgumentParser) -> None:
+    _shared_flags(p, seed=True, alpha=True, plot=True)
     p.add_argument("--x", type=float, default=0.5, help="center point")
     p.add_argument("--u", type=float, default=1.0, help="window direction")
     p.add_argument("--n", type=int, default=12, help="dyadic refinement level")
@@ -672,17 +665,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="final sup-CF deviation to beat")
     p.set_defaults(func=_cmd_localize)
 
-    p = sub.add_parser("condition7", parents=[common, alpha_arg],
-                       help="vanishing-oscillation diagnostic on the exponent")
+
+def _condition7_flags(p: argparse.ArgumentParser) -> None:
+    _shared_flags(p, seed=False, alpha=True, plot=False)
     p.add_argument("--threshold", type=float, default=1e-3)
     p.add_argument("--x-points", type=int, dest="x_points", default=257)
     p.add_argument("--lags", default=tuple(2.0 ** -k for k in range(2, 21)),
                    help="comma-separated decreasing lags in (0,1)")
     p.set_defaults(func=_cmd_condition7)
 
-    p = sub.add_parser("example1", parents=[common, plotted],
-                       help="divergence table of the naive field-based "
-                            "scheme's CF exponent")
+
+def _example1_flags(p: argparse.ArgumentParser) -> None:
+    _shared_flags(p, seed=False, alpha=False, plot=True)
     p.add_argument("--b", type=float, default=1.8, help="plateau parameter in (0,2)")
     p.add_argument("--u", type=float, default=0.95, help="evaluation point")
     p.add_argument("--theta", type=float, default=1.0, help="CF argument")
@@ -690,6 +684,35 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--n-max", type=int, dest="n_max", default=20)
     p.set_defaults(func=_cmd_example1)
 
+
+# Command name -> (its help line, the function that declares its flags).
+_COMMANDS = {
+    "simulate": ("draw paths and write them as CSV", _simulate_flags),
+    "verify": ("run a verification suite, write a JSON report", _verify_flags),
+    "norm": ("quasinorm of a tabulated function", _norm_flags),
+    "localize": ("rescaled-increment convergence diagnostic", _localize_flags),
+    "condition7": ("vanishing-oscillation diagnostic on the exponent", _condition7_flags),
+    "example1": ("divergence table of the naive field-based scheme's CF exponent",
+                 _example1_flags),
+}
+
+
+def _build_parser(argv: list) -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name; every flag carries its
+    built-in default here and nowhere else.  Every command gets a parser, so
+    help and the invalid-choice error name all six, but only the command
+    that argv[0] names gets its flags (all do when it names none): declaring
+    every flag took most of the run of a short command."""
+    parser = argparse.ArgumentParser(
+        prog="mslevy",
+        description="Simulate multistable Levy motions and verify their "
+                    "distributional properties.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_text, declare_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if named in (None, name):
+            declare_flags(p)
     return parser, sub.choices
 
 

@@ -10,6 +10,7 @@ alternating pi-panel sum); the two methods agreed to every printed digit at
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
@@ -122,6 +123,18 @@ def exponent_integral_linear(intercept: float, slope: float, theta: float,
             else (u2 - u1) * t ** intercept
     log_t = math.log(t)
     return (t ** (intercept + slope * u2) - t ** (intercept + slope * u1)) / (slope * log_t)
+
+
+def pieces_by_cells(af, u1: float, u2: float) -> list[tuple[float, float, float, float]]:
+    """``AlphaFunction.pieces`` as it stood when it read its cells through
+    numpy: [u1, u2] split at the breaks inside it, the midpoints formed as
+    one array 0.5 * (e[:-1] + e[1:]), and each cell's (c, m) found by a
+    bisect_right of its midpoint in the breaks."""
+    edges = sorted({float(u1), float(u2)} | {float(p) for p in af.breaks if u1 < p < u2})
+    e = np.asarray(edges)
+    idx = [bisect.bisect_right(af.breaks, x) for x in (0.5 * (e[:-1] + e[1:])).tolist()]
+    return list(zip(edges, edges[1:], [af.intercepts[i] for i in idx],
+                    [af.slopes[i] for i in idx]))
 
 
 def panel_power_sum(edges, values, theta: float) -> float:

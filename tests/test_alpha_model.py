@@ -40,6 +40,7 @@ from _oracles import (
     lf_exponent_bruteforce,
     modular_fresh_gk,
     panel_power_sum,
+    pieces_by_cells,
     pinned,
     quasinorm_bisection,
     quasinorm_fresh_gk,
@@ -103,6 +104,50 @@ class TestAlphaFunction:
         seg = af.segment(1)
         assert seg.domain == (0.0, 1.0)
         assert seg(0.25) == pytest.approx(af(1.25))
+
+
+# one exponent of every kind, on the unit interval and on a longer domain
+PIECE_EXPONENTS = {
+    "constant": AlphaFunction.constant(1.4),
+    "linear": AF_LINEAR,
+    "linear_on_0_3": AlphaFunction.linear(0.5, 0.4, domain=(0.0, 3.0)),
+    "piecewise": AF_STEP,
+    "piecewise_linear": AlphaFunction.piecewise_linear((0.3, 0.65), (1.1, 1.6, 0.5),
+                                                       (0.4, 0.0, 1.3)),
+    "plateau": plateau_identity_alpha(1.8),
+    "table49": AF_TABLE49,
+    "table_on_minus1_2": AlphaFunction.from_table([0.7, 1.9, 1.1], domain=(-1.0, 2.0)),
+}
+
+
+def _piece_intervals(af):
+    """The whole domain, random sub-intervals, intervals that start or end
+    on a break (or both), and empty ones, on a break and off it."""
+    t0, t1 = af.domain
+    rng = random.Random(26)
+    spans = [(t0, t1)] + [tuple(sorted(rng.uniform(t0, t1) for _ in range(2)))
+                          for _ in range(20)]
+    for p in af.breaks:
+        spans += [(p, t1), (t0, p), (p, p), (p, min(p + 1e-13, t1))]
+    spans += list(zip(af.breaks, af.breaks[1:])) + list(zip(af.breaks, af.breaks[2:]))
+    return spans + [(t0, t0), (t1, t1), (0.5 * (t0 + t1),) * 2]
+
+
+class TestPiecesBits:
+    @pytest.mark.parametrize("name", sorted(PIECE_EXPONENTS))
+    def test_same_cells_as_the_numpy_midpoints(self, name):
+        # pieces works in Python floats; the cells it gives, their ends and
+        # their coefficients keep every bit of the numpy form it replaced
+        af = PIECE_EXPONENTS[name]
+        for u1, u2 in _piece_intervals(af):
+            got = af.pieces(u1, u2)
+            want = pieces_by_cells(af, u1, u2)
+            assert [tuple(map(float.hex, cell)) for cell in got] == \
+                [tuple(map(float.hex, cell)) for cell in want], (u1, u2)
+            assert all(type(v) is float for cell in got for v in cell)
+
+    def test_an_empty_interval_has_no_cells(self):
+        assert AF_STEP.pieces(0.5, 0.5) == [] and AF_LINEAR.pieces(0.3, 0.3) == []
 
 
 class TestPlateauIdentityExponent:
@@ -263,11 +308,15 @@ class TestNaiveSchemeExponent:
         # three sloped cells past the plateau
         (plateau_identity_alpha(1.8), 0.9 + 3e-6, 1.3, 20),
         (AF_TABLE49, 0.83, 2.2, 18),
+        # one sloped piece over 2^18 cells: sixteen full blocks of 2^14, and
+        # at u = 0.9 fourteen full blocks and a partial one
+        (AF_LINEAR, 1.0, 1.3, 18), (AF_LINEAR, 0.9, 0.7, 18),
     ])
     def test_same_bits_as_one_pass_sum(self, af, u, theta, n):
-        # the piecewise sum (one term per flat piece, blocks on sloped ones)
-        # against the whole-array form it replaced; it holds on every SIMD
-        # dispatch of np.power, where pinned values need not
+        # the piecewise sum (one term per flat piece, blocks on sloped ones,
+        # array bases) against the whole-array form it replaced, whose bases
+        # are broadcast scalars; it holds on every SIMD dispatch of
+        # np.power, where pinned values need not
         alphas = af(_cell_times(2 ** n, 1, grid_index(n, u)))
         want = np.sum(abs(theta) ** alphas * (2.0 ** -n) ** (alphas / af(u)))
         assert np.float64(lf_n_exponent(af, u, theta, n)).tobytes() == want.tobytes()

@@ -127,6 +127,72 @@ class TestUsageErrors:
         assert captured.out == "" and "cannot allocate" in captured.err
 
 
+# each command's flags in the order its help lists them
+COMMAND_FLAGS = {
+    "simulate": ["--help", "--config", "--out", "--seed", "--alpha", "--plot", "--scheme",
+                 "--n", "--ensemble", "--nested", "--d", "--levels", "--mesh-level",
+                 "--weight", "--n-terms"],
+    "verify": ["--help", "--config", "--out", "--seed", "--alpha", "--suite", "--n",
+               "--ensemble", "--tolerance"],
+    "norm": ["--help", "--config", "--out", "--alpha", "--table"],
+    "localize": ["--help", "--config", "--out", "--seed", "--alpha", "--plot", "--x", "--u",
+                 "--n", "--ensemble", "--r-list", "--tolerance"],
+    "condition7": ["--help", "--config", "--out", "--alpha", "--threshold", "--x-points",
+                   "--lags"],
+    "example1": ["--help", "--config", "--out", "--plot", "--b", "--u", "--theta", "--n-min",
+                 "--n-max"],
+}
+COMMANDS = tuple(COMMAND_FLAGS)
+
+
+def declared(argv, command):
+    """The help text of ``command`` and each of its actions' option strings,
+    dest, default, type, choices and help, as ``_build_parser(argv)``
+    declares them."""
+    sub = cli._build_parser(argv)[1][command]
+    return sub.format_help(), [(a.option_strings, a.dest, a.default, a.type, a.choices, a.help)
+                               for a in sub._actions]
+
+
+class TestParser:
+    """Flags are declared only for the command argv[0] names; every parser a
+    user reaches is the one that declaring all six commands builds."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_command_declares_what_all_six_do(self, command):
+        assert declared([command], command) == declared([], command)
+        assert declared(["bogus"], command) == declared([], command)
+        assert [flags[-1] for flags, *_ in declared([command], command)[1]] == \
+            COMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_command_parses_as_all_six_do(self, command):
+        one = cli._build_parser([command])[0].parse_args([command])
+        assert one == cli._build_parser([])[0].parse_args([command])
+        assert one.func is getattr(cli, f"_cmd_{command}")
+
+    def test_the_other_commands_get_only_help(self):
+        for command in COMMANDS[1:]:
+            assert [a.dest for a in cli._build_parser(["simulate"])[1][command]._actions] == \
+                ["help"]
+
+    @pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in COMMANDS)])
+    def test_help_exits_0(self, argv, capsys):
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: {' '.join(['mslevy', *argv[:-1]])} ")
+        if len(argv) == 1:
+            assert all(command in out for command in COMMANDS)
+        else:
+            assert "--config" in out and "--out" in out
+
+    def test_an_unknown_command_exits_2_naming_all_six(self, capsys):
+        assert run(["bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'bogus'" in captured.err
+        assert all(repr(command) in captured.err for command in COMMANDS)
+
+
 class TestSimulate:
     def test_stdout_layout_and_determinism(self, capsys):
         assert run(["simulate", "--scheme", "li", "--n", "4", "--seed", "9"]) == 0

@@ -12,7 +12,8 @@ import pytest
 
 from mslevy import RandomStream, StableParams
 from mslevy.alpha_model import (AlphaFunction, IntegrandFunction, check_condition7,
-                                exponent_integral, lf_n_exponent, li_cf, modular_integral)
+                                exponent_integral, integral_cf, lf_n_exponent, li_cf,
+                                modular_integral)
 from mslevy.continuous_paths import (
     ContinuousStableConfig,
     max_deviation_probability,
@@ -113,6 +114,9 @@ NON_FINITE_CALLS = {
         lambda: IntegrandFunction.from_table([1.0, 2.0]).scaled(math.inf),
     "exponent_integral.theta": lambda: exponent_integral(AF, NAN, 0.0, 1.0),
     "li_cf.thetas": lambda: li_cf(AF, [0.5], [NAN]),
+    # a theta at time 0 multiplies no cell, yet the CF must not drop it
+    "li_cf.theta_at_time_zero": lambda: li_cf(AF, [0.0, 0.5], [NAN, 1.0]),
+    "integral_cf.thetas": lambda: integral_cf([IntegrandFunction.indicator(0.0, 0.5)], [NAN], AF),
     "lf_n_exponent.theta": lambda: lf_n_exponent(AF, 0.5, NAN, 4),
     "check_condition7.x": lambda: check_condition7(AF, [0.1, NAN, 0.5], [0.25]),
     "billingsley_bound.lam": lambda: billingsley_bound(lambda t: math.exp(-abs(t)), NAN),
@@ -200,6 +204,14 @@ EMPTY_CALLS = {
 @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
 def test_non_finite_input_is_rejected(name):
     with pytest.raises((ParameterError, DomainError)):
+        NON_FINITE_CALLS[name]()
+
+
+@pytest.mark.parametrize("name", ["li_cf.thetas", "li_cf.theta_at_time_zero",
+                                  "integral_cf.thetas"])
+def test_a_nan_theta_is_named(name):
+    # a usage error naming theta, not a verdict on the integrand
+    with pytest.raises(ParameterError, match="theta"):
         NON_FINITE_CALLS[name]()
 
 
