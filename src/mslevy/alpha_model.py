@@ -35,8 +35,9 @@ _EDGE_TOL = 1e-12
 # Grid reads snap a time u up to u + _GRID_SNAP before finding its dyadic
 # cell, so that k/2^n computed with rounding error still reads cell k.
 _GRID_SNAP = 1e-12
-# lf_n_exponent forms its terms this many cells at a time, so that each
-# block's temporaries stay in cache.
+# lf_n_exponent forms and sums its terms in spans of at most this many
+# cells, so that each span's temporaries stay in cache and its memory does
+# not grow with the level.
 _TERM_BLOCK = 2 ** 14
 
 
@@ -70,6 +71,14 @@ def _piece_edges(af: AlphaFunction, m: int, first: int, count: int) -> list[int]
     cells = range(first, first + count)
     cuts = [bisect.bisect_left(cells, p, key=lambda j: _cell_time(j, m)) for p in af.breaks]
     return [0, *cuts, count]
+
+
+def _pairwise_half(size: int) -> int:
+    """Where np.sum's pairwise summation splits a contiguous span of more
+    than 128 float64 terms: at half its length, rounded down to a multiple
+    of 8 (numpy's pairwise_sum; a test holds np.sum to this rule)."""
+    half = size // 2
+    return half - half % 8
 
 
 def _cell_alphas(af: AlphaFunction, m: int, first: int, count: int) -> np.ndarray:
@@ -182,9 +191,17 @@ class AlphaFunction:
     # -- evaluation -------------------------------------------------------
 
     def __call__(self, u):
-        scalar = np.isscalar(u)
-        x = np.asarray(u, dtype=float)
         t0, t1 = self.domain
+        if np.isscalar(u):
+            # one point: the array path's check, clip, cell and c + m x in
+            # Python floats, with the same bits and without 0-d arrays
+            x = float(u)
+            if not t0 - _EDGE_TOL <= x <= t1 + _EDGE_TOL:
+                raise DomainError(f"argument outside exponent domain [{t0}, {t1}]")
+            x = min(max(x, t0), t1)
+            i = bisect.bisect_right(self.breaks, x)
+            return self.slopes[i] * x + self.intercepts[i]
+        x = np.asarray(u, dtype=float)
         if not np.all((x >= t0 - _EDGE_TOL) & (x <= t1 + _EDGE_TOL)):
             raise DomainError(f"argument outside exponent domain [{t0}, {t1}]")
         x = np.clip(x, t0, t1)
@@ -197,7 +214,7 @@ class AlphaFunction:
             out = x
             out *= self.slopes[0]
             out += self.intercepts[0]
-        return float(out) if scalar else out
+        return out
 
     # -- structure --------------------------------------------------------
 
@@ -384,6 +401,30 @@ def _check_interval(af: AlphaFunction, u1: float, u2: float) -> None:
         raise DomainError(f"need {t0} <= u1 <= u2 <= {t1}, got ({u1}, {u2})")
 
 
+def _check_theta(theta) -> float:
+    """theta as a float.  A NaN or infinite theta is a usage error: it would
+    give a NaN exponent, or an infinite one that no closed form forms."""
+    t = float(theta)
+    if not math.isfinite(t):
+        raise ParameterError(f"theta must be finite, got {t}")
+    return t
+
+
+def _theta_sums(th: list[float], compute: Callable):
+    """compute(), which adds up the finite thetas ``th``, with an overflow
+    of those sums named rather than passed on as an infinite theta.  numpy
+    is asked to raise on overflow (about 1 us) only when the sizes of the
+    thetas add up past the float range, the one case where their sums can
+    overflow."""
+    if not math.isinf(sum(map(abs, th))):
+        return compute()
+    try:
+        with np.errstate(over="raise"):
+            return compute()
+    except FloatingPointError:
+        raise ParameterError("a sum of the thetas overflows the float range") from None
+
+
 def _power_integral(v: float, c: float, m: float, lo: float, hi: float) -> float:
     """integral_lo^hi v^(c + m s) ds for v >= 0, in closed form.
 
@@ -412,9 +453,7 @@ def exponent_integral(af: AlphaFunction, theta: float, u1: float, u2: float) -> 
     """integral_{u1}^{u2} |theta|^alpha(s) ds, exact: a closed-form sum over
     the affine pieces of alpha.  |theta| = 1 short-circuits to u2 - u1."""
     _check_interval(af, u1, u2)
-    abs_t = abs(float(theta))
-    if math.isnan(abs_t):
-        raise ParameterError("theta must not be NaN")
+    abs_t = abs(_check_theta(theta))
     if u2 <= u1:
         return 0.0
     if abs_t == 1.0:
@@ -439,14 +478,13 @@ def li_cf(af: AlphaFunction, times: Sequence[float], thetas: Sequence[float]) ->
         return 1.0
     if not np.all((ts >= 0.0) & (ts <= t_end + _EDGE_TOL)):
         raise DomainError(f"evaluation times must lie in [0, {t_end}]")
-    th = np.asarray(thetas, dtype=float)
     # checked here, as a theta at time 0 reaches no cell's exponent integral
-    if np.isnan(th).any():
-        raise ParameterError("theta must not be NaN")
+    th = [_check_theta(t) for t in thetas]
     edges = sorted(set(ts.tolist()) | {0.0})
+    by_time = np.asarray(th)
+    coeffs = _theta_sums(th, lambda: [float(by_time[ts >= hi].sum()) for hi in edges[1:]])
     total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        coeff = float(th[ts >= hi].sum())
+    for lo, hi, coeff in zip(edges, edges[1:], coeffs):
         total += exponent_integral(af, coeff, lo, hi)
     return math.exp(-total)
 
@@ -459,13 +497,11 @@ def integral_cf(fs: Sequence[IntegrandFunction], thetas: Sequence[float],
         raise ParameterError("integrands and thetas must have equal length")
     if not fs:
         return 1.0
-    th = [float(t) for t in thetas]
-    if any(map(math.isnan, th)):
-        raise ParameterError("theta must not be NaN")
+    th = [_check_theta(t) for t in thetas]
     g = IntegrandFunction(lambda x: sum(t * f._values(x) for t, f in zip(th, fs)),
                           [p for f in fs for p in f.breakpoints],
                           steps=all(f.steps for f in fs))
-    total = modular_integral(g, af)
+    total = _theta_sums(th, lambda: modular_integral(g, af))
     if not math.isfinite(total):
         raise DomainError("the combined integrand is not integrable under this exponent")
     return math.exp(-total)
@@ -510,38 +546,62 @@ def lf_n_exponent(af: AlphaFunction, u: float, theta: float, n: int) -> float:
     if u > 1.0 + _EDGE_TOL:
         raise DomainError(f"the field-based scheme lives on [0, 1], got u = {u}")
     count = grid_index(n, u)
-    abs_t = abs(float(theta))
-    if math.isnan(abs_t):
-        raise ParameterError("theta must not be NaN")
+    abs_t = abs(_check_theta(theta))
     if count == 0 or abs_t == 0.0:
         return 0.0
     alpha_u = af(u)
+    m = 2 ** n
     # the bases |theta| and 2^-n as arrays, sliced to each block: numpy's
     # AVX-512 power loop reads a broadcast scalar operand by gather, about
     # twice the cost of a contiguous one, and both forms give the same bits
     bases = np.full((2, min(count, _TERM_BLOCK)), [[abs_t], [2.0 ** -n]])
+    block = np.empty(min(count, _TERM_BLOCK))
 
-    def form(block, alphas):
+    def form(terms, alphas):
         size = alphas.size
-        np.power(bases[0, :size], alphas, out=block)
+        np.power(bases[0, :size], alphas, out=terms)
         alphas /= alpha_u
-        block *= np.power(bases[1, :size], alphas, out=alphas)
+        terms *= np.power(bases[1, :size], alphas, out=alphas)
 
-    # a flat piece shares one alpha, so its term is formed once, by the same
-    # calls on one cell; a sloped piece forms its terms a block at a time,
-    # while the block's cells sit in cache.  One sum over all terms keeps
-    # numpy's pairwise tree, and with it the bits
-    terms = np.empty(count)
-    edges = _piece_edges(af, 2 ** n, 1, count)
-    for lo, hi, c, slope in zip(edges, edges[1:], af.intercepts, af.slopes):
-        if slope != 0.0:
-            for start in range(lo, hi, _TERM_BLOCK):
-                alphas = _cell_alphas(af, 2 ** n, 1 + start, min(_TERM_BLOCK, hi - start))
-                form(terms[start:start + alphas.size], alphas)
-        elif lo < hi:
-            form(terms[lo:lo + 1], np.full(1, c))
-            terms[lo + 1:hi] = terms[lo]
-    return float(np.sum(terms))
+    def span_sum(lo, hi):
+        # a flat piece shares one alpha, so its term is formed once, by the
+        # same calls on one cell; a sloped piece forms its terms in place.
+        # Only the pieces that meet [lo, hi) are visited
+        for j in range(bisect.bisect_right(edges, lo) - 1, bisect.bisect_left(edges, hi)):
+            a, b = max(edges[j], lo), min(edges[j + 1], hi)
+            if a >= b:
+                continue
+            terms = block[a - lo:b - lo]
+            if af.slopes[j] != 0.0:
+                form(terms, _cell_alphas(af, m, 1 + a, b - a))
+            else:
+                form(terms[:1], np.full(1, af.intercepts[j]))
+                terms[1:] = terms[0]
+        return np.sum(block[:hi - lo])
+
+    edges = _piece_edges(af, m, 1, count)
+    flat = {}  # (piece, span length) -> sum of a span inside that flat piece
+
+    def walk(lo, size):
+        # the sum of terms lo ... lo + size - 1 with the bits of np.sum over
+        # all the terms at once: the walk splits each span as np.sum's
+        # pairwise tree does, down to spans of one block, which np.sum
+        # adds.  A span inside a flat piece repeats one term, so its sum
+        # depends only on the piece and the length
+        j = bisect.bisect_right(edges, lo) - 1
+        key = (j, size) if lo + size <= edges[j + 1] and af.slopes[j] == 0.0 else None
+        if key in flat:
+            return flat[key]
+        if size > _TERM_BLOCK:
+            half = _pairwise_half(size)
+            total = walk(lo, half) + walk(lo + half, size - half)
+        else:
+            total = span_sum(lo, lo + size)
+        if key:
+            flat[key] = total
+        return total
+
+    return float(walk(0, count))
 
 
 # ---------------------------------------------------------------------------
@@ -702,24 +762,28 @@ def check_condition7(af: AlphaFunction, x_grid, t_grid,
     ``t_grid`` must be strictly decreasing lags in (0, 1); the verdict keys
     off the value at the smallest lag (convention: satisfied below
     ``threshold``, violated when the sequence grows above it instead).
+    Probe points must lie in the exponent's domain; alpha is read there
+    once, and each lag uses the points x with x + t still inside it.
     """
     xs = np.asarray(x_grid, dtype=float)
     ts = np.asarray(t_grid, dtype=float)
-    if np.isnan(xs).any():
-        raise DomainError("probe points must not be NaN")
+    t0, t1 = af.domain
+    if not np.all((xs >= t0 - _EDGE_TOL) & (xs <= t1 + _EDGE_TOL)):
+        raise DomainError(f"probe points must lie in the exponent domain [{t0}, {t1}]")
     if not (ts.size and np.all((ts > 0.0) & (ts < 1.0))):
         raise DomainError("lags must lie in (0, 1)")
     if not np.all(np.diff(ts) < 0.0):
         raise DomainError("lags must be strictly decreasing")
     if not threshold > 0.0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
-    t0, t1 = af.domain
+    alphas = af(xs)
     values = []
     for t in ts:
-        valid = xs[(xs >= t0) & (xs + t <= t1 + _EDGE_TOL)]
-        if valid.size == 0:
+        valid = (xs >= t0) & (xs + t <= t1 + _EDGE_TOL)
+        if not valid.any():
             raise DomainError(f"no probe point x with x + {t} inside the domain")
-        osc = np.abs((af(valid) - af(np.minimum(valid + t, t1))) * math.log(t))
+        shifted = af(np.minimum(xs[valid] + t, t1))
+        osc = np.abs((alphas[valid] - shifted) * math.log(t))
         values.append(float(np.max(osc)))
     if values[-1] <= threshold:
         verdict = "satisfied"

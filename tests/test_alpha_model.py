@@ -7,6 +7,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,12 @@ AF_STEP = AlphaFunction.piecewise(breaks=(0.5,), values=(1.2, 1.8))
 TABLE49_VALUES = [1.0 + 0.8 * (i % 2) for i in range(49)]
 AF_TABLE49 = AlphaFunction.from_table(TABLE49_VALUES)
 THETAS = np.linspace(-3.0, 3.0, 61).tolist()
+AF_TABLE7 = AlphaFunction.from_table([1.3, 0.7, 1.9, 1.1, 1.5, 0.9, 1.7])
+AF_FLAT_SLOPED_FLAT = AlphaFunction.piecewise_linear((0.1, 0.2), (1.4, 0.8, 1.7), (0.0, 4.5, 0.0))
+# level-17 term counts just below, at and above multiples of 2^14 and of 8,
+# where np.sum's pairwise tree changes shape
+WALK_COUNTS = (2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 3 * 2 ** 14 - 1, 3 * 2 ** 14 + 1,
+               2 ** 15 + 8 * 37 - 1, 2 ** 15 + 8 * 37 + 1, 5 * 2 ** 14 + 7, 2 ** 17 - 1)
 
 
 class TestAlphaFunction:
@@ -118,6 +125,62 @@ PIECE_EXPONENTS = {
     "table49": AF_TABLE49,
     "table_on_minus1_2": AlphaFunction.from_table([0.7, 1.9, 1.1], domain=(-1.0, 2.0)),
 }
+
+
+def _scalar_points(af):
+    """Breaks and their float neighbours, both domain ends and 1e-13 past
+    them, -0.0 where the domain holds it, and random interior points."""
+    t0, t1 = af.domain
+    rng = random.Random(27)
+    points = [t0, t1, t0 - 1e-13, t1 + 1e-13, t0 + 1e-13, t1 - 1e-13,
+              *(rng.uniform(t0, t1) for _ in range(200))]
+    for p in af.breaks:
+        points += [p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf), p - 1e-13]
+    return points + ([-0.0] if t0 - 1e-12 <= 0.0 <= t1 + 1e-12 else [])
+
+
+class TestScalarCall:
+    @pytest.mark.parametrize("name", sorted(PIECE_EXPONENTS))
+    def test_same_bits_as_the_array_path(self, name):
+        # a float takes bisect and c + m x in Python floats; every value
+        # keeps the bits of the same point read through an array
+        af = PIECE_EXPONENTS[name]
+        points = _scalar_points(af)
+        want = af(np.array(points))
+        for x, w in zip(points, want.tolist()):
+            for arg in (x, np.float64(x)):
+                got = af(arg)
+                assert type(got) is float and got.hex() == w.hex(), (x, type(arg))
+
+    @pytest.mark.parametrize("name", sorted(PIECE_EXPONENTS))
+    def test_every_real_scalar_takes_the_scalar_path(self, name):
+        # ints, bools and numpy integers too: a Python float with the bits
+        # of the array path; a 0-d array stays on the array path
+        af = PIECE_EXPONENTS[name]
+        t0, t1 = af.domain
+        ints = list(range(math.ceil(t0), math.floor(t1) + 1))
+        for arg in [*ints, *map(np.int64, ints), *(b for b in (False, True) if t0 <= b <= t1)]:
+            got = af(arg)
+            assert type(got) is float
+            assert got.hex() == af(np.array([arg], dtype=float))[0].hex(), arg
+        mid = np.array(0.5 * (t0 + t1))
+        assert isinstance(af(mid), np.floating) and af(mid) == af(float(mid))
+
+    @pytest.mark.parametrize("name", sorted(PIECE_EXPONENTS))
+    def test_points_past_the_tolerance_are_rejected_on_both_paths(self, name):
+        af = PIECE_EXPONENTS[name]
+        t0, t1 = af.domain
+        for x in (t0 - 1e-11, t1 + 1e-11, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="outside exponent domain"):
+                af(x)
+            with pytest.raises(DomainError, match="outside exponent domain"):
+                af(np.float64(x))
+            with pytest.raises(DomainError, match="outside exponent domain"):
+                af(np.array([x]))
+
+    def test_a_float32_reads_its_double(self):
+        x = np.float32(0.37)
+        assert AF_LINEAR(x) == AF_LINEAR(np.array([x], dtype=np.float64))[0]
 
 
 def _piece_intervals(af):
@@ -311,15 +374,60 @@ class TestNaiveSchemeExponent:
         # one sloped piece over 2^18 cells: sixteen full blocks of 2^14, and
         # at u = 0.9 fourteen full blocks and a partial one
         (AF_LINEAR, 1.0, 1.3, 18), (AF_LINEAR, 0.9, 0.7, 18),
-    ])
+        # seven table cells of 2^19 / 7 terms each: all but at most six of
+        # the block-sized spans lie inside one cell
+        (AF_TABLE7, 0.97, 1.6, 19),
+        # 3,000 table cells of about 87 terms: every block-sized span meets
+        # about 190 of them, and no span lies inside one
+        (AlphaFunction.from_table([1.0 + 0.9 * ((7 * i) % 11) / 10 for i in range(3000)]),
+         0.97, 1.2, 18),
+        # flat, sloped, flat: the walk meets a sloped piece between two
+        # runs of repeated terms
+        (AF_FLAT_SLOPED_FLAT, 0.99, 0.8, 19),
+        # one flat piece of 2^20 terms: only the flat sums, one per length
+        (AlphaFunction.constant(1.4), 1.0, 0.8, 20),
+        # count = 2^20 - 3, just below a multiple of 8 and of 2^14
+        (plateau_identity_alpha(1.8), 1.0 - 3 * 2.0 ** -20, 1.3, 20),
+    ] + [(af, count * 2.0 ** -17, theta, 17)
+         for af, theta in ((AF_TABLE7, 1.4), (AF_FLAT_SLOPED_FLAT, 0.6))
+         for count in WALK_COUNTS])
     def test_same_bits_as_one_pass_sum(self, af, u, theta, n):
-        # the piecewise sum (one term per flat piece, blocks on sloped ones,
-        # array bases) against the whole-array form it replaced, whose bases
-        # are broadcast scalars; it holds on every SIMD dispatch of
-        # np.power, where pinned values need not
+        # the walk over np.sum's pairwise tree (one term per flat piece,
+        # blocks on sloped ones, array bases) against np.sum over every term
+        # at once, whose bases are broadcast scalars; it holds on every SIMD
+        # dispatch of np.power, where pinned values need not
         alphas = af(_cell_times(2 ** n, 1, grid_index(n, u)))
         want = np.sum(abs(theta) ** alphas * (2.0 ** -n) ** (alphas / af(u)))
         assert np.float64(lf_n_exponent(af, u, theta, n)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [2 ** 14 + 1, 2 ** 14 + 7, 2 ** 15 - 1, 3 * 2 ** 14 + 5,
+                                      100003, 2 ** 17 + 8, 2 ** 20 - 1, 2 ** 20 + 7])
+    def test_np_sum_splits_where_the_walk_does(self, size):
+        # lf_n_exponent matches np.sum's bits only while np.sum adds a
+        # contiguous float64 array by numpy's pairwise rule; a numpy release
+        # that changes the rule fails here, before any pinned value moves
+        def walk(xs):
+            if xs.size <= alpha_model._TERM_BLOCK:
+                return np.sum(xs)
+            half = alpha_model._pairwise_half(xs.size)
+            return walk(xs[:half]) + walk(xs[half:])
+
+        rng = np.random.default_rng(size)
+        xs = rng.standard_normal(size) * np.exp(rng.uniform(-20.0, 20.0, size))
+        assert walk(xs).tobytes() == np.sum(xs).tobytes(), (
+            "np.sum no longer splits a span of n > 128 terms at n // 2 - (n // 2) % 8 "
+            "(numpy's pairwise_sum); lf_n_exponent's walk must follow the new rule")
+
+    def test_memory_does_not_grow_with_the_level(self):
+        # 3,984,588 terms, none of them held at once: a few block-sized
+        # arrays, where a materialised sum would hold 32 MB
+        tracemalloc.start()
+        try:
+            lf_n_exponent(plateau_identity_alpha(1.8), 0.95, 1.0, 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_u_past_one_is_rejected(self):
         # the dyadic cells stop at 1, also for an exponent defined beyond it
@@ -894,3 +1002,29 @@ class TestLocalVariationCheck:
         xs = np.union1d(self.X_GRID, [0.5 - lag / 2.0 for lag in self.DEEP_LAGS])
         report = check_condition7(AF_STEP, xs, self.DEEP_LAGS)
         assert report.verdict == "violated"
+
+    @pytest.mark.parametrize("bad", [-0.5, 1.5, 1.0 + 1e-11])
+    def test_a_probe_point_outside_the_domain_is_rejected(self, bad):
+        # a usage error, as a NaN point is, not a point to drop
+        with pytest.raises(DomainError, match="probe points"):
+            check_condition7(AF_LINEAR, [bad, 0.2, 0.5], [0.25])
+
+    @pytest.mark.parametrize("name", sorted(PIECE_EXPONENTS))
+    def test_values_keep_the_bits_of_one_read_per_lag(self, name):
+        # alpha at the probe points is read once; each lag still drops the
+        # points whose x + t leaves the domain, and every value keeps the
+        # bits of reading alpha at the kept points lag by lag
+        af = PIECE_EXPONENTS[name]
+        t0, t1 = af.domain
+        xs = np.concatenate([np.linspace(t0, t1, 97), af.breaks, [t0 - 1e-13, t1 + 1e-13]])
+        lags = (0.75, 0.5, 0.25, 0.03, 2.0 ** -10, 1e-12)
+        want = []
+        for t in lags:
+            kept = xs[(xs >= t0) & (xs + t <= t1 + 1e-12)]
+            want.append(float(np.max(np.abs((af(kept) - af(np.minimum(kept + t, t1)))
+                                            * math.log(t)))))
+        assert check_condition7(af, xs, lags).values == tuple(want)
+
+    def test_a_lag_past_every_point_is_named(self):
+        with pytest.raises(DomainError, match="no probe point"):
+            check_condition7(AF_LINEAR, [0.8, 0.9], [0.5])

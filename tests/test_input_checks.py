@@ -118,7 +118,16 @@ NON_FINITE_CALLS = {
     "li_cf.theta_at_time_zero": lambda: li_cf(AF, [0.0, 0.5], [NAN, 1.0]),
     "integral_cf.thetas": lambda: integral_cf([IntegrandFunction.indicator(0.0, 0.5)], [NAN], AF),
     "lf_n_exponent.theta": lambda: lf_n_exponent(AF, 0.5, NAN, 4),
+    # an infinite theta: its exponent would be NaN or infinite, not a CF
+    "exponent_integral.theta_inf": lambda: exponent_integral(AF, math.inf, 0.0, 1.0),
+    "li_cf.thetas_inf": lambda: li_cf(AF, [0.5], [math.inf]),
+    "li_cf.theta_minus_inf_at_time_zero": lambda: li_cf(AF, [0.0, 0.5], [-math.inf, 1.0]),
+    "integral_cf.thetas_inf":
+        lambda: integral_cf([IntegrandFunction.indicator(0.0, 0.5)], [math.inf], AF),
+    "lf_n_exponent.theta_inf": lambda: lf_n_exponent(AF, 0.5, math.inf, 4),
     "check_condition7.x": lambda: check_condition7(AF, [0.1, NAN, 0.5], [0.25]),
+    "check_condition7.x_below_domain": lambda: check_condition7(AF, [-0.5, 0.2, 0.5], [0.25]),
+    "check_condition7.x_past_domain": lambda: check_condition7(AF, [1.5, 0.2, 0.5], [0.25]),
     "billingsley_bound.lam": lambda: billingsley_bound(lambda t: math.exp(-abs(t)), NAN),
     "hoelder_tail_constant.x": lambda: hoelder_tail_constant(1.0, 1.0, 1.5, NAN),
     "hoelder_bound_check.C": lambda: hoelder_bound_check(
@@ -208,11 +217,38 @@ def test_non_finite_input_is_rejected(name):
 
 
 @pytest.mark.parametrize("name", ["li_cf.thetas", "li_cf.theta_at_time_zero",
-                                  "integral_cf.thetas"])
+                                  "integral_cf.thetas", "exponent_integral.theta_inf",
+                                  "li_cf.thetas_inf", "li_cf.theta_minus_inf_at_time_zero",
+                                  "integral_cf.thetas_inf", "lf_n_exponent.theta_inf"])
 def test_a_nan_theta_is_named(name):
-    # a usage error naming theta, not a verdict on the integrand
+    # a usage error naming theta (NaN or infinite), not a verdict on the
+    # integrand
     with pytest.raises(ParameterError, match="theta"):
         NON_FINITE_CALLS[name]()
+
+
+# finite thetas whose sum, a CF's coefficient, overflows the float range
+OVERFLOWING_THETA_SUMS = {
+    "li_cf": lambda: li_cf(AF, [0.5, 0.5], [1e308, 1e308]),
+    "li_cf.negative": lambda: li_cf(AF, [0.25, 0.5], [-1e308, -1e308]),
+    "integral_cf": lambda: integral_cf([IntegrandFunction.indicator(0.0, 0.5)] * 2,
+                                       [1e308, 1e308], AF),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_THETA_SUMS))
+def test_an_overflowing_theta_sum_is_named(name):
+    # named as the overflow it is, not as an infinite theta nobody passed
+    with pytest.raises(ParameterError, match="sum of the thetas overflows"):
+        OVERFLOWING_THETA_SUMS[name]()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_thetas_whose_sums_stay_finite_are_kept():
+    # the sizes add up past the float range, but no coefficient does
+    assert li_cf(AF, [0.5, 1.0], [1e308, -1e308]) == 0.0
+    assert integral_cf([IntegrandFunction.indicator(0.0, 0.5)] * 2, [1e308, -1e308], AF) == 1.0
 
 
 @pytest.mark.parametrize("name", sorted(EMPTY_CALLS))
