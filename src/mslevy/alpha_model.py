@@ -73,6 +73,17 @@ def _piece_edges(af: AlphaFunction, m: int, first: int, count: int) -> list[int]
     return [0, *cuts, count]
 
 
+def _left_sum(values) -> float:
+    """The floats ``values`` added left to right from 0.0: the bits of
+    builtin sum() on Python 3.10 and 3.11, where 3.12 made sum() compensated.
+    A plain loop, about as fast as sum() on a few terms, where
+    functools.reduce(operator.add, ...) takes 40% longer."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _pairwise_half(size: int) -> int:
     """Where np.sum's pairwise summation splits a contiguous span of more
     than 128 float64 terms: at half its length, rounded down to a multiple
@@ -411,12 +422,13 @@ def _check_theta(theta) -> float:
 
 
 def _theta_sums(th: list[float], compute: Callable):
-    """compute(), which adds up the finite thetas ``th``, with an overflow
-    of those sums named rather than passed on as an infinite theta.  numpy
+    """compute(), which adds up the finite thetas ``th`` in numpy, with an
+    overflow of those sums named rather than passed on as an infinite theta
+    (``li_cf`` names its own, from the sums it forms).  numpy
     is asked to raise on overflow (about 1 us) only when the sizes of the
     thetas add up past the float range, the one case where their sums can
     overflow."""
-    if not math.isinf(sum(map(abs, th))):
+    if not math.isinf(_left_sum(map(abs, th))):
         return compute()
     try:
         with np.errstate(over="raise"):
@@ -458,7 +470,7 @@ def exponent_integral(af: AlphaFunction, theta: float, u1: float, u2: float) -> 
         return 0.0
     if abs_t == 1.0:
         return u2 - u1
-    return sum(_power_integral(abs_t, c, m, lo, hi) for lo, hi, c, m in af.pieces(u1, u2))
+    return _left_sum(_power_integral(abs_t, c, m, lo, hi) for lo, hi, c, m in af.pieces(u1, u2))
 
 
 def li_cf(af: AlphaFunction, times: Sequence[float], thetas: Sequence[float]) -> float:
@@ -466,23 +478,32 @@ def li_cf(af: AlphaFunction, times: Sequence[float], thetas: Sequence[float]) ->
 
     Evaluates exp(-integral_0^1 |sum_j theta_j 1_[0, t_j](s)|^alpha(s) ds),
     splitting the integral at the (sorted) evaluation times where the inner
-    step function changes value.
+    step function changes value.  Each cell's coefficient is np.sum of the
+    thetas at or after it, formed in Python floats below 8 thetas, where
+    np.sum adds left to right from 0.0 too, and by numpy masks from 8 on.
     """
     if len(times) != len(thetas):
         raise ParameterError("times and thetas must have equal length")
     if af.domain[0] != 0.0:
         raise ParameterError("the limiting motion starts at 0; exponent domain must too")
     t_end = af.domain[1]
-    ts = np.asarray(times, dtype=float)
-    if ts.size == 0:
+    ts = [float(t) for t in times]
+    if not ts:
         return 1.0
-    if not np.all((ts >= 0.0) & (ts <= t_end + _EDGE_TOL)):
+    if not all(0.0 <= t <= t_end + _EDGE_TOL for t in ts):
         raise DomainError(f"evaluation times must lie in [0, {t_end}]")
     # checked here, as a theta at time 0 reaches no cell's exponent integral
     th = [_check_theta(t) for t in thetas]
-    edges = sorted(set(ts.tolist()) | {0.0})
-    by_time = np.asarray(th)
-    coeffs = _theta_sums(th, lambda: [float(by_time[ts >= hi].sum()) for hi in edges[1:]])
+    edges = sorted({*ts, 0.0})
+    if len(th) < 8:
+        coeffs = [_left_sum([t for s, t in zip(ts, th) if s >= hi]) for hi in edges[1:]]
+    else:
+        at, by_time = np.asarray(ts), np.asarray(th)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = [float(by_time[at >= hi].sum()) for hi in edges[1:]]
+    # finite thetas have a non-finite sum only where an addition overflowed
+    if not all(map(math.isfinite, coeffs)):
+        raise ParameterError("a sum of the thetas overflows the float range")
     total = 0.0
     for lo, hi, coeff in zip(edges, edges[1:], coeffs):
         total += exponent_integral(af, coeff, lo, hi)
@@ -647,7 +668,8 @@ def _modular(f: IntegrandFunction, af: AlphaFunction) -> Callable[[float], float
 
     def step_modular(lam: float) -> float:
         vs = (abs_f / lam).tolist()
-        return sum(_power_integral(v, c, m, lo, hi) for v, (lo, hi, c, m) in zip(vs, cells))
+        return _left_sum(_power_integral(v, c, m, lo, hi)
+                         for v, (lo, hi, c, m) in zip(vs, cells))
 
     step_modular.margin = 1e-12  # exact up to rounding
     return step_modular
@@ -763,9 +785,11 @@ def check_condition7(af: AlphaFunction, x_grid, t_grid,
     off the value at the smallest lag (convention: satisfied below
     ``threshold``, violated when the sequence grows above it instead).
     Probe points must lie in the exponent's domain; alpha is read there
-    once, and each lag uses the points x with x + t still inside it.
+    once, and each lag uses the points x with x + t still inside it.  The
+    lags are taken in blocks of about _TERM_BLOCK (lag, point) pairs, each
+    block one (lags x points) pass with a masked maximum per lag.
     """
-    xs = np.asarray(x_grid, dtype=float)
+    xs = np.ravel(np.asarray(x_grid, dtype=float))
     ts = np.asarray(t_grid, dtype=float)
     t0, t1 = af.domain
     if not np.all((xs >= t0 - _EDGE_TOL) & (xs <= t1 + _EDGE_TOL)):
@@ -776,15 +800,19 @@ def check_condition7(af: AlphaFunction, x_grid, t_grid,
         raise DomainError("lags must be strictly decreasing")
     if not threshold > 0.0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
-    alphas = af(xs)
+    alphas, inside = af(xs), xs >= t0
     values = []
-    for t in ts:
-        valid = (xs >= t0) & (xs + t <= t1 + _EDGE_TOL)
-        if not valid.any():
-            raise DomainError(f"no probe point x with x + {t} inside the domain")
-        shifted = af(np.minimum(xs[valid] + t, t1))
-        osc = np.abs((alphas[valid] - shifted) * math.log(t))
-        values.append(float(np.max(osc)))
+    step = max(1, _TERM_BLOCK // max(xs.size, 1))
+    for lags in (ts[i:i + step] for i in range(0, ts.size, step)):
+        shifted = xs + lags[:, None]
+        valid = inside & (shifted <= t1 + _EDGE_TOL)
+        empty = ~valid.any(axis=1)
+        if empty.any():
+            raise DomainError(f"no probe point x with x + {lags[empty.argmax()]} inside "
+                              "the domain")
+        logs = np.array([math.log(t) for t in lags.tolist()])
+        osc = np.abs((alphas - af(np.minimum(shifted, t1, out=shifted))) * logs[:, None])
+        values += np.max(osc, axis=1, where=valid, initial=-math.inf).tolist()
     if values[-1] <= threshold:
         verdict = "satisfied"
     elif values[-1] > max(values[0], threshold):

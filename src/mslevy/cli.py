@@ -699,20 +699,22 @@ _COMMANDS = {
 
 def _build_parser(argv: list) -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name; every flag carries its
-    built-in default here and nowhere else.  Every command gets a parser, so
-    help and the invalid-choice error name all six, but only the command
-    that argv[0] names gets its flags (all do when it names none): declaring
-    every flag took most of the run of a short command."""
+    built-in default here and nowhere else.  Only the command that argv[0]
+    names gets a parser (all six do when it names none or an unknown one):
+    building the other five took half the run of a short command.  The
+    one parser's metavar then names all six, so that every usage line and
+    error reads as it does with all six built."""
     parser = argparse.ArgumentParser(
         prog="mslevy",
         description="Simulate multistable Levy motions and verify their "
                     "distributional properties.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
-    for name, (help_text, declare_flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if named in (None, name):
-            declare_flags(p)
+    named = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(named) == 1 else None)
+    for name in named:
+        help_text, declare_flags = _COMMANDS[name]
+        declare_flags(sub.add_parser(name, help=help_text))
     return parser, sub.choices
 
 

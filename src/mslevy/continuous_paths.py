@@ -12,6 +12,7 @@ its tests rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,16 @@ class ContinuousStableConfig:
     def __post_init__(self) -> None:
         _check_alphas(self.alpha)
         object.__setattr__(self, "levels", _check_ints(self.levels, 0, None, "truncation level"))
-        if not self.d > 1.0 / self.alpha:
-            raise ParameterError(
-                f"continuous regime needs d > 1/alpha = {1.0 / self.alpha}, got d = {self.d}")
+        _check_decay(self.d, self.alpha)
+
+
+def _check_decay(d: float, alpha: float) -> None:
+    """The one check of the basis decay exponent against the smallest
+    stability index in play: d must be finite and exceed 1/alpha.  NaN and
+    +-inf fail (an infinite d gives 2^(-0 d) = NaN at level 0)."""
+    if not 1.0 / alpha < d < math.inf:
+        raise ParameterError(
+            f"continuous regime needs a finite d > 1/alpha = {1.0 / alpha}, got d = {d}")
 
 
 def triangle(t):
@@ -234,9 +242,7 @@ def _sn_cells(n: int, af: AlphaFunction, d: float, levels: int):
     if t0 != 0.0 or t1 < 1.0:
         raise ParameterError("the exponent function must cover [0, 1]")
     alphas = _cell_alphas(af, 2 ** n, 0, 2 ** n)
-    if not d > 1.0 / float(np.min(alphas)):
-        raise ParameterError(
-            f"continuous regime needs d > 1/alpha on every cell; d = {d} fails")
+    _check_decay(d, float(np.min(alphas)))
     return n, levels, alphas, (2.0 ** -n) ** (1.0 / alphas), _sigma_tilde_boundary(alphas, d, n)
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .alpha_model import (AlphaFunction, IntegrandFunction, _cells, _probe_grid,
+from .alpha_model import (AlphaFunction, IntegrandFunction, _cells, _left_sum, _probe_grid,
                           modular_integral, quasinorm)
 from .errors import DomainError, ParameterError, QuadratureError
 from .msl_schemes import _MAX_LEVEL, PathGrid, _grid_path, _weighted_sums
@@ -132,7 +132,7 @@ def overlap_measure(f1: IntegrandFunction, f2: IntegrandFunction) -> float:
     edges, mids = _cells(0.0, 1.0, (*f1.breakpoints, *f2.breakpoints))
     if f1.steps and f2.steps:
         hits = (f1(mids) * f2(mids) != 0.0).tolist()
-        return sum((hi - lo for lo, hi, hit in zip(edges, edges[1:], hits) if hit), 0.0)
+        return _left_sum(hi - lo for lo, hi, hit in zip(edges, edges[1:], hits) if hit)
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):
         scan = lo + (hi - lo) * (np.arange(_SCAN_PANELS) + 0.5) / _SCAN_PANELS

@@ -34,9 +34,12 @@ _WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204
 _WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
        0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 _NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_KRONROD = np.array(_WGK[:-1] + _WGK[::-1])
-_GAUSS = np.zeros(15)
-_GAUSS[1::2] = _WG + _WG[-2::-1]
+# the Kronrod weights over the Gauss weights (0 at the Kronrod-only nodes),
+# so that one product and one reduce give both sums of every cell
+_WEIGHTS = np.zeros((2, 1, 15))
+_WEIGHTS[0, 0] = _WGK[:-1] + _WGK[::-1]
+_WEIGHTS[1, 0, 1::2] = _WG + _WG[-2::-1]
+_KRONROD, _GAUSS = _WEIGHTS[:, 0]
 # A cell halved 40 times is 2^-40 of its panel, its 15 nodes a few
 # hundred ulps apart: further halving mostly resolves rounding
 _MAX_ROUNDS = 40
@@ -169,16 +172,23 @@ def gauss_kronrod(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, *,
         half, x = gk_nodes(lo, hi)
         fx = np.asarray(f(x.ravel()), dtype=float)
         fx = (np.broadcast_to(fx, x.size) if fx.size < x.size else fx).reshape(x.shape)
-        # add.reduce is the ufunc behind ndarray.sum, without its wrapper
-        kronrod = half * add(fx * _KRONROD, axis=1)
-        if not np.isfinite(kronrod).all():
+        # add.reduce is the ufunc behind ndarray.sum, without its wrapper.
+        # A non-finite f value meets a zero Gauss weight (NaN, not a warning)
+        # and gives a non-finite estimate, the first thing read of the sums
+        with np.errstate(invalid="ignore"):
+            sums = add(fx * _WEIGHTS, axis=2)
+            sums *= half
+            kronrod, gauss = sums
+            estimate = float(add(kronrod))
+        if not math.isfinite(estimate) and not np.isfinite(kronrod).all():
             return math.inf
-        estimate = float(add(kronrod))
         if rounds == 0:
-            scale = max(abs(estimate), float(add(half * add(np.abs(fx) * _KRONROD, axis=1))),
-                        1e-300)
+            # with f >= 0 at every node, the sum for |f| is the estimate
+            mass = estimate if fx.min() >= 0.0 else float(
+                add(half * add(np.abs(fx) * _KRONROD, axis=1)))
+            scale = max(abs(estimate), mass, 1e-300)
             tol = max(_DEFAULT_REL_TOL * scale, abs_tol)
-        err = np.abs(kronrod - half * add(fx * _GAUSS, axis=1))
+        err = np.abs(kronrod - gauss)
         if spent + float(add(err)) <= tol:
             return total + estimate
         # the share is formed first: tol * (hi - lo) would underflow to 0

@@ -36,7 +36,8 @@ _PHILOX_ROUNDS = 10
 # kernel has a fixed cost of about 600 us, the generators about 30 us plus
 # 7 us a stream, so for a read of 4 pairs a stream the two meet near 96
 # streams (1 stream: 609 against 36 us; 64: 658 against 475; 96: 704
-# against 696; 128: 713 against 914; 2-vCPU Xeon, numpy 2.4.6).
+# against 696; 128: 713 against 914; 2-vCPU Xeon, numpy 2.4.6), measured
+# with a 3 us re-key; _generators' 2 us re-key moves both up (not re-tuned).
 _KERNEL_MAX_PAIRS = 32
 _KERNEL_MIN_STREAMS = 96
 
@@ -229,14 +230,18 @@ def _uniform_pairs(stream: RandomStream, count: int, *path, block: int | None = 
 
 def _generators(seed: int, stream_ids: np.ndarray):
     """``RandomStream(seed, id).generator()`` for each id in turn, as one C
-    generator re-keyed per stream: 3 us a stream, where a fresh generator
-    takes 18 us (its unused SeedSequence reads os.urandom).  Each yielded
-    generator is the same object, valid until the next one is yielded."""
+    generator re-keyed per stream: about 2 us a stream, where a fresh
+    generator takes 18 us (its unused SeedSequence reads os.urandom).  The
+    state set is the fresh one's in Python ints, its key [seed, id] changed
+    in place.  Each yielded generator is the same object, valid until the
+    next one is yielded."""
     bits = np.random.Philox(key=RandomStream(seed)._key())
+    key = [seed & _MASK64, 0]
     gen = np.random.Generator(bits)
-    fresh = bits.state
+    fresh = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for sid in stream_ids.tolist():
-        fresh["state"]["key"] = RandomStream(seed, sid)._key()
+        key[1] = sid
         bits.state = fresh
         yield gen
 
@@ -400,9 +405,12 @@ def stable_cf(params: StableParams, theta) -> np.ndarray | complex:
     Returns exp(-sigma^alpha |theta|^alpha [1 - i beta sgn(theta)
     tan(pi alpha / 2)] + i mu theta) for alpha != 1 and the log-corrected
     form at alpha = 1; beta = 0 collapses to exp(-sigma^alpha|theta|^alpha).
+    A NaN or infinite theta raises ParameterError.
     """
     a, sigma, beta, mu = params.alpha, params.sigma, params.beta, params.mu
     th = np.asarray(theta, dtype=float)
+    if not np.isfinite(th).all():
+        raise ParameterError("theta must be finite")
     abs_th = np.abs(th)
     if abs(a - 1.0) < ALPHA_ONE_TOLERANCE:
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -20,7 +20,7 @@ import numpy as np
 from .alpha_model import AlphaFunction, exponent_integral, grid_index
 from .errors import GridResolutionError, ParameterError
 from .msl_schemes import _MAX_LEVEL, li_window_ensemble, marginal_ensemble
-from .stable_core import RandomStream, _check_ints
+from .stable_core import RandomStream, _check_alphas, _check_ints
 
 _CHUNK_ELEMENTS = 2_000_000
 
@@ -256,7 +256,9 @@ class TightnessReport:
 def tightness_bound_constant(gamma: float) -> float:
     """Each one-sided tail obeys P(|increment| >= lambda) <=
     (2^(gamma+1)/(gamma+1)) * lambda^(-gamma) * (interval length); the joint
-    bound is the product of the two independent sides."""
+    bound is the product of the two independent sides.  gamma is a
+    stability index, so it must lie in (0, 2]."""
+    _check_alphas(gamma)
     return 2.0 ** (gamma + 1.0) / (gamma + 1.0)
 
 

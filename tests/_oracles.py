@@ -262,6 +262,101 @@ def quasinorm_plain(modular, f) -> float:
     return 0.5 * (lo + hi)
 
 
+def li_cf_by_masks(af, times, thetas, exponent_integral) -> float:
+    """The limiting motion's joint CF as the package formed it with numpy:
+    the times as an array, each cell's coefficient one np.sum of the thetas
+    that a mask of the times picks (an overflow raises FloatingPointError),
+    and one ``exponent_integral`` (passed in) per cell."""
+    ts = np.asarray(times, dtype=float)
+    if ts.size == 0:
+        return 1.0
+    edges = sorted(set(ts.tolist()) | {0.0})
+    by_time = np.asarray([float(t) for t in thetas])
+    with np.errstate(over="raise"):
+        coeffs = [float(by_time[ts >= hi].sum()) for hi in edges[1:]]
+    total = 0.0
+    for lo, hi, coeff in zip(edges, edges[1:], coeffs):
+        total += exponent_integral(af, coeff, lo, hi)
+    return math.exp(-total)
+
+
+# QUADPACK's qk15 rule (Piessens et al., 1983): nodes on [-1, 1], Kronrod
+# weights, and Gauss weights that are 0 at the Kronrod-only nodes
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+GK_KRONROD = np.array(_WGK[:-1] + _WGK[::-1])
+GK_GAUSS = np.zeros(15)
+GK_GAUSS[1::2] = _WG + _WG[-2::-1]
+
+
+def gauss_kronrod_two_products(f, a: float, b: float, *, abs_tol: float = 0.0,
+                               breakpoints=()) -> float:
+    """The package's Gauss-Kronrod routine as it stood with one product and
+    one reduce per weight row, each round's Kronrod sums checked finite
+    before the estimate is formed, and the sum for |f| always formed in the
+    first round.  A miss raises ArithmeticError."""
+    if b == a:
+        return 0.0
+    edges = np.asarray(sorted({float(a), float(b)}
+                              | {float(p) for p in breakpoints if a < float(p) < b}))
+    lo, hi = edges[:-1], edges[1:]
+    width = b - a
+    tol = total = spent = 0.0
+    add = np.add.reduce
+    for rounds in range(41):
+        half = 0.5 * (hi - lo)
+        x = (lo + half)[:, None] + half[:, None] * GK_NODES
+        fx = np.asarray(f(x.ravel()), dtype=float)
+        fx = (np.broadcast_to(fx, x.size) if fx.size < x.size else fx).reshape(x.shape)
+        kronrod = half * add(fx * GK_KRONROD, axis=1)
+        if not np.isfinite(kronrod).all():
+            return math.inf
+        estimate = float(add(kronrod))
+        if rounds == 0:
+            scale = max(abs(estimate), float(add(half * add(np.abs(fx) * GK_KRONROD, axis=1))),
+                        1e-300)
+            tol = max(1e-10 * scale, abs_tol)
+        err = np.abs(kronrod - half * add(fx * GK_GAUSS, axis=1))
+        if spent + float(add(err)) <= tol:
+            return total + estimate
+        kept = err <= tol * ((hi - lo) / width)
+        total += float(add(kronrod[kept]))
+        spent += float(add(err[kept]))
+        lo, hi = lo[~kept], hi[~kept]
+        if rounds == 40 or lo.size > (1 << 14) // 2:
+            break
+        mid = lo + 0.5 * (hi - lo)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    raise ArithmeticError("Gauss-Kronrod missed its tolerance")
+
+
+def condition7_by_lag(af, x_grid, t_grid) -> list[float]:
+    """The condition-7 values as the package formed them lag by lag: alpha
+    read once at the probe points, then per lag the points with x + t inside
+    the domain kept, alpha read at their shifts and the maximum taken.  A
+    lag with no such point raises ValueError."""
+    xs = np.asarray(x_grid, dtype=float)
+    t0, t1 = af.domain
+    alphas = af(xs)
+    values = []
+    for t in np.asarray(t_grid, dtype=float):
+        valid = (xs >= t0) & (xs + t <= t1 + _EDGE_TOL)
+        if not valid.any():
+            raise ValueError(f"no probe point x with x + {t} inside the domain")
+        shifted = af(np.minimum(xs[valid] + t, t1))
+        values.append(float(np.max(np.abs((alphas[valid] - shifted) * math.log(t)))))
+    return values
+
+
 def average_ranks(v: np.ndarray) -> np.ndarray:
     """1-based ranks of v with ties sharing their mean rank, by a walk over
     the stably sorted values: the reference for the package's vectorised ranks."""

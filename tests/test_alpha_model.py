@@ -29,16 +29,19 @@ from mslevy import (
     strong_localisability_check,
 )
 from mslevy import alpha_model
-from mslevy.alpha_model import (_cell_alphas, _cell_time, _cell_times, _certified, _modular,
-                                _piece_edges, grid_index)
+from mslevy.alpha_model import (_cell_alphas, _cell_time, _cell_times, _certified, _cells,
+                                _left_sum, _modular, _piece_edges, _power_integral, grid_index)
 from mslevy.errors import DomainError, InfiniteQuasinormError, ParameterError, QuadratureError
+from mslevy.integrals import overlap_measure
 from mslevy.quadrature import adaptive_simpson, gauss_kronrod, gk_nodes
 
 from _oracles import (
     PerDispatch,
     cf_of_increment_brute,
+    condition7_by_lag,
     exponent_integral_linear,
     lf_exponent_bruteforce,
+    li_cf_by_masks,
     modular_fresh_gk,
     panel_power_sum,
     pieces_by_cells,
@@ -526,6 +529,121 @@ class TestLimitCharacteristicFunctions:
         got = integral_cf([f], [0.9], AF_LINEAR)
         want = math.exp(-modular_integral(f.scaled(0.9), AF_LINEAR))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _compensated(values) -> float:
+    """Neumaier's compensated sum, as builtin sum() adds floats from
+    Python 3.12 on."""
+    total = carry = 0.0
+    for v in values:
+        t = total + v
+        carry += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + carry
+
+
+def _in_order(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+AF_TABLE97 = AlphaFunction.from_table([0.3 + 1.6 * (i * 7919 % 97) / 97 for i in range(97)])
+
+
+class TestSumsOnEveryInterpreter:
+    """Float sums add left to right from 0.0, as builtin sum() does on
+    Python 3.10 and 3.11, whatever sum() does on the interpreter at hand.
+    Each case below is one where a compensated sum gives other bits."""
+
+    def test_left_sum(self):
+        assert _left_sum([1e16, 1.0, -1e16]) == 0.0 != _compensated([1e16, 1.0, -1e16])
+        assert _left_sum(iter(())) == 0.0 and _left_sum([-0.0]) == 0.0
+
+    def test_exponent_integral(self):
+        terms = [_power_integral(3.0, c, m, lo, hi) for lo, hi, c, m in AF_TABLE97.pieces(0.0, 1.0)]
+        got = exponent_integral(AF_TABLE97, 3.0, 0.0, 1.0)
+        assert got.hex() == _in_order(terms).hex() == "0x1.e18cb94578aebp+1"
+        assert _compensated(terms) != got
+
+    def test_step_modular(self):
+        f = IntegrandFunction.from_table([i * 31 % 17 / 3.0 + 0.1 for i in range(61)])
+        edges, mids = _cells(0.0, 1.0, (*AF_TABLE97.breaks, *f.breakpoints))
+        alphas = AF_TABLE97(mids).tolist()
+        terms = [_power_integral(v / 0.7, a, 0.0, lo, hi)
+                 for v, a, lo, hi in zip(f(mids).tolist(), alphas, edges, edges[1:])]
+        got = modular_integral(f, AF_TABLE97, 0.7)
+        assert got.hex() == _in_order(terms).hex()
+        assert _compensated(terms) != got
+
+    def test_overlap_measure(self):
+        f1 = IntegrandFunction.from_table([float(i % 3 != 0) for i in range(49)])
+        f2 = IntegrandFunction.from_table([float(i % 4 != 1) for i in range(10)])
+        edges, mids = _cells(0.0, 1.0, (*f1.breakpoints, *f2.breakpoints))
+        hits = (f1(mids) * f2(mids) != 0.0).tolist()
+        terms = [hi - lo for lo, hi, hit in zip(edges, edges[1:], hits) if hit]
+        got = overlap_measure(f1, f2)
+        assert got.hex() == _in_order(terms).hex() == "0x1.d84b3b8f26a96p-2"
+        assert _compensated(terms) != got
+
+
+# the exponents on [0, t_end] that the limiting motion takes
+LI_EXPONENTS = {name: af for name, af in PIECE_EXPONENTS.items() if af.domain[0] == 0.0}
+
+
+@st.composite
+def _li_points(draw):
+    """An exponent and 1-12 (time, theta) pairs: times repeated, at 0, at
+    the domain end and at breaks; thetas of mixed sizes, with +-0.0."""
+    name = draw(st.sampled_from(sorted(LI_EXPONENTS)))
+    t_end = LI_EXPONENTS[name].domain[1]
+    size = draw(st.integers(1, 12))
+    marks = [0.0, t_end, 0.5 * t_end, *LI_EXPONENTS[name].breaks]
+    times = draw(st.lists(st.one_of(st.sampled_from(marks), st.floats(0.0, t_end)),
+                          min_size=size, max_size=size))
+    thetas = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16]),
+                                     st.floats(-50.0, 50.0)), min_size=size, max_size=size))
+    return name, times, thetas
+
+
+class TestLiCfBits:
+    """li_cf's Python-float sums keep the bits of the numpy masks they
+    replaced: left to right from 0.0 below 8 thetas, np.sum from 8 on."""
+
+    @given(case=_li_points())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_numpy_masks(self, case):
+        name, times, thetas = case
+        af = LI_EXPONENTS[name]
+        got = li_cf(af, times, thetas)
+        assert got.hex() == li_cf_by_masks(af, times, thetas, exponent_integral).hex()
+
+    @pytest.mark.parametrize("size", [3, 7, 8, 9, 12])
+    def test_sums_that_depend_on_their_order(self, size):
+        # 1e16 + 1 rounds back to 1e16: adding in order loses every 1.0,
+        # np.sum's eight partial sums keep some of them from 8 terms on
+        thetas = [1e16, *[1.0] * (size - 2), -1e16]
+        for times in ([0.5] * size, [0.5] * (size - 1) + [1.0], [0.0, *[0.75] * (size - 1)]):
+            got = li_cf(AF_LINEAR, times, thetas)
+            assert got.hex() == li_cf_by_masks(AF_LINEAR, times, thetas, exponent_integral).hex()
+        cf = li_cf(AF_LINEAR, [0.5] * size, thetas)
+        assert (cf == 1.0) == (size < 8)
+
+    @pytest.mark.parametrize("thetas", [[1e308] * 8, [1e308, 1e308, -1e308, -1e308, 1.0, 1.0,
+                                                      1.0, 1.0, 2.0]],
+                             ids=["eight", "inf_minus_inf"])
+    def test_an_overflow_of_eight_or_more_is_named(self, thetas):
+        with pytest.raises(FloatingPointError):
+            li_cf_by_masks(AF_LINEAR, [0.5] * len(thetas), thetas, exponent_integral)
+        with pytest.raises(ParameterError, match="sum of the thetas overflows"):
+            li_cf(AF_LINEAR, [0.5] * len(thetas), thetas)
+
+    def test_huge_thetas_whose_np_sums_stay_finite_are_kept(self):
+        thetas = [1e308, -1e308, 1e308, -1e308, 0.0, 0.0, 0.0, 0.5]
+        got = li_cf(AF_LINEAR, [0.5] * 8, thetas)
+        assert got.hex() == li_cf_by_masks(AF_LINEAR, [0.5] * 8, thetas,
+                                           exponent_integral).hex()
 
 
 class TestFloatRange:
@@ -1028,3 +1146,25 @@ class TestLocalVariationCheck:
     def test_a_lag_past_every_point_is_named(self):
         with pytest.raises(DomainError, match="no probe point"):
             check_condition7(AF_LINEAR, [0.8, 0.9], [0.5])
+
+    @pytest.mark.parametrize("name", sorted(PIECE_EXPONENTS))
+    @pytest.mark.parametrize("points", [97, 5000, 2 ** 14 + 3],
+                             ids=["one_block", "blocks_of_3_lags", "one_lag_a_block"])
+    def test_values_keep_the_bits_of_the_loop_over_lags(self, name, points):
+        # the probe points reach both domain ends, and 1e-13 past each
+        af = PIECE_EXPONENTS[name]
+        t0, t1 = af.domain
+        xs = np.concatenate([[t0 - 1e-13, t0], np.linspace(t0, t1, points), af.breaks,
+                             [t1, t1 + 1e-13]])
+        lags = self.DEEP_LAGS + (1e-12,)
+        assert check_condition7(af, xs, lags).values == tuple(condition7_by_lag(af, xs, lags))
+
+    @pytest.mark.parametrize("points", [3, 5000])
+    def test_a_lag_with_no_probe_point_is_the_one_the_loop_names(self, points):
+        xs = np.linspace(0.7, 0.9, points)
+        lags = (0.5, 0.25, 0.125)
+        with pytest.raises(ValueError) as want:
+            condition7_by_lag(AF_LINEAR, xs, lags)
+        with pytest.raises(DomainError) as got:
+            check_condition7(AF_LINEAR, xs, lags)
+        assert str(got.value) == str(want.value)

@@ -155,8 +155,8 @@ def declared(argv, command):
 
 
 class TestParser:
-    """Flags are declared only for the command argv[0] names; every parser a
-    user reaches is the one that declaring all six commands builds."""
+    """Only the command argv[0] names gets a parser; every parser a user
+    reaches, and every line one prints, is the one all six commands build."""
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_one_command_declares_what_all_six_do(self, command):
@@ -171,10 +171,17 @@ class TestParser:
         assert one == cli._build_parser([])[0].parse_args([command])
         assert one.func is getattr(cli, f"_cmd_{command}")
 
-    def test_the_other_commands_get_only_help(self):
-        for command in COMMANDS[1:]:
-            assert [a.dest for a in cli._build_parser(["simulate"])[1][command]._actions] == \
-                ["help"]
+    @pytest.mark.parametrize("argv", [
+        [], *([*head, tail] for head in [[], ["bogus"], *([c] for c in COMMANDS)]
+              for tail in ("--help", "--bogus", "extra"))])
+    def test_every_line_reads_as_with_all_six_built(self, argv, monkeypatch, capsys):
+        # the exit code, stdout and stderr of a help or usage-error run
+        one = (run(argv), *capsys.readouterr())
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda argv: build([]))
+        assert (run(argv), *capsys.readouterr()) == one
+        # an unknown command fails before --help is read
+        assert one[0] == (0 if argv[-1:] == ["--help"] and argv[:1] != ["bogus"] else 2)
 
     @pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in COMMANDS)])
     def test_help_exits_0(self, argv, capsys):

@@ -47,10 +47,12 @@ from mslevy.stable_core import (
     poisson_arrivals,
     sample_stable,
     sample_symmetric,
+    stable_cf,
     symmetric_from_uniform_pairs,
 )
 from mslevy.verify_stats import (ecf_report, factorization_test, increment_cf_test,
-                                  localisability_test, spearman_corr, tightness_check)
+                                  localisability_test, spearman_corr, tightness_bound_constant,
+                                  tightness_check)
 
 NAN = math.nan
 STREAM = RandomStream(1)
@@ -85,6 +87,19 @@ NON_FINITE_CALLS = {
     "ContinuousStableConfig.d": lambda: ContinuousStableConfig(1.5, NAN),
     "simulate_sn.d": lambda: simulate_sn(3, AF, STREAM, GRID, d=NAN),
     "sn_boundary_ensemble.d": lambda: sn_boundary_ensemble(3, AF, STREAM, [8], 2, d=NAN),
+    # an infinite decay exponent: 2^(-0 d) is NaN at level 0
+    "ContinuousStableConfig.d_inf": lambda: ContinuousStableConfig(1.5, math.inf),
+    "ContinuousStableConfig.d_minus_inf": lambda: ContinuousStableConfig(1.5, -math.inf),
+    "simulate_sn.d_inf": lambda: simulate_sn(3, AF, STREAM, GRID, d=math.inf),
+    "sn_boundary_ensemble.d_inf": lambda: sn_boundary_ensemble(3, AF, STREAM, [8], 2,
+                                                              d=math.inf),
+    "stable_cf.theta": lambda: stable_cf(StableParams(1.5), NAN),
+    "stable_cf.theta_inf": lambda: stable_cf(StableParams(1.5, beta=0.5), math.inf),
+    "stable_cf.theta_minus_inf_at_alpha_one": lambda: stable_cf(StableParams(1.0), -math.inf),
+    "stable_cf.theta_array": lambda: stable_cf(StableParams(1.5), [0.5, NAN]),
+    "tightness_bound_constant.gamma": lambda: tightness_bound_constant(NAN),
+    "tightness_bound_constant.gamma_past_two": lambda: tightness_bound_constant(5.0),
+    "tightness_bound_constant.gamma_zero": lambda: tightness_bound_constant(0.0),
     "sn_boundary_ensemble.boundary_ks": lambda: sn_boundary_ensemble(3, AF, STREAM, [2, NAN], 2),
     "sn_boundary_ensemble.boundary_ks_fraction":
         lambda: sn_boundary_ensemble(3, AF, STREAM, [1.5], 2),
@@ -230,6 +245,7 @@ def test_a_nan_theta_is_named(name):
 # finite thetas whose sum, a CF's coefficient, overflows the float range
 OVERFLOWING_THETA_SUMS = {
     "li_cf": lambda: li_cf(AF, [0.5, 0.5], [1e308, 1e308]),
+    "li_cf.eight_thetas": lambda: li_cf(AF, [0.5] * 8, [1e308] * 8),
     "li_cf.negative": lambda: li_cf(AF, [0.25, 0.5], [-1e308, -1e308]),
     "integral_cf": lambda: integral_cf([IntegrandFunction.indicator(0.0, 0.5)] * 2,
                                        [1e308, 1e308], AF),

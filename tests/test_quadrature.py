@@ -15,6 +15,8 @@ from mslevy import AlphaFunction, IntegrandFunction, modular_integral
 from mslevy.errors import ParameterError, QuadratureError
 from mslevy.quadrature import _GAUSS, _KRONROD, _NODES, adaptive_simpson, gauss_kronrod, split_points
 
+import _oracles
+
 
 def test_exact_on_cubic():
     got = adaptive_simpson(lambda x: 4.0 * x ** 3 + 3.0 * x ** 2 + 1.0, 0.0, 2.0)
@@ -155,6 +157,104 @@ class TestGaussKronrod:
         assert gauss_kronrod(np.exp, 1.0, 1.0) == 0.0
         with pytest.raises(ParameterError):
             gauss_kronrod(np.exp, 1.0, 0.0)
+
+
+def _outcome(gk, f, a, b, **kwargs) -> str:
+    """A Gauss-Kronrod result as its float.hex, or the miss it raised."""
+    try:
+        return float(gk(f, a, b, **kwargs)).hex()
+    except ArithmeticError:
+        return "missed"
+
+
+def _both_signs(x):
+    return np.where(x < 0.5, np.inf, -np.inf)
+
+
+# name -> (f, a, b, keyword arguments)
+ROUND_CASES = {
+    "signed_sin": (np.sin, 0.0, 2.0 * math.pi, {}),
+    "signed_sin_abs_tol": (np.sin, 0.0, 2.0 * math.pi, {"abs_tol": 1e-12}),
+    "signed_cubic_split": (lambda x: x ** 3 - 0.3 * x, -1.0, 2.0, {"breakpoints": (0.5, 1.0)}),
+    "non_negative_exp": (np.exp, 0.0, 1.0, {}),
+    "non_negative_scalar": (lambda x: 2.0, 0.0, 3.0, {}),
+    "all_zero": (np.zeros_like, 0.0, 1.0, {}),
+    "minus_zero": (lambda x: np.full_like(x, -0.0), 0.0, 1.0, {}),
+    "signed_zeros": (lambda x: np.where(x < 0.5, -0.0, 0.0), 0.0, 1.0, {"breakpoints": (0.5,)}),
+    "minus_zero_and_positive": (lambda x: np.where(x < 0.5, -0.0, x), 0.0, 1.0, {}),
+    "negative_exp": (lambda x: -np.exp(x), 0.0, 1.0, {}),
+    "plus_inf": (lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, {}),
+    "minus_inf": (lambda x: np.where(x > 0.5, -np.inf, 1.0), 0.0, 1.0, {}),
+    "plus_and_minus_inf_in_one_cell": (_both_signs, 0.0, 1.0, {}),
+    "nan": (lambda x: np.full_like(x, np.nan), 0.0, 1.0, {}),
+    "nan_in_one_panel": (lambda x: np.where(x > 0.9, np.nan, x), 0.0, 1.0, {"breakpoints": (0.9,)}),
+    "end_point_cusp": (np.sqrt, 0.0, 1.0, {}),
+    "interior_cusp": (lambda x: np.abs(x - 0.3) ** 0.5, 0.0, 1.0, {}),
+    "signed_interior_cusp": (lambda x: np.sign(x - 0.3) * np.abs(x - 0.3) ** 0.5 + 0.1,
+                             0.0, 1.0, {}),
+    "pole_misses": (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, {}),
+    "sharp_peak": (lambda x: 1.0 / (1.0 + 2500.0 * x * x), -1.0, 1.0, {"breakpoints": (0.3,)}),
+}
+
+
+class TestRoundBits:
+    """Each round's one product against the stacked weights gives the bits
+    of the two products it replaced, on every kind of integrand."""
+
+    @pytest.mark.parametrize("name", sorted(ROUND_CASES))
+    def test_same_bits_as_two_products(self, name):
+        f, a, b, kwargs = ROUND_CASES[name]
+        got = _outcome(gauss_kronrod, f, a, b, **kwargs)
+        # the replaced rule warned on inf - inf inside a cell's sum
+        with np.errstate(invalid="ignore"):
+            want = _outcome(_oracles.gauss_kronrod_two_products, f, a, b, **kwargs)
+        assert got == want
+
+    def test_the_oracle_uses_the_same_rule(self):
+        assert _oracles.GK_NODES.tobytes() == _NODES.tobytes()
+        assert _oracles.GK_KRONROD.tobytes() == _KRONROD.tobytes()
+        assert _oracles.GK_GAUSS.tobytes() == _GAUSS.tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_finite_cells_whose_sum_overflows(self, sign):
+        # every cell's Kronrod sum is finite, so the estimate's overflow is
+        # not taken for a non-finite f: the sign of the infinity is kept
+        def f(x):
+            return np.full_like(x, sign * 6e307)
+
+        kwargs = {"breakpoints": (1.0, 2.0, 3.0)}
+        with np.errstate(over="ignore"):
+            got = _outcome(gauss_kronrod, f, 0.0, 4.0, **kwargs)
+            want = _outcome(_oracles.gauss_kronrod_two_products, f, 0.0, 4.0, **kwargs)
+        assert got == want == float(sign * math.inf).hex()
+
+    def test_the_cases_need_later_rounds_and_miss(self):
+        rounds = {}
+        for name in ("end_point_cusp", "interior_cusp", "signed_interior_cusp"):
+            f, a, b, kwargs = ROUND_CASES[name]
+            calls = []
+            gauss_kronrod(lambda x: calls.append(x.size) or f(x), a, b, **kwargs)
+            rounds[name] = len(calls)
+        assert min(rounds.values()) > 5, rounds
+        assert _outcome(gauss_kronrod, *ROUND_CASES["pole_misses"][:3]) == "missed"
+
+    @given(a=st.floats(-2.0, 1.0), width=st.floats(1e-3, 3.0),
+           coeffs=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+           cusp=st.floats(-2.0, 4.0), power=st.floats(0.3, 2.5),
+           breaks=st.lists(st.floats(-2.0, 4.0), max_size=3),
+           abs_tol=st.sampled_from([0.0, 1e-12, 1e-3]))
+    @settings(max_examples=150, deadline=None)
+    def test_random_cusps_have_the_bits_of_two_products(self, a, width, coeffs, cusp, power,
+                                                        breaks, abs_tol):
+        c0, c1, c2 = coeffs
+
+        def f(x):
+            return c0 + c1 * x + c2 * np.abs(x - cusp) ** power
+
+        b = a + width
+        kwargs = {"abs_tol": abs_tol, "breakpoints": breaks}
+        assert _outcome(gauss_kronrod, f, a, b, **kwargs) == _outcome(
+            _oracles.gauss_kronrod_two_products, f, a, b, **kwargs)
 
 
 _SLOPES = st.floats(-0.25, 0.25)

@@ -24,7 +24,7 @@ from mslevy import (
 )
 from mslevy.errors import DomainError, ParameterError
 from mslevy.stable_core import (_KERNEL_MAX_PAIRS, _KERNEL_MIN_STREAMS, _child_ids,
-                                 _uniform_pairs, _uniforms)
+                                 _generators, _uniform_pairs, _uniforms)
 from mslevy.verify_stats import ecf_report
 
 from _oracles import C_ALPHA_ORACLE, sine_integral_live
@@ -171,6 +171,16 @@ class TestCounterKernel:
         got = _child_ids(sid, *(np.array(ix, dtype=np.int64) for ix in path))
         want = [RandomStream(5, sid).child(*ix).stream_id for ix in zip(*path)]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("seed", [0, 11, 2 ** 64 - 1])
+    def test_rekeyed_generators_match_fresh_ones(self, seed):
+        # one Philox re-keyed through a state of Python ints, stream by stream
+        ids = np.concatenate([np.array([0, 2 ** 64 - 1, 2 ** 63, 1], dtype=np.uint64),
+                              _child_ids(seed, np.arange(196))])
+        for sid, gen in zip(ids.tolist(), _generators(seed, ids)):
+            # a draw that crosses the 4-double buffer, then one more
+            got = np.concatenate([gen.random(7), gen.random(1)])
+            assert got.tobytes() == RandomStream(seed, sid).generator().random(8).tobytes()
 
     # short reads from at least _KERNEL_MIN_STREAMS streams take the kernel;
     # long reads, and short reads from fewer streams, take the generators
