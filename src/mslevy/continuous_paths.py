@@ -274,7 +274,9 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
     sel_cells = cell_of[sel]
     sizes = _sn_cell_block_sizes(n, levels)
     count, firsts = sum(sizes), [sum(sizes[:j]) for j in range(levels + 1)]
-    cell_terms = np.empty(m)
+    # the completed-cell terms are written into the path buffer and summed in place
+    prefix = np.empty(m + 1)
+    cell_terms = prefix[1:]
     level0 = np.empty(m)
     active = np.zeros_like(t)
     # each cell's dilated series is read at its mesh points inside the cell;
@@ -294,12 +296,10 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
         active[mesh] = weights[at] * acc / sig[at]
         cell_terms[cells] = _cell_terms(z, weights[cells], sig[cells], d, n)
         level0[cells] = z[:, 0]
-    path = PathGrid(times=t, values=_partial_sums(cell_terms, 1.0, cell_of) + active)
-    if not with_diagnostics:
-        return path
     diag = SnDiagnostics(level0_bound=weights * np.abs(level0) / sig,
-                         cell_terms=cell_terms)
-    return path, diag
+                         cell_terms=cell_terms.copy()) if with_diagnostics else None
+    path = PathGrid(times=t, values=_partial_sums(prefix, cell_of) + active)
+    return path if diag is None else (path, diag)
 
 
 def sn_boundary_ensemble(n: int, af: AlphaFunction, stream: RandomStream,
@@ -321,5 +321,6 @@ def sn_boundary_ensemble(n: int, af: AlphaFunction, stream: RandomStream,
     out = np.empty((ensemble, ks.size))
     for rows in _row_chunks(ensemble, m * (n + 1)):
         z = _sn_cell_draws(alphas, stream, n + 1, np.arange(m), rows)
-        out[rows] = _partial_sums(_cell_terms(z, weights, sig, d, n), 1.0, ks)
+        out[rows] = _partial_sums(np.empty((rows.size, m + 1)), ks,
+                                  _cell_terms(z, weights, sig, d, n))
     return out

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_model import (AlphaFunction, IntegrandFunction, _cell_alphas, _cell_times,
-                          grid_index)
+from .alpha_model import AlphaFunction, _cell_alphas, _cell_times, grid_index
 from .errors import ParameterError
-from .stable_core import (RandomStream, _check_ints, _child_ids, _cms, _exponential,
-                          _generators, _row_chunks, _uniform_pairs, sample_symmetric)
+from .stable_core import (RandomStream, _check_alphas, _check_ints, _child_ids, _cms,
+                          _exponential, _generators, _row_chunks, _uniform_pairs)
 
 # substream tags (arbitrary fixed constants; see RandomStream.child)
 _TAG_ARRIVALS = 0xA121
@@ -44,7 +43,7 @@ class PathGrid:
             raise ParameterError("times and values must be non-empty and equally long")
         if t[0] != 0.0 or v[0] != 0.0:
             raise ParameterError("paths start at (0, 0)")
-        if not np.all(np.diff(t) > 0.0):
+        if not np.all(t[1:] > t[:-1]):
             raise ParameterError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
@@ -90,44 +89,49 @@ def _dyadic_addresses(n: int) -> np.ndarray:
 
 
 def _symmetric_draws(alphas: np.ndarray, stream: RandomStream, m: int, nested: bool,
-                     rows=None) -> np.ndarray:
-    """The draws X_k of the first alphas.size cells: one stream's, or with
-    ``rows`` one row per replicate r under stream.child(r).  Nested draws
-    (m = 2^n) are attached to the dyadic addresses of k/m instead of (k, n)
-    pairs, so X(2k, n+1) reuses X(k, n) exactly."""
+                     rows=None, out: np.ndarray | None = None) -> np.ndarray:
+    """The draws X_k of the first alphas.size cells, written into ``out``
+    if given: one stream's, or with ``rows`` one row per replicate r under
+    stream.child(r).  Nested draws (m = 2^n) are attached to the dyadic
+    addresses of k/m instead of (k, n) pairs, so X(2k, n+1) reuses X(k, n)
+    exactly."""
     if nested:
         path = (_TAG_DYADIC, _dyadic_addresses(m.bit_length() - 1)[:alphas.size])
         if rows is not None:
             path = (rows[:, None], *path)
         u = _uniform_pairs(stream, 1, *path)[..., 0, :]
     elif rows is None:
-        return sample_symmetric(alphas, stream)
+        u = stream
     else:
         u = _uniform_pairs(stream, alphas.size, rows)
-    return _cms(u, alphas)
+    return _cms(u, alphas, out=out)
 
 
 def _weights(alphas: np.ndarray, base, fs, m: int, first: int) -> np.ndarray:
     """base^(1/alpha_k) f(x_k) as (integrands x cells), or (rows x 1 x
     cells) for a column of per-replicate bases, at the cell times x_k of
     ``_cell_times(m, first, alphas.size)``, built only for integrands."""
-    weights = (base ** (1.0 / alphas))[..., None, :]
+    weights = np.divide(1.0, alphas)
+    if np.ndim(base):
+        weights = base ** weights
+    else:
+        # numpy's power reads a broadcast scalar by gather, at twice the
+        # cost of a contiguous operand and with the same bits
+        np.power(np.full(alphas.shape, base), weights, out=weights)
+    weights = weights[..., None, :]
     if fs is not None:
         xs = _cell_times(m, first, alphas.size)
         weights = weights * np.stack([f._values(xs) for f in fs])
     return weights
 
 
-def _partial_sums(x: np.ndarray, weights, cols) -> np.ndarray:
-    """[0, cumsum(w_k X_k)] along the last axis (w = 1.0 sums X itself) at
-    the indices ``cols``: all when None, one row per replicate when 2-D."""
-    # summed straight into the prefix, and the terms freed before the
-    # column copy: a long path holds no third cell-sized array
-    terms = weights * x
-    prefix = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,))
+def _partial_sums(prefix: np.ndarray, cols, terms=None) -> np.ndarray:
+    """[0, cumsum(X_k)] along the last axis, formed in ``prefix`` from the
+    terms X in its [..., 1:] (in place) or in ``terms``, at the indices
+    ``cols``: all (the buffer itself) when None, one row per replicate when
+    2-D."""
     prefix[..., 0] = 0.0
-    np.cumsum(terms, axis=-1, out=prefix[..., 1:])
-    del terms
+    np.cumsum(prefix[..., 1:] if terms is None else terms, axis=-1, out=prefix[..., 1:])
     if cols is None:
         return prefix
     if np.ndim(cols) == 2:
@@ -159,10 +163,14 @@ def _weighted_sums(af, m: int, stream: RandomStream, base, fs=None, start: int =
     count = m if count is None else count
     alphas = _cell_alphas(af, m, start + 1, count)
     if replicates is None:
-        x = _symmetric_draws(alphas, stream, m, nested)
-        # weights built after the draws, so that sampling, the peak of a
-        # long path's memory, holds no array beside alphas
-        return _partial_sums(x, _weights(alphas, base, fs, m, start + 1), cols)
+        # the draws go straight into the path, which is weighted and summed
+        # in place: a long path holds alphas, the weights and itself
+        weights = _weights(alphas, base, fs, m, start + 1)
+        prefix = np.empty((weights.shape[0], count + 1))
+        _symmetric_draws(alphas, stream, m, nested, out=prefix[0, 1:])
+        prefix[1:, 1:] = prefix[0, 1:]  # the same draws for every integrand
+        prefix[:, 1:] *= weights
+        return _partial_sums(prefix, cols)
     cols = np.asarray(cols)
     per_row = np.ndim(base) == 1
     weights = None if per_row else _weights(alphas, base, fs, m, start + 1)
@@ -175,7 +183,9 @@ def _weighted_sums(af, m: int, stream: RandomStream, base, fs=None, start: int =
             w = _weights(alphas[:need], base[rows][:, None], fs, m, start + 1)
         else:
             w = weights[:, :need]
-        out[rows] = _partial_sums(x, w, row_cols)
+        terms = w * x
+        out[rows] = _partial_sums(np.empty(terms.shape[:-1] + (need + 1,)), row_cols, terms)
+        del terms
     return out
 
 
@@ -221,8 +231,12 @@ def _arrival_counts(stream: RandomStream, m: int, cols, *lead) -> np.ndarray:
     when None), the arrivals drawn as poisson_arrivals(1, m,
     stream.child(*lead, _TAG_ARRIVALS)) for every index of ``lead``, which
     gives the leading shape."""
-    gaps = _exponential(_uniform_pairs(stream, m, *lead, _TAG_ARRIVALS)[..., 1])
-    return np.floor(_partial_sums(gaps, 1.0, cols)).astype(int)
+    u = _uniform_pairs(stream, m, *lead, _TAG_ARRIVALS)
+    prefix = np.empty(u.shape[:-2] + (m + 1,))
+    _exponential(u[..., 1], out=prefix[..., 1:])
+    del u
+    summed = _partial_sums(prefix, cols)
+    return np.floor(summed, out=summed).astype(int)
 
 
 def simulate_li(cfg: SchemeConfig) -> PathGrid:
@@ -284,11 +298,15 @@ def simulate_stable_fclt(alpha: float, n_terms: int, stream: RandomStream) -> Pa
     """Partial-sum path sum_{k <= floor(n u)} n^(-1/alpha) Y_k of i.i.d.
     symmetric alpha-stable draws on the grid u = k/n."""
     n_terms = _check_ints(n_terms, 1, None, "n_terms")
-    af = AlphaFunction.constant(alpha)  # checks alpha before n^(-1/alpha) is formed
-    # n^(-1/alpha) enters as a constant integrand over the unit base, where
-    # 1^(1/alpha) = 1 exactly; the base 1/n would round differently
-    weight = IntegrandFunction.constant(n_terms ** (-1.0 / alpha))
-    return _grid_path(_weighted_sums(af, n_terms, stream, 1.0, fs=[weight])[0])
+    alpha = float(alpha)
+    _check_alphas(alpha)  # before n^(-1/alpha) is formed
+    path = np.empty(n_terms + 1)
+    _cms(stream, alpha, out=path[1:])
+    # X_k times n^(-1/alpha), not times (1/n)^(1/alpha), which rounds
+    # differently: the bits the weighted-sum kernel gave with base 1 and the
+    # constant integrand n^(-1/alpha), as 1^(1/alpha) = 1 and 1 c = c exactly
+    path[1:] *= n_terms ** (-1.0 / alpha)
+    return _grid_path(_partial_sums(path, None))
 
 
 # ---------------------------------------------------------------------------

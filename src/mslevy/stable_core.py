@@ -31,15 +31,14 @@ _PHILOX_ROUNDS = 10
 # Many-stream draws of at most _KERNEL_MAX_PAIRS pairs per stream, from at
 # least _KERNEL_MIN_STREAMS streams, go through the counter kernel; the
 # rest are cheaper on numpy's C generator.  Per stream, the kernel costs
-# about 0.2 us per 4-double block, the C generator 3 us to re-key plus 0.05
-# us per block, so the two meet between 32 and 48 pairs.  Per read, the
-# kernel has a fixed cost of about 600 us, the generators about 30 us plus
-# 7 us a stream, so for a read of 4 pairs a stream the two meet near 96
-# streams (1 stream: 609 against 36 us; 64: 658 against 475; 96: 704
-# against 696; 128: 713 against 914; 2-vCPU Xeon, numpy 2.4.6), measured
-# with a 3 us re-key; _generators' 2 us re-key moves both up (not re-tuned).
-_KERNEL_MAX_PAIRS = 32
-_KERNEL_MIN_STREAMS = 96
+# about 0.26 us per 4-double block, the re-keyed C generator 1.3 us plus
+# 0.02 us per block, so at 4,096 streams the two meet between 11 and 13
+# pairs (12 pairs: 5.9 against 6.2 ms; 13: 6.7 against 6.3 ms).  Per read,
+# the kernel has a fixed cost of about 320 us, so the two meet near 256
+# streams for reads of 1 or 2 pairs a stream (256: 330 against 331 us),
+# 320 for 4 pairs and 512 for 12 (2-vCPU Xeon, numpy 2.4.6, best of 7).
+_KERNEL_MAX_PAIRS = 12
+_KERNEL_MIN_STREAMS = 256
 
 # Batched draws hold at most this many pairs per chunk of replicates or cells.
 _CHUNK_PAIRS = 2 ** 16
@@ -357,12 +356,15 @@ def _cms(u, alpha, beta: float = 0.0, out: np.ndarray | None = None) -> np.ndarr
 
 def sample_symmetric(alphas: np.ndarray, stream: RandomStream) -> np.ndarray:
     """Draw independent symmetric standard stable variates, one per entry of
-    ``alphas`` (each entry may differ).  Deterministic given the stream."""
+    ``alphas`` (each entry may differ), shaped like ``alphas`` (a scalar as
+    one entry): the stream is read in C order, so the draws are those of
+    the flattened call.  Deterministic given the stream."""
     alphas = np.ascontiguousarray(alphas, dtype=float)
-    if alphas.size == 0:
-        return np.empty(0)
-    _check_alphas(alphas)
-    return _cms(stream, alphas, out=np.empty(alphas.size))
+    out = np.empty(alphas.shape)
+    if alphas.size:
+        _check_alphas(alphas)
+        _cms(stream, alphas.reshape(-1), out=out.reshape(-1))
+    return out
 
 
 def symmetric_from_uniform_pairs(alphas: np.ndarray, u1, u2) -> np.ndarray:

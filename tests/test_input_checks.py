@@ -297,7 +297,9 @@ class TestOneCheckPerInput:
         lambda a: StableParams(a),
         lambda a: ContinuousStableConfig(a, 10.0),
         lambda a: sample_symmetric(np.array([1.5, a, 1.0]), STREAM),
-    ], ids=["StableParams", "ContinuousStableConfig", "sample_symmetric"])
+        lambda a: simulate_stable_fclt(a, 4, STREAM),
+    ], ids=["StableParams", "ContinuousStableConfig", "sample_symmetric",
+            "simulate_stable_fclt"])
     @pytest.mark.parametrize("alpha", [2.25, -0.5, NAN])
     def test_the_alpha_message_names_the_bad_value(self, make, alpha):
         with pytest.raises(ParameterError, match=rf"\(0, 2\], got {alpha}"):

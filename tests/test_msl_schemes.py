@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -41,9 +42,14 @@ class TestPathGrid:
         with pytest.raises(ParameterError):
             PathGrid(times=np.array([0.0, 1.0]), values=np.array([0.5, 1.0]))
 
-    def test_times_strictly_increasing(self):
-        with pytest.raises(ParameterError):
-            PathGrid(times=np.array([0.0, 0.5, 0.5]), values=np.zeros(3))
+    @pytest.mark.parametrize("times", [
+        [0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.0, 0.25, 0.25, 1.0], [0.0, math.nan, 1.0],
+        [0.0, 0.5, math.nan], [0.0, 0.6, 0.4, 1.0], [0.0, 1.0, -1.0]],
+        ids=["equal_at_end", "equal_at_start", "equal_inside", "nan_inside", "nan_at_end",
+             "decrease", "decrease_below_zero"])
+    def test_times_strictly_increasing(self, times):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            PathGrid(times=np.array(times), values=np.zeros(len(times)))
 
     def test_len_counts_the_grid_points(self):
         path = PathGrid(times=np.array([0.0, 0.5, 1.0]), values=np.array([0.0, 3.0, 7.0]))

@@ -185,9 +185,11 @@ class TestCounterKernel:
     # short reads from at least _KERNEL_MIN_STREAMS streams take the kernel;
     # long reads, and short reads from fewer streams, take the generators
     @pytest.mark.parametrize("count,rows,cols,kernel", [
-        (3, np.arange(-12, 12), 4, True), (100, np.array([0, 5, -2]), 4, False),
-        (3, np.array([5]), 1, False),
-    ], ids=["kernel", "generators", "short_one_stream"])
+        (3, np.arange(-32, 32), 4, True), (100, np.array([0, 5, -2]), 4, False),
+        (3, np.array([5]), 1, False), (13, np.arange(-32, 32), 4, False),
+        (3, np.arange(-32, 31), 4, False),
+    ], ids=["kernel", "generators", "short_one_stream", "past_the_kernel_pairs",
+            "below_the_kernel_streams"])
     def test_many_stream_read_matches_child_streams(self, count, rows, cols, kernel):
         assert (count <= _KERNEL_MAX_PAIRS and rows.size * cols >= _KERNEL_MIN_STREAMS) == kernel
         stream = RandomStream(2 ** 64 - 7, 2 ** 63 + 3)
@@ -249,3 +251,22 @@ def test_sample_symmetric_respects_varying_alpha():
     draws = sample_symmetric(alphas, RandomStream(5))
     assert draws.shape == (3,)
     assert np.array_equal(draws, sample_symmetric(alphas, RandomStream(5)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 1, 4), (3, 2 ** 13), (2, 0)],
+                         ids=["2x3", "3x1x4", "past_one_cms_block", "empty"])
+def test_sample_symmetric_keeps_the_shape_of_alphas(shape):
+    alphas = np.linspace(0.6, 2.0, math.prod(shape)).reshape(shape)
+    draws = sample_symmetric(alphas, RandomStream(5))
+    assert draws.shape == shape and draws.flags.c_contiguous
+    flat = sample_symmetric(alphas.reshape(-1), RandomStream(5))
+    assert draws.tobytes() == flat.tobytes()
+
+
+def test_sample_symmetric_reads_fortran_ordered_alphas_in_c_order():
+    alphas = np.asfortranarray(np.linspace(0.6, 2.0, 6).reshape(2, 3))
+    draws = sample_symmetric(alphas, RandomStream(5))
+    assert draws.shape == (2, 3) and draws.flags.c_contiguous
+    assert draws.tobytes() == sample_symmetric(alphas.ravel(), RandomStream(5)).tobytes()
+    assert np.array_equal(sample_symmetric(np.full((2, 3), 1.5), RandomStream(5)),
+                          sample_symmetric(np.full(6, 1.5), RandomStream(5)).reshape(2, 3))

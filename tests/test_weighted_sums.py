@@ -58,19 +58,20 @@ WEIGHT = IntegrandFunction.from_table([0.5, 2.0, 1.0, -1.5])
 INDICATOR = half_open_indicator(0.25, 0.75)
 
 
-def grid_alphas(af, count=M, k0=0):
-    return np.asarray(af(np.minimum((k0 + np.arange(1, count + 1, dtype=float)) / M, 1.0)))
+def grid_alphas(af, count=M, k0=0, n=N):
+    return np.asarray(af(np.minimum((k0 + np.arange(1, count + 1, dtype=float)) / 2 ** n,
+                                    1.0)))
 
 
-def ref_li(af, stream, nested=False):
-    alphas = grid_alphas(af)
+def ref_li(af, stream, nested=False, n=N):
+    alphas = grid_alphas(af, 2 ** n, n=n)
     if nested:
         u = np.array([stream.child(TAG_DYADIC, dyadic_address(k, N)).generator().random(2)
                       for k in range(1, M + 1)])
         x = symmetric_from_uniform_pairs(alphas, u[:, 0], u[:, 1])
     else:
         x = sample_symmetric(alphas, stream)
-    return weighted_sum_path(alphas, 2.0 ** -N, 1.0, x)
+    return weighted_sum_path(alphas, 2.0 ** -n, 1.0, x)
 
 
 def ref_lc(af, stream, gamma=None):
@@ -80,17 +81,18 @@ def ref_lc(af, stream, gamma=None):
     return weighted_sum_path(alphas, 1.0 / gamma, 1.0, sample_symmetric(alphas, stream))
 
 
-def ref_lr(af, stream):
-    counts = np.floor(poisson_arrivals(1.0, M, stream.child(TAG_ARRIVALS)).times).astype(int)
-    alphas = grid_alphas(af, int(counts[-1]))
-    prefix = weighted_sum_path(alphas, 2.0 ** -N, 1.0, sample_symmetric(alphas, stream))
+def ref_lr(af, stream, n=N):
+    counts = np.floor(poisson_arrivals(1.0, 2 ** n, stream.child(TAG_ARRIVALS)).times)
+    counts = counts.astype(int)
+    alphas = grid_alphas(af, int(counts[-1]), n=n)
+    prefix = weighted_sum_path(alphas, 2.0 ** -n, 1.0, sample_symmetric(alphas, stream))
     return np.concatenate([[0.0], prefix[counts]])
 
 
-def ref_integral_path(f, af, stream):
-    alphas = grid_alphas(af)
-    fx = np.asarray(f(np.arange(1, M + 1, dtype=float) / M))
-    return weighted_sum_path(alphas, 2.0 ** -N, fx, sample_symmetric(alphas, stream))
+def ref_integral_path(f, af, stream, n=N):
+    alphas = grid_alphas(af, 2 ** n, n=n)
+    fx = np.asarray(f(np.arange(1, 2 ** n + 1, dtype=float) / 2 ** n))
+    return weighted_sum_path(alphas, 2.0 ** -n, fx, sample_symmetric(alphas, stream))
 
 
 def ref_fclt(alpha, n_terms, stream):
@@ -107,6 +109,13 @@ US = [0.25, 0.5, 1.0]
 COLS = [grid_index(N, u) for u in US]
 K0, OFFSETS = 5, [1, 3, 7]
 REF_SCHEMES = {"li": ref_li, "lr": ref_lr, "lc": ref_lc}
+# a single path of 2^15 cells is drawn in more than one block of _CMS_BLOCK
+# = 2^14 pairs; the FCLT counts sit just below and above one block and past
+# three, at alpha = 1 + 5e-9 (the alpha = 1 branch) and at alpha = 2, and at
+# 7 terms, where (1/7)^(1/alpha) rounds away from 7^(-1/alpha) at both
+LONG_N = 15
+FCLT_TERMS = (7, 2 ** 14 - 1, 2 ** 14 + 1, 3 * 2 ** 14 + 7)
+FCLT_ALPHAS = (1.0 + 5e-9, 2.0)
 
 CASES = {
     "simulate_li": (
@@ -149,6 +158,19 @@ CASES = {
     "marginal_ensemble_li_nested": (
         lambda af, s: marginal_ensemble("li", af, N, US, ROWS, s, nested=True),
         lambda af, s: rows(lambda sr: ref_li(af, sr, nested=True)[COLS])),
+    "simulate_li_long": (
+        lambda af, s: simulate_li(SchemeConfig(n=LONG_N, af=af, stream=s)).values,
+        lambda af, s: ref_li(af, s, n=LONG_N)),
+    "simulate_lr_long": (
+        lambda af, s: simulate_lr(SchemeConfig(n=LONG_N, af=af, stream=s)).values,
+        lambda af, s: ref_lr(af, s, n=LONG_N)),
+    "weighted_mslm_long": (
+        lambda af, s: weighted_mslm(WEIGHT, af, LONG_N, s).values,
+        lambda af, s: ref_integral_path(WEIGHT, af, s, n=LONG_N)),
+    **{f"simulate_stable_fclt_{terms}_terms_alpha_{alpha!r}": (
+        lambda af, s, a=alpha, t=terms: simulate_stable_fclt(a, t, s).values,
+        lambda af, s, a=alpha, t=terms: ref_fclt(a, t, s))
+       for terms in FCLT_TERMS for alpha in FCLT_ALPHAS},
 }
 
 
@@ -157,10 +179,10 @@ CASES = {
 def test_driver_matches_reference_sum(case, kind):
     driver, reference = CASES[case]
     af = ALPHAS[kind]
-    actual = driver(af, RandomStream(7))
-    expected = reference(af, RandomStream(7))
-    assert np.shape(actual) == np.shape(expected)
-    assert np.array_equal(actual, expected)
+    actual = np.asarray(driver(af, RandomStream(7)))
+    expected = np.asarray(reference(af, RandomStream(7)))
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
 # Batched ensembles draw replicates in chunks of _chunk_rows(pairs per row)
