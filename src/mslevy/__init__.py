@@ -72,7 +72,6 @@ from .msl_schemes import (
 )
 from .quadrature import adaptive_simpson
 from .stable_core import (
-    PoissonArrivals,
     RandomStream,
     StableParams,
     compute_C_alpha,

@@ -229,12 +229,6 @@ class AlphaFunction:
 
     # -- structure --------------------------------------------------------
 
-    def _affine(self, s: np.ndarray) -> tuple[list[float], list[float]]:
-        """Intercepts c and slopes m with alpha(x) = c + m x on the piece
-        that holds each point of ``s`` (read away from any break)."""
-        idx = [bisect.bisect_right(self.breaks, x) for x in s.tolist()]
-        return [self.intercepts[i] for i in idx], [self.slopes[i] for i in idx]
-
     def pieces(self, u1: float, u2: float) -> list[tuple[float, float, float, float]]:
         """(lo, hi, c, m) cells covering [u1, u2] between breakpoints, on each
         of which alpha(s) = c + m s; each cell is read at its midpoint.  In
@@ -279,7 +273,9 @@ class AlphaFunction:
 
     @classmethod
     def from_json(cls, spec: str | dict) -> "AlphaFunction":
-        d = json.loads(spec) if isinstance(spec, str) else dict(spec)
+        d = json.loads(spec) if isinstance(spec, str) else spec
+        if not isinstance(d, dict):
+            raise ParameterError(f"an exponent spec must be a JSON object, got {d!r}")
         kind = d.get("kind")
         if not isinstance(kind, str) or kind not in _SPELLINGS:
             raise ParameterError(f"unknown exponent kind {kind!r}")
@@ -640,8 +636,8 @@ def modular_integral(f: IntegrandFunction, af: AlphaFunction, lam: float = 1.0) 
 
 def _modular(f: IntegrandFunction, af: AlphaFunction) -> Callable[[float], float]:
     """lam -> modular_integral(f, af, lam).  For a step f the lam-free part
-    (the cells, |f| at their midpoints and alpha's c + m s on each) is
-    built once, so a call only scales |f| and sums the cells.  Any other f
+    (f's own cells, |f| at their midpoints and alpha's pieces c + m s over
+    each) is built once, so a call only scales |f| and sums the pieces.  Any other f
     is integrated by Gauss-Kronrod, whose first round always lies on the
     panels' nodes: |f| and alpha there are held, and a call forms only their
     power for its lam; later rounds evaluate on their own nodes, held by none."""
@@ -662,14 +658,14 @@ def _modular(f: IntegrandFunction, af: AlphaFunction) -> Callable[[float], float
 
         gk_modular.margin = 1e-8  # 100 times gauss_kronrod's relative tolerance
         return gk_modular
-    edges, mids = _cells(0.0, 1.0, breakpoints)
+    edges, mids = _cells(0.0, 1.0, f.breakpoints)
     abs_f = np.abs(f._values(mids))
-    cells = list(zip(edges, edges[1:], *af._affine(mids)))
+    pieces = [af.pieces(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
     def step_modular(lam: float) -> float:
         vs = (abs_f / lam).tolist()
         return _left_sum(_power_integral(v, c, m, lo, hi)
-                         for v, (lo, hi, c, m) in zip(vs, cells))
+                         for v, cells in zip(vs, pieces) for lo, hi, c, m in cells)
 
     step_modular.margin = 1e-12  # exact up to rounding
     return step_modular

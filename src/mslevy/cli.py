@@ -109,6 +109,10 @@ def _resolve(argv) -> tuple[argparse.Namespace, dict]:
         unknown = sorted(set(file_cfg) - known)
         if unknown:
             raise ParameterError(f"unknown config keys: {', '.join(unknown)}")
+        switches = {a.dest for a in sub._actions if isinstance(a, argparse._StoreTrueAction)}
+        for key in sorted(switches & set(file_cfg)):
+            if not isinstance(file_cfg[key], bool):
+                raise ParameterError(f"config key {key} must be true or false")
         typed = {a.dest: a.default for a in sub._actions if a.type is not None}
         sub.set_defaults(**{k: v if k not in typed or (v is None and typed[k] is None)
                             else str(v) for k, v in file_cfg.items()})

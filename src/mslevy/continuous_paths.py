@@ -19,7 +19,7 @@ import numpy as np
 
 from .alpha_model import AlphaFunction, _cell_alphas
 from .errors import DomainError, ParameterError
-from .msl_schemes import _MAX_LEVEL, PathGrid, _partial_sums
+from .msl_schemes import _MAX_LEVEL, PathGrid, _partial_sums, _weights
 from .stable_core import (RandomStream, _check_alphas, _check_ints, _cms, _row_chunks,
                           _uniform_pairs, sample_symmetric)
 
@@ -205,13 +205,6 @@ class SnDiagnostics:
     cell_terms: np.ndarray
 
 
-def _sn_cell_block_sizes(n: int, levels: int) -> list[int]:
-    # Level j needs shifts 0..floor(2^(j-n-1)) to cover arguments in
-    # [0, 2^(-n-1)]; the count is fixed by (n, j) alone so that every
-    # evaluation consumes the same draws in the same order.
-    return [(2 ** j) // (2 ** (n + 1)) + 1 for j in range(levels + 1)]
-
-
 def _sn_cell_draws(alphas: np.ndarray, stream: RandomStream, count: int,
                    cells: np.ndarray, rows=None) -> np.ndarray:
     """The first ``count`` coefficients of the streams
@@ -243,17 +236,19 @@ def _sn_cells(n: int, af: AlphaFunction, d: float, levels: int):
         raise ParameterError("the exponent function must cover [0, 1]")
     alphas = _cell_alphas(af, 2 ** n, 0, 2 ** n)
     _check_decay(d, float(np.min(alphas)))
-    return n, levels, alphas, (2.0 ** -n) ** (1.0 / alphas), _sigma_tilde_boundary(alphas, d, n)
+    weights = _weights(alphas, 2.0 ** -n, None, 2 ** n, 0)[0]
+    return n, levels, alphas, weights, _sigma_tilde_boundary(alphas, d, n)
 
 
-def _cell_terms(z: np.ndarray, weights, sig, d: float, n: int) -> np.ndarray:
-    """The completed-cell terms w_k X~_k(2^-n) / s_k from the cells' draws z
+def _cell_terms(z: np.ndarray, weights, sig, d: float, n: int, out: np.ndarray) -> None:
+    """``out`` = the completed-cell terms w_k X~_k(2^-n) / s_k of the draws z
     (cells on the second-to-last axis): at 2^-n only the shift-0 tents of
     levels j <= n are active, with values 2^(j-n), so n + 1 draws suffice."""
-    xt = np.zeros(z.shape[:-1])
+    out[...] = 0.0
     for j in range(n + 1):
-        xt += 2.0 ** (-j * d) * z[..., j] * 2.0 ** (j - n)
-    return weights * xt / sig
+        out += 2.0 ** (-j * d) * z[..., j] * 2.0 ** (j - n)
+    out *= weights
+    out /= sig
 
 
 def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
@@ -272,7 +267,9 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
     args = t - cell_of / m
     sel = np.flatnonzero(args > 0.0)
     sel_cells = cell_of[sel]
-    sizes = _sn_cell_block_sizes(n, levels)
+    # level j needs shifts 0..floor(2^(j-n-1)) to cover arguments in [0, 2^(-n-1)]:
+    # counts fixed by (n, j) alone, so every evaluation reads the same draws
+    sizes = [(2 ** j) // (2 ** (n + 1)) + 1 for j in range(levels + 1)]
     count, firsts = sum(sizes), [sum(sizes[:j]) for j in range(levels + 1)]
     # the completed-cell terms are written into the path buffer and summed in place
     prefix = np.empty(m + 1)
@@ -294,7 +291,7 @@ def simulate_sn(n: int, af: AlphaFunction, stream: RandomStream, t_grid,
             idx = np.minimum(np.floor(pos).astype(np.int64), size - 1)
             acc += 2.0 ** (-j * d) * z[row, first + idx] * triangle(pos - idx)
         active[mesh] = weights[at] * acc / sig[at]
-        cell_terms[cells] = _cell_terms(z, weights[cells], sig[cells], d, n)
+        _cell_terms(z, weights[cells], sig[cells], d, n, out=cell_terms[cells[0]:cells[-1] + 1])
         level0[cells] = z[:, 0]
     diag = SnDiagnostics(level0_bound=weights * np.abs(level0) / sig,
                          cell_terms=cell_terms.copy()) if with_diagnostics else None
@@ -312,7 +309,8 @@ def sn_boundary_ensemble(n: int, af: AlphaFunction, stream: RandomStream,
     At a boundary only the shift-0 coefficients of levels 0..n enter, and
     those are exactly the first n+1 draw pairs of each cell's stream, so
     the ensemble touches a short prefix of every cell stream instead of
-    evaluating whole paths.
+    evaluating whole paths.  So ``levels`` is only checked against n (the
+    truncation must reach level n); the values do not depend on it.
     """
     ensemble = _check_ints(ensemble, 1, None, "ensemble size")
     n, _, alphas, weights, sig = _sn_cells(n, af, d, levels)
@@ -321,6 +319,7 @@ def sn_boundary_ensemble(n: int, af: AlphaFunction, stream: RandomStream,
     out = np.empty((ensemble, ks.size))
     for rows in _row_chunks(ensemble, m * (n + 1)):
         z = _sn_cell_draws(alphas, stream, n + 1, np.arange(m), rows)
-        out[rows] = _partial_sums(np.empty((rows.size, m + 1)), ks,
-                                  _cell_terms(z, weights, sig, d, n))
+        prefix = np.empty((rows.size, m + 1))
+        _cell_terms(z, weights, sig, d, n, out=prefix[:, 1:])
+        out[rows] = _partial_sums(prefix, ks)
     return out

@@ -19,8 +19,8 @@ import numpy as np
 
 from .alpha_model import AlphaFunction, _cell_alphas, _cell_times, grid_index
 from .errors import ParameterError
-from .stable_core import (RandomStream, _check_alphas, _check_ints, _child_ids, _cms,
-                          _exponential, _generators, _row_chunks, _uniform_pairs)
+from .stable_core import (_CMS_BLOCK, RandomStream, _check_alphas, _check_ints, _child_ids,
+                          _cms, _exponential, _generators, _row_chunks, _uniform_pairs)
 
 # substream tags (arbitrary fixed constants; see RandomStream.child)
 _TAG_ARRIVALS = 0xA121
@@ -108,8 +108,8 @@ def _symmetric_draws(alphas: np.ndarray, stream: RandomStream, m: int, nested: b
 
 
 def _weights(alphas: np.ndarray, base, fs, m: int, first: int) -> np.ndarray:
-    """base^(1/alpha_k) f(x_k) as (integrands x cells), or (rows x 1 x
-    cells) for a column of per-replicate bases, at the cell times x_k of
+    """base^(1/alpha_k) f(x_k) as (integrands x cells), or (rows x integrands
+    x cells) for a column of per-replicate bases, at the cell times x_k of
     ``_cell_times(m, first, alphas.size)``, built only for integrands."""
     weights = np.divide(1.0, alphas)
     if np.ndim(base):
@@ -118,20 +118,24 @@ def _weights(alphas: np.ndarray, base, fs, m: int, first: int) -> np.ndarray:
         # numpy's power reads a broadcast scalar by gather, at twice the
         # cost of a contiguous operand and with the same bits
         np.power(np.full(alphas.shape, base), weights, out=weights)
-    weights = weights[..., None, :]
-    if fs is not None:
-        xs = _cell_times(m, first, alphas.size)
-        weights = weights * np.stack([f._values(xs) for f in fs])
-    return weights
+    if fs is None:
+        return weights[..., None, :]
+    # f is read a block of cells at a time, so its temporaries stay small
+    out = np.empty(weights.shape[:-1] + (len(fs), alphas.size))
+    for lo in range(0, alphas.size, _CMS_BLOCK):
+        xs = _cell_times(m, first + lo, min(_CMS_BLOCK, alphas.size - lo))
+        cells = slice(lo, lo + xs.size)
+        for i, f in enumerate(fs):
+            np.multiply(weights[..., cells], f._values(xs), out=out[..., i, cells])
+    return out
 
 
-def _partial_sums(prefix: np.ndarray, cols, terms=None) -> np.ndarray:
-    """[0, cumsum(X_k)] along the last axis, formed in ``prefix`` from the
-    terms X in its [..., 1:] (in place) or in ``terms``, at the indices
-    ``cols``: all (the buffer itself) when None, one row per replicate when
-    2-D."""
+def _partial_sums(prefix: np.ndarray, cols) -> np.ndarray:
+    """[0, cumsum(X_k)] along the last axis, formed in place from the terms
+    X in ``prefix[..., 1:]``, at the indices ``cols``: all (the buffer
+    itself) when None, one row per replicate when 2-D."""
     prefix[..., 0] = 0.0
-    np.cumsum(prefix[..., 1:] if terms is None else terms, axis=-1, out=prefix[..., 1:])
+    np.cumsum(prefix[..., 1:], axis=-1, out=prefix[..., 1:])
     if cols is None:
         return prefix
     if np.ndim(cols) == 2:
@@ -172,20 +176,17 @@ def _weighted_sums(af, m: int, stream: RandomStream, base, fs=None, start: int =
         prefix[:, 1:] *= weights
         return _partial_sums(prefix, cols)
     cols = np.asarray(cols)
-    per_row = np.ndim(base) == 1
-    weights = None if per_row else _weights(alphas, base, fs, m, start + 1)
     out = np.empty((replicates, 1 if fs is None else len(fs), cols.shape[-1]))
     for rows in _row_chunks(replicates, count):
         row_cols = cols[rows] if cols.ndim == 2 else cols
         need = int(row_cols.max())
+        # the draws go to a contiguous buffer: CMS writes a strided one slower
         x = _symmetric_draws(alphas[:need], stream, m, nested, rows)[:, None, :]
-        if per_row:
-            w = _weights(alphas[:need], base[rows][:, None], fs, m, start + 1)
-        else:
-            w = weights[:, :need]
-        terms = w * x
-        out[rows] = _partial_sums(np.empty(terms.shape[:-1] + (need + 1,)), row_cols, terms)
-        del terms
+        w = _weights(alphas[:need], base[rows][:, None] if np.ndim(base) else base, fs, m,
+                     start + 1)
+        prefix = np.empty((rows.size, out.shape[1], need + 1))
+        np.multiply(w, x, out=prefix[..., 1:])
+        out[rows] = _partial_sums(prefix, row_cols)
     return out
 
 

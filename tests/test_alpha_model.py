@@ -391,6 +391,8 @@ class TestNaiveSchemeExponent:
         (AlphaFunction.constant(1.4), 1.0, 0.8, 20),
         # count = 2^20 - 3, just below a multiple of 8 and of 2^14
         (plateau_identity_alpha(1.8), 1.0 - 3 * 2.0 ** -20, 1.3, 20),
+        # more table pieces than cells: most pieces hold no cell
+        (AF_TABLE49, 0.97, 1.3, 3), (AF_TABLE49, 0.97, 1.3, 4), (AF_TABLE49, 0.97, 1.3, 5),
     ] + [(af, count * 2.0 ** -17, theta, 17)
          for af, theta in ((AF_TABLE7, 1.4), (AF_FLAT_SLOPED_FLAT, 0.6))
          for count in WALK_COUNTS])
@@ -529,6 +531,10 @@ class TestLimitCharacteristicFunctions:
         got = integral_cf([f], [0.9], AF_LINEAR)
         want = math.exp(-modular_integral(f.scaled(0.9), AF_LINEAR))
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_no_thetas_give_the_cf_of_nothing(self):
+        assert li_cf(AF_LINEAR, [], []) == 1.0
+        assert integral_cf([], [], AF_LINEAR) == 1.0
 
 
 def _compensated(values) -> float:
@@ -1085,6 +1091,14 @@ class TestCertifiedBisection:
                                    hi, modular(hi))
             assert call() == first_two
         assert fault.calls == 3
+
+    @pytest.mark.parametrize("g_lo, g_hi", [(math.inf, 0.5), (2.0, 0.0), (1.0, 1.0)],
+                             ids=["inf_at_lo", "zero_at_hi", "flat"])
+    def test_ends_outside_the_open_range_certify_nothing(self, g_lo, g_hi):
+        # log space needs 0 < g_hi < g_lo < inf: otherwise no step is taken
+        modular = _counter(_modular(IntegrandFunction.constant(1.0), AF_LINEAR))
+        assert _certified(modular, 0.25, g_lo, 4.0, g_hi) == (0.25, 4.0)
+        assert modular.calls == 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_the_benchmark_shapes_take_few_evaluations(self, monkeypatch, seed):

@@ -117,6 +117,44 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:") and flag in captured.err
 
+    @pytest.mark.parametrize("alpha", ["5", "[1.5]", '"x"', "null"],
+                             ids=["number", "list", "string", "null"])
+    def test_an_alpha_that_is_not_a_json_object_exits_2(self, alpha, capsys):
+        assert run(["norm", "--alpha", alpha, "--table", "1,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "JSON object" in captured.err
+
+    @pytest.mark.parametrize("argv, file_cfg, message", [
+        (["norm", "--table", "1,2"], {"alpha": 5}, "JSON object"),
+        (["simulate"], [1, 2], "config file must hold a JSON object"),
+        (["simulate"], {"scheme": "bogus"}, "unknown scheme 'bogus'"),
+        (["verify", "--ensemble", "1000"], {"suite": "bogus"}, "unknown suite 'bogus'"),
+    ], ids=["alpha_number", "config_list", "scheme", "suite"])
+    def test_a_bad_config_value_exits_2_before_any_output(self, argv, file_cfg, message,
+                                                          tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        assert run([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("file_cfg, switch", [
+        ({"plot": "false", "out": "p.csv", "n": 3}, "plot"),
+        ({"nested": "no", "n": 3}, "nested"),
+        ({"nested": 0, "n": 3}, "nested"),
+    ], ids=["plot_string", "nested_string", "nested_number"])
+    def test_a_config_switch_must_be_a_json_boolean(self, file_cfg, switch, tmp_path,
+                                                     monkeypatch, capsys):
+        # read by truthiness, "false" wrote an SVG and "no" drew by dyadic address
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(file_cfg))
+        assert run(["simulate", "--config", "cfg.json", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"config key {switch}" in captured.err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_failed_allocation_is_a_usage_error(self, monkeypatch, capsys):
         """A run that cannot allocate exits 2, never 1 (a failed verification)."""
         def no_memory(*args, **kwargs):

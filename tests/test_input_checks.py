@@ -36,6 +36,7 @@ from mslevy.integrals import (
     pairwise_independence,
     sample_integral,
     strong_localisability_check,
+    weight_sup_constant,
     weighted_mslm,
 )
 from mslevy.msl_schemes import (PathGrid, SchemeConfig, glue_whole_line, li_window_ensemble,
@@ -50,9 +51,9 @@ from mslevy.stable_core import (
     stable_cf,
     symmetric_from_uniform_pairs,
 )
-from mslevy.verify_stats import (ecf_report, factorization_test, increment_cf_test,
-                                  localisability_test, spearman_corr, tightness_bound_constant,
-                                  tightness_check)
+from mslevy.verify_stats import (ecf_report, empirical_cf, empirical_cf_joint,
+                                  factorization_test, increment_cf_test, localisability_test,
+                                  spearman_corr, tightness_bound_constant, tightness_check)
 
 NAN = math.nan
 STREAM = RandomStream(1)
@@ -65,8 +66,10 @@ ONE = IntegrandFunction.constant(1.0)
 class _NoDraws:
     """A stream that fails the test on the first draw asked of it."""
 
-    def child(self, i):
+    def child(self, *indices):
         raise AssertionError("drew before checking the input")
+
+    generator = child
 
 
 NO_DRAWS = _NoDraws()
@@ -224,6 +227,84 @@ EMPTY_CALLS = {
 }
 
 
+# name -> (error, words of its message, a call with one argument outside its
+# admissible set): every other argument check of the package, each reached
+# by one call
+INADMISSIBLE_CALLS = {
+    "li_cf.lengths": (ParameterError, "equal length", lambda: li_cf(AF, [0.5], [1.0, 2.0])),
+    "li_cf.domain_start": (ParameterError, "starts at 0", lambda: li_cf(
+        AlphaFunction.constant(1.5, (0.5, 1.0)), [0.75], [1.0])),
+    "li_cf.time_past_domain": (DomainError, "evaluation times", lambda: li_cf(AF, [1.5], [1.0])),
+    "integral_cf.lengths": (ParameterError, "equal length", lambda: integral_cf(
+        [ONE], [1.0, 2.0], AF)),
+    # 1e200^2 overflows, in log space too
+    "integral_cf.not_integrable": (DomainError, "not integrable", lambda: integral_cf(
+        [IntegrandFunction.from_table([1e200])], [1.0], AlphaFunction.constant(2.0))),
+    "check_condition7.lag_past_one": (DomainError, "lags must lie in", lambda: check_condition7(
+        AF, GRID, [1.5])),
+    "check_condition7.lags_increasing": (DomainError, "strictly decreasing",
+                                         lambda: check_condition7(AF, GRID, [0.125, 0.25])),
+    "exponent_integral.interval": (DomainError, "need", lambda: exponent_integral(
+        AF, 1.0, 0.75, 0.25)),
+    "AlphaFunction.kind": (ParameterError, "unknown exponent kind", lambda: AlphaFunction(
+        "bogus", (0.0, 1.0), (), (1.5,), (0.0,))),
+    "AlphaFunction.domain": (ParameterError, "proper interval", lambda: AlphaFunction.constant(
+        1.5, (1.0, 0.5))),
+    "AlphaFunction.value_count": (ParameterError, "one value per cell",
+                                  lambda: AlphaFunction.piecewise([0.5], [1.5])),
+    "AlphaFunction.empty_table": (ParameterError, "at least one value",
+                                  lambda: AlphaFunction.from_table([])),
+    "AlphaFunction.segment": (DomainError, "outside domain", lambda: AF.segment(1)),
+    "AlphaFunction.from_json.missing_field": (ParameterError, "missing field", lambda: (
+        AlphaFunction.from_json('{"kind": "linear", "intercept": 1.2}'))),
+    "AlphaFunction.from_json.number": (ParameterError, "JSON object",
+                                       lambda: AlphaFunction.from_json("5")),
+    "AlphaFunction.from_json.list": (ParameterError, "JSON object",
+                                     lambda: AlphaFunction.from_json([1.5])),
+    "AlphaFunction.from_json.null": (ParameterError, "JSON object",
+                                     lambda: AlphaFunction.from_json("null")),
+    "IntegrandFunction.from_table.two_d": (ParameterError, "1-d", lambda: (
+        IntegrandFunction.from_table([[1.0, 2.0]]))),
+    "IntegrandFunction.from_table.empty": (ParameterError, "non-empty",
+                                           lambda: IntegrandFunction.from_table([])),
+    "IntegrandFunction.indicator": (ParameterError, "indicator needs",
+                                    lambda: IntegrandFunction.indicator(0.5, 0.25)),
+    "max_deviation_probability.alpha": (ParameterError, "alpha in (0, 2)", lambda: (
+        max_deviation_probability(2.0, 1.0, 2, 10, NO_DRAWS))),
+    "weight_sup_constant.sup": (ParameterError, "sup is not finite", lambda: weight_sup_constant(
+        IntegrandFunction.from_callable(lambda x: np.full_like(x, math.inf)), AF)),
+    "strong_localisability_check.window": (ParameterError, "window", lambda: (
+        strong_localisability_check(KernelFunction.running_indicator(), AF, 0.9, [0.5],
+                                    [(0.0, 1.0)]))),
+    "PathGrid.empty": (ParameterError, "non-empty", lambda: PathGrid(times=[], values=[])),
+    "PathGrid.unequal": (ParameterError, "equally long", lambda: PathGrid(
+        times=[0.0, 1.0], values=[0.0])),
+    "StableParams.beta": (ParameterError, "beta must lie", lambda: StableParams(1.5, beta=1.5)),
+    "StableParams.gaussian_beta": (ParameterError, "beta must be 0",
+                                   lambda: StableParams(2.0, beta=0.5)),
+    "poisson_arrivals.rate_before_any_draw": (ParameterError, "rate", lambda: (
+        poisson_arrivals(-1.0, 3, NO_DRAWS))),
+    "empirical_cf.no_samples": (ParameterError, "at least one sample",
+                                lambda: empirical_cf([], [1.0])),
+    "empirical_cf_joint.one_d": (ParameterError, "(N, J) sample matrix",
+                                 lambda: empirical_cf_joint([1.0, 2.0], [[1.0]])),
+    "empirical_cf_joint.tuple_length": (ParameterError, "sample dimension", lambda: (
+        empirical_cf_joint([[1.0, 2.0]], [[1.0]]))),
+    "ecf_report.theoretical_length": (ParameterError, "align with the grid", lambda: (
+        ecf_report([0.1, 0.2], [1.0, 1.0], [0.5]))),
+    "spearman_corr.lengths": (ParameterError, "equally long",
+                              lambda: spearman_corr([1.0, 2.0], [1.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INADMISSIBLE_CALLS))
+def test_inadmissible_input_is_named(name):
+    error, words, call = INADMISSIBLE_CALLS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert words in str(info.value)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
 def test_non_finite_input_is_rejected(name):
@@ -281,8 +362,7 @@ class TestOneCheckPerInput:
             simulate_stable_fclt(0.0, 4, STREAM)
 
     def test_zero_arrivals_are_empty(self):
-        arrivals = poisson_arrivals(2.0, 0, STREAM)
-        assert arrivals.times.shape == (0,) and arrivals.rate == 2.0
+        assert poisson_arrivals(2.0, 0, STREAM).shape == (0,)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_zero_rate_is_rejected_without_a_warning(self):

@@ -108,6 +108,13 @@ class TestOverlapMeasure:
         assert overlap_measure(a, c) == pytest.approx(0.25, abs=1e-12)
         assert overlap_measure(c, a) == pytest.approx(overlap_measure(a, c), abs=1e-14)
 
+    def test_callable_integrands_are_scanned_cell_by_cell(self):
+        # not step functions: each cell between breakpoints is scanned
+        f1 = IntegrandFunction.from_callable(lambda x: np.maximum(0.5 - x, 0.0), [0.5])
+        f2 = IntegrandFunction.from_callable(lambda x: np.maximum(x - 0.25, 0.0), [0.25])
+        assert overlap_measure(f1, f2) == 0.25
+        assert overlap_measure(f1, f1) == 0.5
+
 
 class TestIntegralSampling:
     def test_deterministic_and_linear_in_the_integrand(self):
@@ -181,6 +188,15 @@ class TestIndependenceCriteria:
         (entry,) = rep.offending
         assert entry[:2] == (0, 1)
         assert entry[2] == pytest.approx(0.1, abs=1e-12)
+
+    def test_an_exponent_reaching_2_needs_a_nonnegative_product(self):
+        gaussian = AlphaFunction.constant(2.0)
+        halves = [half_open_indicator(0.0, 0.5), half_open_indicator(0.5, 1.0)]
+        rep = pairwise_independence(halves, gaussian)
+        assert rep.applicable and rep.independent
+        mixed = [IntegrandFunction.from_table([1.0, -1.0]), IntegrandFunction.constant(1.0)]
+        rep = pairwise_independence(mixed, gaussian)
+        assert not rep.applicable and not rep.independent
 
 
 class TestBillingsleyBound:
@@ -276,8 +292,32 @@ class TestHoelderBound:
         assert 0.0 <= pair.tail_prob <= 1.0
         assert pair.tail_ok and pair.energy_ok
 
+    def test_a_zero_gap_pair_draws_nothing_and_passes(self):
+        rep = hoelder_bound_check(KernelFunction.running_indicator(), AF_LINEAR,
+                                  eta=1.0, C=1.0, beta=0.4, pairs=[(0.5, 0.5)],
+                                  stream=RandomStream(1), n=4, ensemble=10)
+        (pair,) = rep.pairs
+        assert (pair.energy, pair.energy_bound, pair.tail_prob, pair.tail_bound) == (0.0,) * 4
+        assert rep.all_pass
+
 
 class TestStrongLocalisability:
+    def test_a_slope_that_moves_with_the_radius_is_unstable(self):
+        # at r = 1/2 the windows reach the step of alpha at 0.45, at r = 0.01 they do not
+        rep = strong_localisability_check(KernelFunction.running_indicator(),
+                                          AlphaFunction.piecewise([0.45], [1.0, 2.0]), x=0.4,
+                                          r_list=[0.5, 0.01], pairs=[(0.0, 0.05), (0.0, 0.2)],
+                                          with_quasinorm=False)
+        assert rep.eta_spread >= 0.1 and rep.verdict == "unstable-fit"
+
+    def test_a_slope_at_most_the_required_one_is_not_established(self):
+        # f(t, s) = t under alpha = 0.8: every energy is (r |t - v|)^0.8 / r
+        rep = strong_localisability_check(KernelFunction(IntegrandFunction.constant),
+                                          AlphaFunction.constant(0.8), x=0.5,
+                                          r_list=[0.25, 0.125], pairs=[(1.0, 0.5), (1.0, 0.0)])
+        assert rep.eta_mean == pytest.approx(0.8, abs=1e-12)
+        assert rep.verdict == "not-established"
+
     def test_constant_kernel_has_zero_increments(self):
         g = half_open_indicator(0.0, 0.5)
         kernel = KernelFunction(lambda t: g)

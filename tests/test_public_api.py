@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "EcfReport", "FactorizationReport", "GridResolutionError", "HoelderReport",
     "IndependenceReport", "InfiniteQuasinormError", "IntegrandFunction", "KernelFunction",
     "LocalisabilityReport", "PairwiseReport", "ParameterError", "PathGrid",
-    "PoissonArrivals", "QuadratureError", "RandomStream", "SchemeConfig", "SnDiagnostics",
+    "QuadratureError", "RandomStream", "SchemeConfig", "SnDiagnostics",
     "StableParams", "StrongLocReport", "TightnessReport", "adaptive_simpson",
     "billingsley_bound", "check_condition7", "compute_C_alpha", "ecf_report",
     "empirical_cf", "empirical_cf_joint", "ensemble_to_csv", "exponent_integral",

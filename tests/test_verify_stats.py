@@ -76,6 +76,9 @@ class TestEmpiricalCf:
 
 
 class TestSpearman:
+    def test_constant_input_has_no_rank_correlation(self):
+        assert spearman_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
+
     def test_perfect_monotone(self):
         xs = np.array([0.1, 0.2, 0.5, 0.9])
         assert spearman_corr(xs, xs ** 3) == pytest.approx(1.0)

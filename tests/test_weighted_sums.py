@@ -82,7 +82,7 @@ def ref_lc(af, stream, gamma=None):
 
 
 def ref_lr(af, stream, n=N):
-    counts = np.floor(poisson_arrivals(1.0, 2 ** n, stream.child(TAG_ARRIVALS)).times)
+    counts = np.floor(poisson_arrivals(1.0, 2 ** n, stream.child(TAG_ARRIVALS)))
     counts = counts.astype(int)
     alphas = grid_alphas(af, int(counts[-1]), n=n)
     prefix = weighted_sum_path(alphas, 2.0 ** -n, 1.0, sample_symmetric(alphas, stream))
