@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -216,16 +217,8 @@ class AlphaFunction:
         if not np.all((x >= t0 - _EDGE_TOL) & (x <= t1 + _EDGE_TOL)):
             raise DomainError(f"argument outside exponent domain [{t0}, {t1}]")
         x = np.clip(x, t0, t1)
-        if self.breaks:
-            idx = np.searchsorted(self.breaks, x, side="right")
-            out = np.asarray(self.slopes)[idx]
-            out *= x
-            out += np.asarray(self.intercepts)[idx]
-        else:  # one cell: Python-float coefficients keep the cost of c + m x
-            out = x
-            out *= self.slopes[0]
-            out += self.intercepts[0]
-        return out
+        idx = np.searchsorted(self.breaks, x, side="right")
+        return np.asarray(self.slopes)[idx] * x + np.asarray(self.intercepts)[idx]
 
     # -- structure --------------------------------------------------------
 
@@ -284,7 +277,17 @@ class AlphaFunction:
             args = [d[key] for key in keys]
         except KeyError as exc:
             raise ParameterError(f"missing field {exc} for exponent kind {kind!r}") from exc
-        return getattr(cls, constructor)(*args, tuple(d.get("domain", (0.0, 1.0))))
+        domain = d.get("domain", (0.0, 1.0))
+        # value, intercept and slope are numbers; domain and the rest are lists
+        for key, value in (*zip(keys, args), ("domain", domain)):
+            one = key in ("value", "intercept", "slope")
+            items = [value] if one else value if isinstance(value, (list, tuple)) else [None]
+            if not (all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)
+                    and (key != "domain" or len(items) == 2)):
+                want = "a number" if one else f"a list of {'two ' * (key == 'domain')}numbers"
+                raise ParameterError(f"field {key!r} of exponent kind {kind!r} must be "
+                                     f"{want}, got {value!r}")
+        return getattr(cls, constructor)(*args, tuple(domain))
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +422,10 @@ def _check_theta(theta) -> float:
 
 def _theta_sums(th: list[float], compute: Callable):
     """compute(), which adds up the finite thetas ``th`` in numpy, with an
-    overflow of those sums named rather than passed on as an infinite theta
-    (``li_cf`` names its own, from the sums it forms).  numpy
-    is asked to raise on overflow (about 1 us) only when the sizes of the
-    thetas add up past the float range, the one case where their sums can
-    overflow."""
+    overflow of those sums named rather than passed on as an infinite theta.
+    numpy is asked to raise on overflow (about 1 us) only when the sizes of
+    the thetas add up past the float range, the one case where their sums
+    can overflow."""
     if not math.isinf(_left_sum(map(abs, th))):
         return compute()
     try:
@@ -475,8 +477,8 @@ def li_cf(af: AlphaFunction, times: Sequence[float], thetas: Sequence[float]) ->
     Evaluates exp(-integral_0^1 |sum_j theta_j 1_[0, t_j](s)|^alpha(s) ds),
     splitting the integral at the (sorted) evaluation times where the inner
     step function changes value.  Each cell's coefficient is np.sum of the
-    thetas at or after it, formed in Python floats below 8 thetas, where
-    np.sum adds left to right from 0.0 too, and by numpy masks from 8 on.
+    thetas at or after it, picked by a mask of the times: left to right from
+    0.0 below 8 thetas, by numpy's pairwise summation from 8 on.
     """
     if len(times) != len(thetas):
         raise ParameterError("times and thetas must have equal length")
@@ -491,15 +493,8 @@ def li_cf(af: AlphaFunction, times: Sequence[float], thetas: Sequence[float]) ->
     # checked here, as a theta at time 0 reaches no cell's exponent integral
     th = [_check_theta(t) for t in thetas]
     edges = sorted({*ts, 0.0})
-    if len(th) < 8:
-        coeffs = [_left_sum([t for s, t in zip(ts, th) if s >= hi]) for hi in edges[1:]]
-    else:
-        at, by_time = np.asarray(ts), np.asarray(th)
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = [float(by_time[at >= hi].sum()) for hi in edges[1:]]
-    # finite thetas have a non-finite sum only where an addition overflowed
-    if not all(map(math.isfinite, coeffs)):
-        raise ParameterError("a sum of the thetas overflows the float range")
+    at, by_time = np.asarray(ts), np.asarray(th)
+    coeffs = _theta_sums(th, lambda: [float(by_time[at >= hi].sum()) for hi in edges[1:]])
     total = 0.0
     for lo, hi, coeff in zip(edges, edges[1:], coeffs):
         total += exponent_integral(af, coeff, lo, hi)

@@ -107,27 +107,24 @@ def _symmetric_draws(alphas: np.ndarray, stream: RandomStream, m: int, nested: b
     return _cms(u, alphas, out=out)
 
 
-def _weights(alphas: np.ndarray, base, fs, m: int, first: int) -> np.ndarray:
+def _weights(alphas: np.ndarray, base, fs, m: int, first: int,
+             out: np.ndarray | None = None) -> np.ndarray:
     """base^(1/alpha_k) f(x_k) as (integrands x cells), or (rows x integrands
     x cells) for a column of per-replicate bases, at the cell times x_k of
-    ``_cell_times(m, first, alphas.size)``, built only for integrands."""
-    weights = np.divide(1.0, alphas)
-    if np.ndim(base):
-        weights = base ** weights
-    else:
-        # numpy's power reads a broadcast scalar by gather, at twice the
-        # cost of a contiguous operand and with the same bits
-        np.power(np.full(alphas.shape, base), weights, out=weights)
+    ``_cell_times(m, first, alphas.size)``, built only for integrands; with
+    a scalar base, base^(1/alpha_k) is formed in ``out`` if given."""
+    weights = np.divide(1.0, alphas, out=out)
+    weights = np.power(base, weights, out=None if np.ndim(base) else weights)
     if fs is None:
         return weights[..., None, :]
     # f is read a block of cells at a time, so its temporaries stay small
-    out = np.empty(weights.shape[:-1] + (len(fs), alphas.size))
+    wf = np.empty(weights.shape[:-1] + (len(fs), alphas.size))
     for lo in range(0, alphas.size, _CMS_BLOCK):
         xs = _cell_times(m, first + lo, min(_CMS_BLOCK, alphas.size - lo))
         cells = slice(lo, lo + xs.size)
         for i, f in enumerate(fs):
-            np.multiply(weights[..., cells], f._values(xs), out=out[..., i, cells])
-    return out
+            np.multiply(weights[..., cells], f._values(xs), out=wf[..., i, cells])
+    return wf
 
 
 def _partial_sums(prefix: np.ndarray, cols) -> np.ndarray:
@@ -167,13 +164,13 @@ def _weighted_sums(af, m: int, stream: RandomStream, base, fs=None, start: int =
     count = m if count is None else count
     alphas = _cell_alphas(af, m, start + 1, count)
     if replicates is None:
-        # the draws go straight into the path, which is weighted and summed
-        # in place: a long path holds alphas, the weights and itself
-        weights = _weights(alphas, base, fs, m, start + 1)
-        prefix = np.empty((weights.shape[0], count + 1))
+        # the draws go straight into the path, then alphas' buffer takes the
+        # weights: a long path holds alphas and itself (and w f for integrands)
+        prefix = np.empty((1 if fs is None else len(fs), count + 1))
         _symmetric_draws(alphas, stream, m, nested, out=prefix[0, 1:])
         prefix[1:, 1:] = prefix[0, 1:]  # the same draws for every integrand
-        prefix[:, 1:] *= weights
+        prefix[:, 1:] *= _weights(alphas, base, fs, m, start + 1, out=alphas)
+        del alphas  # lr's gather of its columns needs only the path
         return _partial_sums(prefix, cols)
     cols = np.asarray(cols)
     out = np.empty((replicates, 1 if fs is None else len(fs), cols.shape[-1]))
@@ -231,11 +228,13 @@ def _arrival_counts(stream: RandomStream, m: int, cols, *lead) -> np.ndarray:
     """[0, floor(Gamma_1), ..., floor(Gamma_m)] at the indices ``cols`` (all
     when None), the arrivals drawn as poisson_arrivals(1, m,
     stream.child(*lead, _TAG_ARRIVALS)) for every index of ``lead``, which
-    gives the leading shape."""
-    u = _uniform_pairs(stream, m, *lead, _TAG_ARRIVALS)
-    prefix = np.empty(u.shape[:-2] + (m + 1,))
-    _exponential(u[..., 1], out=prefix[..., 1:])
-    del u
+    gives the leading shape.  One path's stream is read _CMS_BLOCK pairs at
+    a time, as _cms reads its draws, each block's gaps written into the path."""
+    blocks = ((_uniform_pairs(stream, m, *lead, _TAG_ARRIVALS),) if lead else
+              _uniform_pairs(stream.child(_TAG_ARRIVALS), m, block=_CMS_BLOCK))
+    prefix = np.empty(np.broadcast_shapes(*map(np.shape, lead)) + (m + 1,))
+    for lo, u in zip(range(1, m + 1, _CMS_BLOCK), blocks):
+        _exponential(u[..., 1], out=prefix[..., lo:lo + u.shape[-2]])
     summed = _partial_sums(prefix, cols)
     return np.floor(summed, out=summed).astype(int)
 
@@ -283,16 +282,18 @@ def glue_whole_line(af: AlphaFunction, n: int, stream: RandomStream) -> PathGrid
     if t0 != 0.0 or abs(t1 - round(t1)) > 1e-12 or t1 < 1.0:
         raise ParameterError("whole-line gluing needs an exponent domain [0, T], T integer >= 1")
     segments = int(round(t1))
-    times = [np.zeros(1)]
-    values = [np.zeros(1)]
+    m = 2 ** _check_ints(n, 1, _MAX_LEVEL, "dyadic level n")
+    times, values = np.zeros(segments * m + 1), np.zeros(segments * m + 1)
     offset = 0.0
     for k in range(segments):
         seg = simulate_li(SchemeConfig(n=n, af=af.segment(k),
                                        stream=stream.child(_TAG_SEGMENT, k)))
-        times.append(k + seg.times[1:])
-        values.append(offset + seg.values[1:])
+        cells = slice(1 + k * m, 1 + (k + 1) * m)
+        np.add(k, seg.times[1:], out=times[cells])
+        np.add(offset, seg.values[1:], out=values[cells])
         offset += float(seg.values[-1])
-    return PathGrid(times=np.concatenate(times), values=np.concatenate(values))
+        del seg  # one segment is held at a time
+    return PathGrid(times=times, values=values)
 
 
 def simulate_stable_fclt(alpha: float, n_terms: int, stream: RandomStream) -> PathGrid:

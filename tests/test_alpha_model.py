@@ -594,36 +594,9 @@ class TestSumsOnEveryInterpreter:
         assert _compensated(terms) != got
 
 
-# the exponents on [0, t_end] that the limiting motion takes
-LI_EXPONENTS = {name: af for name, af in PIECE_EXPONENTS.items() if af.domain[0] == 0.0}
-
-
-@st.composite
-def _li_points(draw):
-    """An exponent and 1-12 (time, theta) pairs: times repeated, at 0, at
-    the domain end and at breaks; thetas of mixed sizes, with +-0.0."""
-    name = draw(st.sampled_from(sorted(LI_EXPONENTS)))
-    t_end = LI_EXPONENTS[name].domain[1]
-    size = draw(st.integers(1, 12))
-    marks = [0.0, t_end, 0.5 * t_end, *LI_EXPONENTS[name].breaks]
-    times = draw(st.lists(st.one_of(st.sampled_from(marks), st.floats(0.0, t_end)),
-                          min_size=size, max_size=size))
-    thetas = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16]),
-                                     st.floats(-50.0, 50.0)), min_size=size, max_size=size))
-    return name, times, thetas
-
-
 class TestLiCfBits:
-    """li_cf's Python-float sums keep the bits of the numpy masks they
-    replaced: left to right from 0.0 below 8 thetas, np.sum from 8 on."""
-
-    @given(case=_li_points())
-    @settings(max_examples=300, deadline=None)
-    def test_same_bits_as_the_numpy_masks(self, case):
-        name, times, thetas = case
-        af = LI_EXPONENTS[name]
-        got = li_cf(af, times, thetas)
-        assert got.hex() == li_cf_by_masks(af, times, thetas, exponent_integral).hex()
+    """li_cf's coefficients are np.sum over a mask of the times: left to
+    right from 0.0 below 8 thetas, numpy's pairwise sum from 8 on."""
 
     @pytest.mark.parametrize("size", [3, 7, 8, 9, 12])
     def test_sums_that_depend_on_their_order(self, size):

@@ -125,6 +125,21 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "JSON object" in captured.err
 
+    @pytest.mark.parametrize("alpha", [
+        '{"kind":"constant","value":1.5,"domain":5}',
+        '{"kind":"constant","value":1.5,"domain":[0,"x"]}',
+        '{"kind":"piecewise","breaks":0.5,"values":[1.2,1.8]}',
+        '{"kind":"linear","intercept":[1.2],"slope":0.3}',
+        '{"kind":"table","values":3}',
+        '{"kind":"constant","value":null}',
+    ], ids=["domain_number", "domain_string", "breaks_number", "intercept_list",
+            "values_number", "value_null"])
+    def test_an_alpha_field_of_the_wrong_shape_exits_2(self, alpha, capsys):
+        assert run(["norm", "--alpha", alpha, "--table", "1,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: field '")
+
     @pytest.mark.parametrize("argv, file_cfg, message", [
         (["norm", "--table", "1,2"], {"alpha": 5}, "JSON object"),
         (["simulate"], [1, 2], "config file must hold a JSON object"),

@@ -263,6 +263,21 @@ INADMISSIBLE_CALLS = {
                                      lambda: AlphaFunction.from_json([1.5])),
     "AlphaFunction.from_json.null": (ParameterError, "JSON object",
                                      lambda: AlphaFunction.from_json("null")),
+    # a field of the wrong shape is named, not a TypeError from the constructor
+    **{f"AlphaFunction.from_json.{name}": (
+        ParameterError, f"field '{field}' of exponent kind '{kind}' must be",
+        lambda spec=spec: AlphaFunction.from_json(spec))
+       for name, (kind, field, spec) in {
+           "domain_number": ("constant", "domain", '{"kind":"constant","value":1.5,"domain":5}'),
+           "domain_string": ("constant", "domain",
+                             '{"kind":"constant","value":1.5,"domain":[0,"x"]}'),
+           "breaks_number": ("piecewise", "breaks",
+                             '{"kind":"piecewise","breaks":0.5,"values":[1.2,1.8]}'),
+           "intercept_list": ("linear", "intercept",
+                              '{"kind":"linear","intercept":[1.2],"slope":0.3}'),
+           "values_number": ("table", "values", '{"kind":"table","values":3}'),
+           "value_null": ("constant", "value", '{"kind":"constant","value":null}'),
+       }.items()},
     "IntegrandFunction.from_table.two_d": (ParameterError, "1-d", lambda: (
         IntegrandFunction.from_table([[1.0, 2.0]]))),
     "IntegrandFunction.from_table.empty": (ParameterError, "non-empty",
